@@ -9,7 +9,6 @@ incidence matrix, and the Mengerian property itself.
 from .clutters import (
     Clutter,
     MengerianProbe,
-    Minor,
     contract,
     delete,
     duplicate,
@@ -21,7 +20,6 @@ from .clutters import (
     minimal_covers,
     minimalize,
     minor,
-    minors,
     nu,
     tau,
     unit_clutter,
@@ -44,12 +42,10 @@ from .ideals import (
     NtfResult,
     PowerEquality,
     edge_ideal,
-    intersect,
     is_normally_torsion_free,
     member_of_power,
     power,
     powers_equal,
-    prime_power,
     symbolic_power,
 )
 from .linalg import (

@@ -109,6 +109,14 @@ class CapExceeded(RuntimeError):
     pass
 
 
+def check_power_cap(c: Clutter, caps: Caps) -> None:
+    """Refuse a power-equality run whose bound ceil(mu/2) exceeds the cap."""
+    bound = (c.m + 1) // 2
+    if bound > caps.max_power_k:
+        raise CapExceeded(
+            f"power-equality bound {bound} exceeds the cap {caps.max_power_k}")
+
+
 @dataclass(frozen=True)
 class KonigCheck:
     tau: int
@@ -264,10 +272,7 @@ def decide_mengerian_exact(
                               ideal=ideality, konig=konig, packing=packing,
                               classifier=classifier)
 
-    bound = (c.m + 1) // 2
-    if bound > caps.max_power_k:
-        raise CapExceeded(
-            f"power-equality bound {bound} exceeds the cap {caps.max_power_k}")
+    check_power_cap(c, caps)
     ntf = ideals.is_normally_torsion_free(c)
     return DecisionReport(g, t, c, TRACE_POWER, ntf.normally_torsion_free,
                           tu=tu, ideal=ideality, konig=konig, packing=packing,
@@ -285,7 +290,11 @@ def verify_report_dict(d: dict) -> list[tuple[str, bool, str]]:
     witness).
     """
     out: list[tuple[str, bool, str]] = []
-    c = clutters.from_json_dict(d["hypergraph"])
+    try:
+        c = clutters.from_json_dict(d["hypergraph"])
+    except (KeyError, TypeError, AttributeError) as exc:
+        raise ValueError(
+            f"report has no well-formed hypergraph ({type(exc).__name__}: {exc})") from None
     A = clutters.incidence_matrix(c) if not c.unit else None
 
     # decide reports nest the results under "checks"; check reports are flat

@@ -144,6 +144,7 @@ def _cmd_check(args) -> int:
         holds = clutters.has_packing(c)
         payload["packing"] = {"value": holds}
     elif prop == "ntf":
+        classify.check_power_cap(c, _caps(args))
         res = ideals.is_normally_torsion_free(c)
         holds = res.normally_torsion_free
         payload["ntf"] = classify.ntf_json(res, c, certificates=True)

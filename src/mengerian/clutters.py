@@ -144,21 +144,6 @@ def contract(c: Clutter, v: int) -> Clutter:
     return minor(c, contracted=(v,))
 
 
-@dataclass(frozen=True)
-class Minor:
-    deleted: tuple[int, ...]
-    contracted: tuple[int, ...]
-    clutter: Clutter
-
-
-def minors(c: Clutter) -> Iterator[Minor]:
-    """All 3^n (delete set, contract set) minors, in deterministic order."""
-    for assignment in product((0, 1, 2), repeat=c.n):
-        D = tuple(v for v, a in enumerate(assignment) if a == 1)
-        C = tuple(v for v, a in enumerate(assignment) if a == 2)
-        yield Minor(D, C, minor(c, D, C))
-
-
 def duplicate(c: Clutter, multiplicities: Sequence[int]) -> Clutter:
     """Vertex multiplication: a_i = 0 deletes, a_i = k makes k parallel copies.
 
@@ -239,8 +224,7 @@ def nu(c: Clutter) -> int:
     return best
 
 
-def _popcount(x: int) -> int:
-    return x.bit_count()
+_popcount = int.bit_count
 
 
 def _bits(mask: int) -> Iterator[int]:
@@ -265,6 +249,15 @@ def _greedy_cover_size(masks: list[int]) -> int:
     return size
 
 
+def _minimal_masks(masks: Iterable[int]) -> list[int]:
+    """The inclusion-minimal distinct masks, in increasing popcount."""
+    kept: list[int] = []
+    for t in sorted(set(masks), key=_popcount):
+        if not any(k & t == k for k in kept):
+            kept.append(t)
+    return kept
+
+
 def _greedy_matching_size(masks: list[int]) -> int:
     used = 0
     count = 0
@@ -286,13 +279,7 @@ def minimal_covers(c: Clutter) -> tuple[tuple[int, ...], ...]:
                 nxt.append(t)
             else:
                 nxt.extend(t | (1 << v) for v in _bits(e))
-        # keep antichain only
-        nxt = sorted(set(nxt), key=_popcount)
-        kept: list[int] = []
-        for t in nxt:
-            if not any(k & t == k for k in kept):
-                kept.append(t)
-        partial = kept
+        partial = _minimal_masks(nxt)
     covers = sorted(tuple(sorted(_bits(t))) for t in partial)
     return tuple(sorted(covers, key=lambda t: (len(t), t)))
 
@@ -304,13 +291,34 @@ def has_konig(c: Clutter) -> bool:
 
 
 def has_packing(c: Clutter) -> bool:
-    """Konig for the clutter and every non-unit minor."""
+    """Konig for the clutter and every non-unit deletion/contraction minor.
+
+    Depth-first walk that deletes or contracts one vertex per step. A
+    minor is its edge set, a sorted tuple of bitmasks over the original
+    vertex ids, and each distinct one is checked once. Unit minors are
+    skipped, since every minor of a unit clutter is unit again.
+    """
     _require_proper(c, "has_packing")
-    for mn in minors(c):
-        if mn.clutter.unit:
-            continue
-        if not has_konig(mn.clutter):
+    start = tuple(sorted(c.edge_masks()))
+    seen = {start}
+    stack = [start]
+    while stack:
+        masks = stack.pop()
+        edges = tuple(tuple(_bits(e)) for e in masks)
+        if not has_konig(Clutter(c.n, edges, c.labels)):
             return False
+        support = 0
+        for e in masks:
+            support |= e
+        for v in _bits(support):
+            bit = 1 << v
+            deleted = tuple(e for e in masks if not e & bit)
+            contracted = tuple(sorted(_minimal_masks(e & ~bit for e in masks)))
+            for child in (deleted, contracted):
+                # an empty edge (mask 0) makes the unit clutter
+                if 0 not in child and child not in seen:
+                    seen.add(child)
+                    stack.append(child)
     return True
 
 

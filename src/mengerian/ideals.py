@@ -1,15 +1,12 @@
 """Monomial ideals of clutters: powers, symbolic powers, torsion-freeness.
 
 Monomials are exponent tuples. Symbolic powers of a square-free monomial
-ideal are computed two independent ways:
-
-* the defining intersection of powers of minimal-cover primes, and
-* direct enumeration of the minimal exponent vectors whose degree sum
-  over every minimal cover reaches k (the fast path).
-
-Both routes are exact; the test suite cross-asserts them. The headline
-operation decides I^k = I^(k) for k up to ceil(mu/2), which settles the
-normally-torsion-free question, and with it the Mengerian one, exactly.
+ideal are computed by direct enumeration of the minimal exponent vectors
+whose degree sum over every minimal cover reaches k; the test suite checks
+them against the defining intersection of powers of minimal-cover primes.
+The headline operation decides I^k = I^(k) for k up to ceil(mu/2), which
+settles the normally-torsion-free question, and with it the Mengerian one,
+exactly.
 """
 
 from __future__ import annotations
@@ -29,10 +26,6 @@ def divides(a: Monomial, b: Monomial) -> bool:
 
 def mono_mul(a: Monomial, b: Monomial) -> Monomial:
     return tuple(x + y for x, y in zip(a, b))
-
-
-def mono_lcm(a: Monomial, b: Monomial) -> Monomial:
-    return tuple(max(x, y) for x, y in zip(a, b))
 
 
 def total_degree(a: Monomial) -> int:
@@ -116,34 +109,6 @@ def power(I: MonomialIdeal, k: int) -> MonomialIdeal:
     return MonomialIdeal(I.n, minimalize_generators(prods))
 
 
-def prime_power(cover: Sequence[int], k: int, n: int) -> MonomialIdeal:
-    """Minimal generators of P^k for the monomial prime on the cover variables."""
-    cover = tuple(sorted(set(cover)))
-    if not cover:
-        raise ValueError("a prime needs at least one variable")
-    if any(not 0 <= v < n for v in cover):
-        raise ValueError("cover variable out of range")
-    if k < 1:
-        raise ValueError("power exponent must be positive")
-    gens = []
-    for split in combinations_with_replacement(cover, k):
-        g = [0] * n
-        for v in split:
-            g[v] += 1
-        gens.append(tuple(g))
-    return MonomialIdeal(n, tuple(sorted(gens)))
-
-
-def intersect(I: MonomialIdeal, J: MonomialIdeal) -> MonomialIdeal:
-    """I cap J = minimalized pairwise lcms of the generators."""
-    if I.n != J.n:
-        raise ValueError("ideals live in different polynomial rings")
-    if I.is_zero or J.is_zero:
-        return MonomialIdeal(I.n, ())
-    lcms = {mono_lcm(f, g) for f in I.gens for g in J.gens}
-    return MonomialIdeal(I.n, minimalize_generators(lcms))
-
-
 def cover_degree_ok(m: Monomial, covers: Sequence[tuple[int, ...]], k: int) -> bool:
     """Membership in the k-th symbolic power: every minimal cover sees degree >= k."""
     return all(sum(m[v] for v in cov) >= k for cov in covers)
@@ -186,13 +151,11 @@ def _minimal_cover_vectors(covers: Sequence[tuple[int, ...]], k: int, n: int) ->
     return out
 
 
-def symbolic_power(c: Clutter, k: int, method: str = "cover-degrees") -> MonomialIdeal:
+def symbolic_power(c: Clutter, k: int) -> MonomialIdeal:
     """k-th symbolic power of the edge ideal of c.
 
-    method="intersection" folds the powers of the minimal-cover primes,
-    smallest covers first; method="cover-degrees" enumerates the minimal
-    exponent vectors directly. The two agree and are cross-checked in the
-    test suite.
+    Enumerates the minimal exponent vectors whose degree sum over every
+    minimal cover reaches k.
     """
     if c.unit:
         raise ValueError("the unit clutter has no symbolic powers")
@@ -200,18 +163,8 @@ def symbolic_power(c: Clutter, k: int, method: str = "cover-degrees") -> Monomia
         raise ValueError("the zero ideal has no symbolic powers here")
     if k < 1:
         raise ValueError("power exponent must be positive")
-    covers = minimal_covers(c)
-    if method == "cover-degrees":
-        gens = _minimal_cover_vectors(covers, k, c.n)
-        return MonomialIdeal(c.n, tuple(sorted(gens)))
-    if method == "intersection":
-        acc: Optional[MonomialIdeal] = None
-        for cov in sorted(covers, key=lambda t: (len(t), t)):
-            pk = prime_power(cov, k, c.n)
-            acc = pk if acc is None else intersect(acc, pk)
-        assert acc is not None
-        return acc
-    raise ValueError(f"unknown method {method!r}")
+    gens = _minimal_cover_vectors(minimal_covers(c), k, c.n)
+    return MonomialIdeal(c.n, tuple(sorted(gens)))
 
 
 def member_of_power(m: Monomial, I: MonomialIdeal, k: int) -> bool:

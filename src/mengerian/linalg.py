@@ -1,7 +1,8 @@
 """Exact rational linear algebra for covering polyhedra.
 
 All arithmetic is over Python ints and ``fractions.Fraction``; nothing here
-ever rounds. Determinants use fraction-free (Bareiss) elimination, total
+ever rounds. Every determinant, rank and solve goes through one
+fraction-free (Bareiss) row-echelon kernel over integer rows, total
 unimodularity is decided by an exhaustive subdeterminant scan with an
 explicit witness on failure, and the vertices of a covering polyhedron
 Q(A) = {x >= 0, Ax >= 1} are enumerated exactly from tight full-rank
@@ -71,82 +72,94 @@ class Matrix:
         return Matrix([[self.rows[i][j] for j in col_idx] for i in row_idx], n=len(col_idx))
 
     def det(self) -> Fraction:
-        """Exact determinant by fraction-free elimination.
-
-        Rational rows are scaled to integers first; the Bareiss recurrence
-        then stays within the integers, which is asserted at every pivot.
-        """
+        """Exact determinant; rational rows are scaled to integers first."""
         if self.m != self.n:
             raise ValueError("determinant requires a square matrix")
-        if self.m == 0:
-            return Fraction(1)
-        scaled = []
-        scale = 1
-        for row in self.rows:
-            d = lcm(*(x.denominator if isinstance(x, Fraction) else 1 for x in row)) if row else 1
-            scaled.append([int(x * d) for x in row])
-            scale *= d
-        return Fraction(bareiss_det(scaled), scale)
+        a, scale = _integer_rows(self.rows)
+        return Fraction(bareiss_det(a), scale)
 
     def rank(self) -> int:
-        return _rank(self.rows, self.n)
+        a, _ = _integer_rows(self.rows)
+        return _echelon(a, self.n)[0]
+
+
+def _integer_rows(rows: Iterable[Sequence]) -> tuple[list[list[int]], int]:
+    """Scale each row by the lcm of its denominators.
+
+    Returns the integer rows and the product of the scale factors, which
+    is what the determinant picks up.
+    """
+    out = []
+    scale = 1
+    for row in rows:
+        d = lcm(*(x.denominator if isinstance(x, Fraction) else 1 for x in row))
+        out.append([int(x * d) for x in row])
+        scale *= d
+    return out, scale
+
+
+def _echelon(a: list[list[int]], ncols: int) -> tuple[int, int]:
+    """Fraction-free (Bareiss) row echelon form of integer rows, in place.
+
+    Eliminates the first ncols columns; any further columns (a right-hand
+    side) are carried along. Returns the rank and the sign of the row
+    permutation. Every division in the recurrence must be exact; a nonzero
+    remainder would mean lost precision and raises immediately.
+    """
+    m = len(a)
+    sign = 1
+    prev = 1
+    r = 0
+    for col in range(ncols):
+        if r == m:
+            break
+        for p in range(r, m):
+            if a[p][col]:
+                break
+        else:
+            continue
+        if p != r:
+            a[r], a[p] = a[p], a[r]
+            sign = -sign
+        rowk = a[r]
+        pk = rowk[col]
+        width = len(rowk)
+        for i in range(r + 1, m):
+            rowi = a[i]
+            aik = rowi[col]
+            if not aik and pk == prev:
+                continue  # the update is the identity on this row
+            for j in range(col + 1, width):
+                q, rem = divmod(rowi[j] * pk - aik * rowk[j], prev)
+                if rem:
+                    raise ArithmeticError("fraction-free elimination produced a non-integer")
+                rowi[j] = q
+            rowi[col] = 0
+        prev = pk
+        r += 1
+    return r, sign
+
+
+def _back_substitute(a: list[list[int]], n: int) -> list[Fraction]:
+    """Solve the upper triangular system left by ``_echelon`` at full rank n."""
+    x = [Fraction(0)] * n
+    for i in range(n - 1, -1, -1):
+        row = a[i]
+        s = Fraction(row[n])
+        for j in range(i + 1, n):
+            if row[j]:
+                s -= row[j] * x[j]
+        x[i] = s / row[i]
+    return x
 
 
 def bareiss_det(a: list[list[int]]) -> int:
-    """Determinant of an integer matrix; mutates its argument.
-
-    Every interior division in the Bareiss recurrence must be exact; a
-    nonzero remainder would mean lost precision and raises immediately.
-    """
+    """Determinant of a square integer matrix; mutates its argument."""
     n = len(a)
-    if n == 0:
-        return 1
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            for i in range(k + 1, n):
-                if a[i][k]:
-                    a[k], a[i] = a[i], a[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        pk = a[k][k]
-        rowk = a[k]
-        for i in range(k + 1, n):
-            rowi = a[i]
-            aik = rowi[k]
-            for j in range(k + 1, n):
-                num = rowi[j] * pk - aik * rowk[j]
-                q, r = divmod(num, prev)
-                if r:
-                    raise ArithmeticError("fraction-free elimination produced a non-integer")
-                rowi[j] = q
-            rowi[k] = 0
-        prev = pk
-    return sign * a[n - 1][n - 1]
-
-
-def _rank(rows: Sequence[Sequence], n: int) -> int:
-    work = [[Fraction(x) for x in row] for row in rows]
-    rank = 0
-    col = 0
-    while col < n and rank < len(work):
-        piv = next((i for i in range(rank, len(work)) if work[i][col]), None)
-        if piv is None:
-            col += 1
-            continue
-        work[rank], work[piv] = work[piv], work[rank]
-        prow = work[rank]
-        inv = 1 / prow[col]
-        for i in range(rank + 1, len(work)):
-            f = work[i][col] * inv
-            if f:
-                work[i] = [a - f * b for a, b in zip(work[i], prow)]
-        rank += 1
-        col += 1
-    return rank
+    rank, sign = _echelon(a, n)
+    if rank < n:
+        return 0
+    return sign * a[-1][-1] if n else 1
 
 
 def solve(M: Matrix, b: Sequence) -> Optional[tuple[Fraction, ...]]:
@@ -159,30 +172,13 @@ def solve(M: Matrix, b: Sequence) -> Optional[tuple[Fraction, ...]]:
     if M.m != len(b):
         raise ValueError("right-hand side length does not match row count")
     n = M.n
-    aug = [[Fraction(x) for x in row] + [Fraction(_exact(v))] for row, v in zip(M.rows, b)]
-    pivots: list[int] = []
-    rank = 0
-    for col in range(n):
-        piv = next((i for i in range(rank, len(aug)) if aug[i][col]), None)
-        if piv is None:
-            continue
-        aug[rank], aug[piv] = aug[piv], aug[rank]
-        prow = aug[rank]
-        inv = 1 / prow[col]
-        for i in range(len(aug)):
-            if i != rank and aug[i][col]:
-                f = aug[i][col] * inv
-                aug[i] = [a - f * c for a, c in zip(aug[i], prow)]
-        pivots.append(col)
-        rank += 1
-    if any(all(r[j] == 0 for j in range(n)) and r[n] != 0 for r in aug):
+    a, _ = _integer_rows(row + (_exact(v),) for row, v in zip(M.rows, b))
+    rank, _ = _echelon(a, n)
+    if any(row[n] for row in a[rank:]):
         return None
     if rank < n:
         raise ValueError("underdetermined system: column rank below unknown count")
-    x = [Fraction(0)] * n
-    for r, col in enumerate(pivots):
-        x[col] = aug[r][n] / aug[r][col]
-    return tuple(x)
+    return tuple(_back_substitute(a, n))
 
 
 # ---------------------------------------------------------------------------
@@ -312,25 +308,9 @@ def _solve_unit_rhs(mat: list[list[int]]) -> Optional[list[Fraction]]:
     """Solve the square integer system mat * y = 1, or None if singular."""
     size = len(mat)
     aug = [row + [1] for row in mat]
-    for k in range(size):
-        piv = next((i for i in range(k, size) if aug[i][k]), None)
-        if piv is None:
-            return None
-        if piv != k:
-            aug[k], aug[piv] = aug[piv], aug[k]
-        # plain integer elimination with row scaling keeps everything exact
-        pk = aug[k][k]
-        for i in range(k + 1, size):
-            aik = aug[i][k]
-            if aik:
-                aug[i] = [pk * a - aik * b for a, b in zip(aug[i], aug[k])]
-    sol = [Fraction(0)] * size
-    for i in range(size - 1, -1, -1):
-        s = Fraction(aug[i][size])
-        for j in range(i + 1, size):
-            s -= aug[i][j] * sol[j]
-        sol[i] = s / aug[i][i]
-    return sol
+    if _echelon(aug, size)[0] < size:
+        return None
+    return _back_substitute(aug, size)
 
 
 def tight_constraints(rows: Sequence[tuple[int, ...]], coords: Sequence[Fraction]) -> tuple[int, ...]:
@@ -340,19 +320,18 @@ def tight_constraints(rows: Sequence[tuple[int, ...]], coords: Sequence[Fraction
     return tuple(tight)
 
 
-def enumerate_covering_vertices(A: Matrix, sparse_first: bool = True) -> Iterator[PolyhedronVertex]:
+def enumerate_covering_vertices(A: Matrix) -> Iterator[PolyhedronVertex]:
     """Yield every vertex of Q(A) exactly once, deterministically.
 
     Bases are all n-subsets of the m + n constraints; each nonsingular
     tight subsystem is solved exactly and kept when feasible. Bases that
-    pin more coordinates to zero are visited first when sparse_first is
-    set, so sparse vertices surface early.
+    pin more coordinates to zero are visited first, so sparse vertices
+    surface early.
     """
     rows = _validate_zero_one(A)
     m, n = A.m, A.n
     seen: set[tuple[Fraction, ...]] = set()
-    levels = range(n, -1, -1) if sparse_first else range(n + 1)
-    for zeros in levels:
+    for zeros in range(n, -1, -1):
         size = n - zeros
         if size > m:
             continue
@@ -406,16 +385,15 @@ def verify_vertex(A: Matrix, coords: Sequence) -> VertexCheck:
         sum(c for c, a in zip(pt, row) if a) >= 1 for row in rows
     )
     tight = tight_constraints(rows, pt) if feasible else ()
-    unit = [0] * A.n
     tight_mat = []
     for idx in tight:
         if idx < A.m:
-            tight_mat.append(rows[idx])
+            tight_mat.append(list(rows[idx]))
         else:
-            r = list(unit)
+            r = [0] * A.n
             r[idx - A.m] = 1
-            tight_mat.append(tuple(r))
-    rk = _rank(tight_mat, A.n) if tight_mat else 0
+            tight_mat.append(r)
+    rk = _echelon(tight_mat, A.n)[0]
     return VertexCheck(
         feasible=feasible,
         tight_rows=tight,
@@ -440,8 +418,8 @@ def _pattern_vertices(supports: list[frozenset[int]], n: int) -> Optional[Polyhe
                 if any(w < q for w in weights):
                     continue
                 tight = [i for i, w in enumerate(weights) if w == q]
-                reduced = [tuple(1 if j in supports[i] else 0 for j in S) for i in tight]
-                if _rank(reduced, s) != s:
+                reduced = [[1 if j in supports[i] else 0 for j in S] for i in tight]
+                if _echelon(reduced, s)[0] != s:
                     continue
                 coords = tuple(Fraction(1, q) if j in ss else Fraction(0) for j in range(n))
                 full_rows = [tuple(1 if j in sup else 0 for j in range(n)) for sup in supports]
@@ -449,22 +427,21 @@ def _pattern_vertices(supports: list[frozenset[int]], n: int) -> Optional[Polyhe
     return None
 
 
-def is_ideal(A: Matrix, use_patterns: bool = True) -> IdealityResult:
+def is_ideal(A: Matrix) -> IdealityResult:
     """Decide whether every vertex of Q(A) is integral.
 
-    A fractional vertex is returned as the certificate. The optional
-    pattern pre-pass only accelerates refutations; a positive answer is
-    always backed by the full exhaustive enumeration.
+    A fractional vertex is returned as the certificate. The pattern
+    pre-pass only accelerates refutations; a positive answer is always
+    backed by the full exhaustive enumeration.
     """
     rows = _validate_zero_one(A)
     if A.m == 0:
         return IdealityResult(True, None)
-    if use_patterns:
-        supports = [frozenset(j for j, a in enumerate(row) if a) for row in rows]
-        hit = _pattern_vertices(supports, A.n)
-        if hit is not None:
-            return IdealityResult(False, hit)
-    for vertex in enumerate_covering_vertices(A, sparse_first=True):
+    supports = [frozenset(j for j, a in enumerate(row) if a) for row in rows]
+    hit = _pattern_vertices(supports, A.n)
+    if hit is not None:
+        return IdealityResult(False, hit)
+    for vertex in enumerate_covering_vertices(A):
         if not vertex.is_integral:
             return IdealityResult(False, vertex)
     return IdealityResult(True, None)

@@ -1,12 +1,13 @@
 """Independent brute-force oracles for the test suite.
 
 Everything here is deliberately naive: permutation scans, subset scans,
-cofactor expansion. These implementations share no code with the package
-paths they check.
+cofactor expansion, and symbolic powers as an intersection of prime
+powers. These implementations share no code with the package paths they
+check.
 """
 
 from fractions import Fraction
-from itertools import combinations, permutations, product
+from itertools import combinations, combinations_with_replacement, permutations, product
 
 
 def spans_path(vertex_set, edge_set):
@@ -104,6 +105,33 @@ def cofactor_det(rows):
     return total
 
 
+def rank_scan(rows):
+    """Largest k with a nonzero k x k minor, by cofactor expansion."""
+    m, n = len(rows), len(rows[0]) if rows else 0
+    for k in range(min(m, n), 0, -1):
+        for rset in combinations(range(m), k):
+            for cset in combinations(range(n), k):
+                if cofactor_det([[rows[i][j] for j in cset] for i in rset]):
+                    return k
+    return 0
+
+
+def has_packing_scan(n, edge_sets):
+    """Konig on every non-unit minor, by scanning all disjoint (D, C) pairs.
+
+    Dominated edges are left in: they change neither tau nor nu.
+    """
+    for assignment in product((0, 1, 2), repeat=n):
+        D = {v for v, a in enumerate(assignment) if a == 1}
+        C = {v for v, a in enumerate(assignment) if a == 2}
+        kept = [set(e) - C for e in edge_sets if not D & set(e)]
+        if any(not e for e in kept):
+            continue  # an edge inside C: the unit clutter
+        if tau_scan(n, kept) != nu_scan(kept):
+            return False
+    return True
+
+
 def isomorphic_scan(g1, g2):
     """Graph isomorphism by scanning all vertex bijections."""
     if g1.n != g2.n or len(g1.edges) != len(g2.edges):
@@ -135,6 +163,46 @@ def power_products(gens, k):
     if gens:
         rec(0, k, [0] * len(gens[0]))
     return out
+
+
+def mono_lcm(a, b):
+    return tuple(max(x, y) for x, y in zip(a, b))
+
+
+def minimal_gens(gens):
+    """Sorted minimal generating set of exponent tuples."""
+    kept = []
+    for g in sorted(set(gens), key=sum):
+        if not any(all(x <= y for x, y in zip(h, g)) for h in kept):
+            kept.append(g)
+    return tuple(sorted(kept))
+
+
+def prime_power(cover, k, n):
+    """Generators of P^k for the monomial prime on the cover variables."""
+    if not cover:
+        raise ValueError("a prime needs at least one variable")
+    gens = []
+    for split in combinations_with_replacement(sorted(set(cover)), k):
+        g = [0] * n
+        for v in split:
+            g[v] += 1
+        gens.append(tuple(g))
+    return tuple(sorted(gens))
+
+
+def intersect(gens_a, gens_b):
+    """Generators of the intersection of two monomial ideals: pairwise lcms."""
+    return minimal_gens(mono_lcm(f, g) for f in gens_a for g in gens_b)
+
+
+def symbolic_power_scan(n, edge_sets, k):
+    """k-th symbolic power as the intersection of the minimal-cover prime powers."""
+    acc = None
+    for cov in minimal_covers_scan(n, edge_sets):
+        pk = prime_power(cov, k, n)
+        acc = pk if acc is None else intersect(acc, pk)
+    return acc
 
 
 def random_clutter(rng, n):

@@ -136,6 +136,19 @@ def test_verify_certificate_stdin_tampered():
     assert "INVALID" in out2
 
 
+@pytest.mark.parametrize("report", [
+    {"schema": 1},
+    {"schema": 1, "hypergraph": 5},
+    {"schema": 1, "hypergraph": {"n": 3}},
+    {"schema": 1, "hypergraph": {"n": 3, "edges": [["a"]]}},
+])
+def test_verify_certificate_without_hypergraph(report):
+    code, out, err = run_cli(["verify-certificate", "-"], stdin_text=json.dumps(report))
+    assert code == 1 and out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ") and "hypergraph" in lines[0]
+
+
 def test_input_source_required():
     with pytest.raises(SystemExit):
         run_cli(["decide"])
@@ -160,3 +173,12 @@ def test_deterministic_output():
 def test_cap_exceeded_exit():
     code, _, err = run_cli(["--max-n", "5", "decide", "--family", "cycle:8"])
     assert code == 1 and "cap" in err
+
+
+def test_check_ntf_respects_power_cap():
+    # H_3(C_8) has mu = 8, so power equality would run up to k = 4
+    code, out, err = run_cli(["--max-power", "2", "check", "ntf", "--family", "cycle:8"])
+    assert code == 1 and out == ""
+    assert err == "resource cap exceeded: power-equality bound 4 exceeds the cap 2\n"
+    code, out, _ = run_cli(["--max-power", "4", "check", "ntf", "--family", "cycle:8"])
+    assert code == 0 and json.loads(out)["ntf"]["checked_k"] == [2, 3, 4]

@@ -17,7 +17,6 @@ from mengerian.clutters import (
     minimal_covers,
     minimalize,
     minor,
-    minors,
     nu,
     tau,
     unit_clutter,
@@ -137,13 +136,6 @@ def test_contract_h3p5(h3p5):
     k = contract(h3p5, 2)
     label_sets = sorted(tuple(k.labels[v] for v in e) for e in k.edges)
     assert label_sets == [("x1", "x2", "x4"), ("x2", "x4", "x5")]
-
-
-def test_minors_count_and_identity():
-    c = Clutter(2, ((0, 1),))
-    ms = list(minors(c))
-    assert len(ms) == 9
-    assert ms[0].deleted == () and ms[0].contracted == () and ms[0].clutter == c
 
 
 def test_minor_disjointness_required(h3p5):
@@ -308,6 +300,20 @@ def test_packing_false_when_konig_fails():
             seen += 1
             assert not has_packing(c)
     assert seen > 0
+
+
+def test_packing_against_minor_scan():
+    rng = random.Random(31)
+    konig_but_not_packing = 0
+    for _ in range(200):
+        n = rng.randint(3, 5)
+        c = minimalize([rng.sample(range(n), rng.randint(2, 3)) for _ in range(rng.randint(1, 6))], n)
+        expected = oracles.has_packing_scan(c.n, c.edges)
+        assert has_packing(c) == expected
+        if has_konig(c) and not expected:
+            konig_but_not_packing += 1
+    # the walk must look below the clutter itself to find these
+    assert konig_but_not_packing > 0
 
 
 # --- weighted covers and packings ---------------------------------------------------

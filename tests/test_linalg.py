@@ -16,7 +16,7 @@ from mengerian.linalg import (
     verify_vertex,
 )
 
-from oracles import cofactor_det
+from oracles import cofactor_det, rank_scan
 
 H = Fraction(1, 2)
 Q = Fraction(1, 4)
@@ -132,6 +132,52 @@ def test_solve_overdetermined_consistent():
     assert solve(M, [2, 3, 5]) == (2, 3)
 
 
+def random_entries(rng, m, n, rational):
+    """Small integer or rational rows; about one in three is a combination of
+    earlier rows, so rank-deficient matrices come up often."""
+    rows = []
+    for _ in range(m):
+        if len(rows) >= 2 and rng.random() < 0.35:
+            a, b = rng.sample(rows, 2)
+            s, t = rng.randint(-2, 2), rng.randint(-2, 2)
+            rows.append([s * x + t * y for x, y in zip(a, b)])
+        elif rational:
+            rows.append([Fraction(rng.randint(-3, 3), rng.randint(1, 4)) for _ in range(n)])
+        else:
+            rows.append([rng.randint(-3, 3) for _ in range(n)])
+    return rows
+
+
+def test_rank_and_solve_against_oracles():
+    rng = random.Random(71)
+    deficient = unique = 0
+    for trial in range(150):
+        m, n = rng.randint(1, 5), rng.randint(1, 5)
+        rows = random_entries(rng, m, n, rational=trial % 2 == 1)
+        M = Matrix(rows)
+        rank = rank_scan(rows)
+        assert M.rank() == rank
+        deficient += rank < min(m, n)
+        # a right-hand side in the column space, so the system is consistent
+        x0 = [Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(n)]
+        b = [sum(a * x for a, x in zip(row, x0)) for row in rows]
+        if rank < n:
+            with pytest.raises(ValueError, match="underdetermined"):
+                solve(M, b)
+            continue
+        x = solve(M, b)
+        assert [sum(a * v for a, v in zip(row, x)) for row in rows] == b
+        assert list(x) == x0
+        unique += 1
+        if rank < m:
+            # a right-hand side off the column space is inconsistent
+            off = list(b)
+            off[rng.randrange(m)] += 1
+            if rank_scan([row + [v] for row, v in zip(rows, off)]) > rank:
+                assert solve(M, off) is None
+    assert deficient > 0 and unique > 0
+
+
 # --- total unimodularity ---------------------------------------------------------
 
 def test_tu_path_and_single_row():
@@ -241,9 +287,8 @@ def test_ideal_empty_matrix_true():
 def test_ideal_pattern_prepass_agrees_with_enumeration():
     for name, k in [("cycle", 5), ("cycle", 6), ("cycle", 7), ("path", 6), ("cycle", 8)]:
         A = incidence_of(name, k)
-        fast = is_ideal(A, use_patterns=True)
-        slow = is_ideal(A, use_patterns=False)
-        assert fast.ideal == slow.ideal
-        for res in (fast, slow):
-            if res.certificate is not None:
-                assert verify_vertex(A, res.certificate.coords).is_vertex
+        res = is_ideal(A)
+        fractional = [v for v in enumerate_covering_vertices(A) if not v.is_integral]
+        assert res.ideal == (not fractional)
+        if res.certificate is not None:
+            assert verify_vertex(A, res.certificate.coords).is_vertex
