@@ -9,26 +9,19 @@ incidence matrix, and the Mengerian property itself.
 from .clutters import (
     Clutter,
     MengerianProbe,
-    contract,
-    delete,
-    duplicate,
     has_konig,
     has_packing,
     incidence_matrix,
     max_integer_packing,
     mengerian_bounded,
     minimal_covers,
-    minimalize,
-    minor,
     nu,
     tau,
-    unit_clutter,
     weighted_cover_min,
 )
 from .graphs import (
     Graph,
     build_path_hypergraph,
-    canonical_form,
     graph,
     is_connected,
     make_family,
@@ -44,7 +37,6 @@ from .ideals import (
     edge_ideal,
     is_normally_torsion_free,
     member_of_power,
-    power,
     powers_equal,
     symbolic_power,
 )
@@ -54,10 +46,8 @@ from .linalg import (
     PolyhedronVertex,
     TUResult,
     TUWitness,
-    covering_polyhedron_vertices,
     is_ideal,
     is_totally_unimodular,
-    solve,
     verify_vertex,
 )
 from .classify import (

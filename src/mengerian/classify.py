@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
 from typing import Optional
 
 from . import clutters, graphs, ideals, linalg
@@ -68,23 +67,19 @@ def is_star_plus_edge(g: Graph) -> bool:
     return all(degs[v] == (2 if v in (a, b) else 1) for v in others)
 
 
-@lru_cache(maxsize=None)
-def _c8_canonical() -> bytes:
-    return graphs.canonical_form(graphs.make_family("cycle", [8]))
-
-
 def classify_mengerian(g: Graph) -> ClassVerdict:
     """Closed-form verdict for connected graphs at path length 3.
 
     Connected graphs on at most four vertices have at most one hyperedge,
-    so they fall under the four-vertex clause. Clause order is fixed;
-    overlaps resolve to the earliest clause.
+    so they fall under the four-vertex clause. A connected graph on eight
+    vertices that are all of degree two is the 8-cycle. Clause order is
+    fixed; overlaps resolve to the earliest clause.
     """
     if not graphs.is_connected(g):
         raise ValueError("the classifier is defined for connected graphs")
     if g.n <= 4:
         return ClassVerdict(True, CLAUSE_FOUR_VERTICES)
-    if g.n == 8 and graphs.canonical_form(g) == _c8_canonical():
+    if g.n == 8 and all(g.degree(v) == 2 for v in range(8)):
         return ClassVerdict(True, CLAUSE_C8)
     if is_path_with_double_stars(g):
         return ClassVerdict(True, CLAUSE_PATH_WITH_DOUBLE_STARS)
@@ -107,6 +102,22 @@ class Caps:
 
 class CapExceeded(RuntimeError):
     pass
+
+
+def check_caps(caps: Caps, n: int, m: int = 0) -> None:
+    """Refuse an instance with more vertices or hyperedges than its cap."""
+    if n > caps.max_vertices:
+        raise CapExceeded(f"n={n} exceeds the vertex cap {caps.max_vertices}")
+    if m > caps.max_edges:
+        raise CapExceeded(f"m={m} exceeds the edge cap {caps.max_edges}")
+
+
+def capped_hypergraph(g: Graph, t: int, caps: Caps) -> Clutter:
+    """H_t(g) under the caps; the vertex cap is applied before the build."""
+    check_caps(caps, g.n)
+    c = graphs.build_path_hypergraph(g, t)
+    check_caps(caps, c.n, c.m)
+    return c
 
 
 def check_power_cap(c: Clutter, caps: Caps) -> None:
@@ -168,7 +179,7 @@ class DecisionReport:
                     "value": self.konig.holds, "tau": self.konig.tau, "nu": self.konig.nu,
                 },
                 "packing": self.packing,
-                "ntf": ntf_json(self.ntf, self.hypergraph, certificates),
+                "ntf": ntf_json(self.ntf, certificates),
             },
             "classifier": None if self.classifier is None else {
                 "mengerian": self.classifier.mengerian,
@@ -207,7 +218,7 @@ def ideal_json(res: Optional[linalg.IdealityResult], certificates: bool) -> Opti
     return d
 
 
-def ntf_json(res: Optional[ideals.NtfResult], c: Clutter, certificates: bool) -> Optional[dict]:
+def ntf_json(res: Optional[ideals.NtfResult], certificates: bool) -> Optional[dict]:
     if res is None:
         return None
     d: dict = {
@@ -219,7 +230,7 @@ def ntf_json(res: Optional[ideals.NtfResult], c: Clutter, certificates: bool) ->
     if certificates and res.violation is not None and res.violation.violation is not None:
         d["violation"] = {
             "k": res.violation.k,
-            "monomial": ideals.format_monomial(res.violation.violation, c.labels),
+            "monomial": ideals.format_monomial(res.violation.violation),
             "exponents": list(res.violation.violation),
         }
     return d
@@ -230,7 +241,6 @@ def decide_mengerian_exact(
     t: int = 3,
     caps: Caps = Caps(),
     compute_packing: bool = False,
-    compare_classifier: bool = True,
 ) -> DecisionReport:
     """Exact Mengerian decision with a method trace.
 
@@ -239,14 +249,10 @@ def decide_mengerian_exact(
     covering polyhedron decides negatively; the residual case is settled
     by power equality up to ceil(mu/2), which is always conclusive.
     """
-    if g.n > caps.max_vertices:
-        raise CapExceeded(f"n={g.n} exceeds the vertex cap {caps.max_vertices}")
-    c = graphs.build_path_hypergraph(g, t)
-    if c.m > caps.max_edges:
-        raise CapExceeded(f"m={c.m} exceeds the edge cap {caps.max_edges}")
+    c = capped_hypergraph(g, t, caps)
 
     classifier = None
-    if compare_classifier and t == 3 and graphs.is_connected(g):
+    if t == 3 and graphs.is_connected(g):
         classifier = classify_mengerian(g)
 
     konig = KonigCheck(clutters.tau(c), clutters.nu(c))
@@ -282,66 +288,143 @@ def decide_mengerian_exact(
 # ---------------------------------------------------------------------------
 # certificate re-validation
 
-def verify_report_dict(d: dict) -> list[tuple[str, bool, str]]:
-    """Independently re-validate every certificate embedded in a report.
-
-    Returns (check name, ok, message) triples; an empty list means the
-    report carried nothing verifiable (positive verdicts have no compact
-    witness).
-    """
-    out: list[tuple[str, bool, str]] = []
+def report_hypergraph(d: dict) -> Clutter:
+    """The hypergraph a report carries; ValueError when it has none."""
     try:
-        c = clutters.from_json_dict(d["hypergraph"])
+        return clutters.from_json_dict(d["hypergraph"])
     except (KeyError, TypeError, AttributeError) as exc:
         raise ValueError(
             f"report has no well-formed hypergraph ({type(exc).__name__}: {exc})") from None
-    A = clutters.incidence_matrix(c) if not c.unit else None
+
+
+def _report_graph(d: dict) -> tuple[Graph, int]:
+    """The graph and the path length t that a report names."""
+    try:
+        n, t = d["graph"]["n"], d["t"]
+        pairs = [(u - 1, v - 1) for u, v in d["graph"]["edges"]]
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ValueError(
+            f"report has a malformed graph ({type(exc).__name__}: {exc})") from None
+    if not all(type(x) is int for x in (n, t, *(x for p in pairs for x in p))):
+        raise ValueError("report has a malformed graph (n, t and vertices must be integers)")
+    return graphs.graph(n, pairs), t
+
+
+def _section(d: dict, key: str) -> dict:
+    """The object under key, or {} when it is absent or null."""
+    v = d.get(key)
+    if v is None:
+        return {}
+    if not isinstance(v, dict):
+        raise ValueError(f"report field {key!r} is not an object")
+    return v
+
+
+def _rational(s, what: str) -> Fraction:
+    try:
+        return Fraction(s)
+    except (TypeError, ValueError, ZeroDivisionError):
+        raise ValueError(f"report has a malformed {what}: {s!r}") from None
+
+
+def _list(d: dict, key: str) -> list:
+    v = d.get(key)
+    if not isinstance(v, list):
+        raise ValueError(f"report field {key!r} is not a list")
+    return v
+
+
+def _indices(values, top: int) -> Optional[list[int]]:
+    """0-based indices from distinct 1-based integers in 1..top, else None."""
+    if not isinstance(values, list) or not all(
+            type(v) is int and 1 <= v <= top for v in values):
+        return None
+    return [v - 1 for v in values] if len(set(values)) == len(values) else None
+
+
+def _refuting(name: str, ok: bool, msg: str, **verdicts) -> tuple[str, bool, str]:
+    """A certificate check; it fails, too, unless each verdict it refutes is false."""
+    claimed = [k for k, v in verdicts.items() if v is not False]
+    if claimed:
+        return name, False, f"{msg}; the report does not set {' and '.join(claimed)} false"
+    return name, ok, msg
+
+
+def verify_report_dict(d: dict) -> list[tuple[str, bool, str]]:
+    """Independently re-validate a report and every certificate in it.
+
+    Returns (check name, ok, message) triples; an empty list means the
+    report carried nothing verifiable (positive verdicts have no compact
+    witness). A report that names its graph must carry H_t of that graph,
+    and a certificate is valid only when the report sets every verdict it
+    refutes to false. Malformed input raises ValueError.
+    """
+    c = report_hypergraph(d)
+    A = clutters.incidence_matrix(c)
+    out: list[tuple[str, bool, str]] = []
+    if "graph" in d:
+        g, t = _report_graph(d)
+        same = g.n == c.n and graphs.build_path_hypergraph(g, t).edges == c.edges
+        out.append(("hypergraph", same,
+                    f"{'equals' if same else 'differs from'} H_{t} of the report's graph"))
+    mengerian = d.get("mengerian", False)
 
     # decide reports nest the results under "checks"; check reports are flat
-    checks = d.get("checks", d)
-    tu = checks.get("tu")
-    if tu and tu.get("witness") and A is not None:
-        w = tu["witness"]
-        rows = [i - 1 for i in w["rows"]]
-        cols = [j - 1 for j in w["cols"]]
-        det = A.submatrix(rows, cols).det()
-        ok = det == Fraction(w["det"]) and det not in (-1, 0, 1)
-        out.append(("tu_witness", ok, f"subdeterminant {det}"))
+    checks = _section(d, "checks") if "checks" in d else d
+    tu = _section(checks, "tu")
+    w = _section(tu, "witness")
+    if w:
+        rows, cols = _indices(w.get("rows"), A.m), _indices(w.get("cols"), A.n)
+        if rows and cols and len(rows) == len(cols):
+            det = A.submatrix(rows, cols).det()
+            claimed = _rational(w.get("det"), "witness det")
+            ok, msg = det == claimed and det not in (-1, 0, 1), f"subdeterminant {det}"
+        else:
+            ok, msg = False, (f"rows and cols must be equally many distinct indices "
+                              f"in 1..{A.m} and 1..{A.n}")
+        out.append(_refuting("tu_witness", ok, msg, tu=tu.get("value")))
 
-    ideal = checks.get("ideal")
-    if ideal and ideal.get("fractional_vertex") and A is not None:
-        coords = [Fraction(s) for s in ideal["fractional_vertex"]["coords"]]
+    ideal = _section(checks, "ideal")
+    vertex = _section(ideal, "fractional_vertex")
+    if vertex:
+        coords = [_rational(x, "vertex coordinate") for x in _list(vertex, "coords")]
         chk = linalg.verify_vertex(A, coords)
+        tight = _indices(vertex.get("tight_rows"), A.m + A.n)
+        same_tight = tight is not None and sorted(tight) == list(chk.tight_rows)
         fractional = not all(x.denominator == 1 for x in coords)
-        ok = chk.is_vertex and fractional
-        out.append(("fractional_vertex", ok,
-                    f"feasible={chk.feasible} tight_rank={chk.tight_rank}/{A.n}"))
+        msg = f"feasible={chk.feasible} tight_rank={chk.tight_rank}/{A.n}"
+        out.append(_refuting("fractional_vertex", chk.is_vertex and fractional and same_tight,
+                             msg if same_tight else msg + ", tight_rows differ",
+                             ideal=ideal.get("value"), mengerian=mengerian))
 
-    konig = checks.get("konig")
-    if isinstance(konig, dict) and "tau" in konig:
+    konig = _section(checks, "konig")
+    if "tau" in konig:
         t_, n_ = clutters.tau(c), clutters.nu(c)
-        ok = (t_ == konig["tau"] and n_ == konig["nu"]
-              and (t_ == n_) == konig["value"])
+        ok = (t_ == konig["tau"] and n_ == konig.get("nu")
+              and (t_ == n_) == konig.get("value"))
         out.append(("konig_values", ok, f"tau={t_} nu={n_}"))
 
-    ntf = checks.get("ntf")
-    if ntf and ntf.get("violation"):
-        v = ntf["violation"]
-        k = v["k"]
-        mono = tuple(v["exponents"])
-        covers = clutters.minimal_covers(c)
-        in_symbolic = ideals.cover_degree_ok(mono, covers, k)
-        in_power = ideals.member_of_power(mono, ideals.edge_ideal(c), k)
-        ok = in_symbolic and not in_power
-        out.append(("power_violation", ok,
-                    f"symbolic={in_symbolic} ordinary={in_power}"))
+    ntf = _section(checks, "ntf")
+    v = _section(ntf, "violation")
+    if v:
+        k, mono = v.get("k"), v.get("exponents")
+        if (type(k) is int and k >= 1 and isinstance(mono, list) and len(mono) == c.n
+                and all(type(e) is int and e >= 0 for e in mono)):
+            mono = tuple(mono)
+            in_symbolic = ideals.cover_degree_ok(mono, clutters.minimal_covers(c), k)
+            in_power = ideals.member_of_power(mono, ideals.edge_ideal(c), k)
+            ok, msg = in_symbolic and not in_power, f"symbolic={in_symbolic} ordinary={in_power}"
+        else:
+            ok, msg = False, f"k must be a positive integer and exponents {c.n} nonnegative integers"
+        out.append(_refuting("power_violation", ok, msg,
+                             ntf=ntf.get("value"), mengerian=mengerian))
 
-    probe = d.get("mfmc_probe")
-    if probe and probe.get("refuted"):
-        cost = tuple(probe["cost"])
+    probe = _section(d, "mfmc_probe")
+    if probe.get("refuted"):
+        cost = tuple(_list(probe, "cost"))
         wc = clutters.weighted_cover_min(c, cost)
         mp = clutters.max_integer_packing(c, cost)
-        ok = wc == probe["cover_min"] and mp == probe["packing_max"] and mp < wc
+        ok = wc == probe.get("cover_min") and mp == probe.get("packing_max") and mp < wc
         out.append(("mfmc_gap", ok, f"cover_min={wc} packing_max={mp}"))
 
     return out

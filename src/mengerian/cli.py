@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from typing import Optional
 
@@ -81,8 +80,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     pd = sub.add_parser("decide", help="full exact pipeline with report")
     _add_input_args(pd)
-    pd.add_argument("--certificates", action="store_true", default=True)
-    pd.add_argument("--no-certificates", dest="certificates", action="store_false")
+    pd.add_argument("--no-certificates", dest="certificates", action="store_false",
+                    help="leave the certificates out of the report")
     pd.add_argument("--packing", action="store_true", help="also compute the packing property")
 
     pk = sub.add_parser("classify", help="closed-form clause for a connected graph")
@@ -90,8 +89,7 @@ def build_parser() -> argparse.ArgumentParser:
     pk.add_argument("--format", choices=("text", "json"), default="text")
 
     ps = sub.add_parser("survey", help="exhaustive cross-check over small graphs")
-    ps.add_argument("--max-n", dest="survey_max_n", type=int,
-                    default=int(os.environ.get("MENGERIAN_MAX_N", "6")))
+    ps.add_argument("--max-n", dest="survey_max_n", type=int, default=6)
     ps.add_argument("--min-n", type=int, default=4)
     ps.add_argument("--packing-max-n", type=int, default=survey.PACKING_MAX_N)
     ps.add_argument("--csv", action="store_true", help="CSV summary instead of JSON")
@@ -108,21 +106,18 @@ def _cmd_hypergraph(args) -> int:
     if args.format == "dot":
         sys.stdout.write(graphs.to_dot(g))
     elif args.format == "json":
-        incidence = [[int(x) for x in row] for row in clutters.incidence_matrix(c).rows]
+        incidence = [list(row) for row in clutters.incidence_matrix(c).rows]
         _emit_json({"schema": 1, "t": args.t,
                     "hypergraph": clutters.to_json_dict(c),
                     "incidence": incidence})
     else:
-        if c.is_empty:
-            print(f"{c.n} 0")
-        else:
-            sys.stdout.write(clutters.to_text(c))
+        sys.stdout.write(clutters.to_text(c))
     return 0
 
 
 def _cmd_check(args) -> int:
     g = _load_graph(args)
-    c = graphs.build_path_hypergraph(g, args.t)
+    c = classify.capped_hypergraph(g, args.t, _caps(args))
     prop = args.property
     payload: dict = {"schema": 1, "t": args.t, "property": prop,
                      "hypergraph": clutters.to_json_dict(c)}
@@ -132,8 +127,7 @@ def _cmd_check(args) -> int:
         holds = res.totally_unimodular
         payload["tu"] = classify.tu_json(res, certificates=True)
     elif prop == "ideal":
-        res = linalg.is_ideal(clutters.incidence_matrix(c)) if not c.is_empty \
-            else linalg.IdealityResult(True, None)
+        res = linalg.is_ideal(clutters.incidence_matrix(c))
         holds = res.ideal
         payload["ideal"] = classify.ideal_json(res, certificates=True)
     elif prop == "konig":
@@ -147,7 +141,7 @@ def _cmd_check(args) -> int:
         classify.check_power_cap(c, _caps(args))
         res = ideals.is_normally_torsion_free(c)
         holds = res.normally_torsion_free
-        payload["ntf"] = classify.ntf_json(res, c, certificates=True)
+        payload["ntf"] = classify.ntf_json(res, certificates=True)
     else:  # mfmc-probe
         if c.is_empty:
             probe = clutters.MengerianProbe(False)
@@ -211,6 +205,8 @@ def _cmd_verify(args) -> int:
     else:
         with open(args.report, "r", encoding="utf-8") as fh:
             data = json.load(fh)
+    c = classify.report_hypergraph(data)
+    classify.check_caps(_caps(args), c.n, c.m)
     results = classify.verify_report_dict(data)
     for name, ok, msg in results:
         print(f"{name}: {'valid' if ok else 'INVALID'} ({msg})")

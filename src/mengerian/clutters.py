@@ -1,9 +1,9 @@
 """Clutters (simple hypergraphs) and their combinatorial optimization.
 
-A clutter stores an antichain of hyperedges over labeled vertices. The
-degenerate result of contracting a whole edge away is the UNIT clutter,
-flagged explicitly; it corresponds to the unit ideal and is excluded from
-covering and Konig computations.
+A clutter stores an antichain of nonempty hyperedges over the vertices
+0..n-1. Contracting a whole edge away gives the unit clutter (an empty
+edge, the unit ideal); it is no Clutter value, and the packing walk skips
+it.
 
 All solvers here are exact. Branch and bound is used for tau, nu and the
 two integer sides of the min-max equation; brute subset scans survive in
@@ -21,32 +21,22 @@ from . import linalg
 
 @dataclass(frozen=True)
 class Clutter:
-    """Antichain of hyperedges on vertices 0..n-1 with display labels."""
+    """Antichain of nonempty hyperedges on vertices 0..n-1."""
 
     n: int
     edges: tuple[tuple[int, ...], ...]
-    labels: tuple[str, ...] = ()
-    unit: bool = False
 
     def __post_init__(self):
         if self.n < 0:
             raise ValueError("vertex count must be nonnegative")
-        if not self.labels:
-            object.__setattr__(self, "labels", tuple(f"x{i + 1}" for i in range(self.n)))
-        if len(self.labels) != self.n:
-            raise ValueError("label count must match vertex count")
-        if self.unit:
-            if self.edges:
-                raise ValueError("the unit clutter carries no edge list")
-            return
         norm = tuple(sorted(set(tuple(sorted(set(e))) for e in self.edges)))
         object.__setattr__(self, "edges", norm)
         for e in norm:
             if not e:
-                raise ValueError("empty edge: use unit_clutter or minimalize")
+                raise ValueError("empty edge: the unit clutter is not a hypergraph")
             if e[0] < 0 or e[-1] >= self.n:
                 raise ValueError(f"edge {e} out of range for n={self.n}")
-        for i, e in enumerate(norm):
+        for e in norm:
             se = set(e)
             for f in norm:
                 if f is not e and set(f) <= se:
@@ -58,12 +48,7 @@ class Clutter:
 
     @property
     def is_empty(self) -> bool:
-        return not self.unit and not self.edges
-
-    @property
-    def uniformity(self) -> Optional[int]:
-        sizes = {len(e) for e in self.edges}
-        return sizes.pop() if len(sizes) == 1 else None
+        return not self.edges
 
     def edge_masks(self) -> list[int]:
         return [_mask(e) for e in self.edges]
@@ -76,104 +61,10 @@ def _mask(vertices: Iterable[int]) -> int:
     return m
 
 
-def unit_clutter(n: int, labels: Sequence[str] = ()) -> Clutter:
-    return Clutter(n, (), tuple(labels), unit=True)
-
-
-def minimalize(edges: Iterable[Iterable[int]], n: int, labels: Sequence[str] = ()) -> Clutter:
-    """Drop dominated edges and duplicates; the empty edge yields UNIT."""
-    cand = sorted(set(tuple(sorted(set(e))) for e in edges), key=lambda e: (len(e), e))
-    if cand and not cand[0]:
-        return unit_clutter(n, labels)
-    kept: list[tuple[int, ...]] = []
-    kept_sets: list[set[int]] = []
-    for e in cand:
-        se = set(e)
-        if not any(k <= se for k in kept_sets):
-            kept.append(e)
-            kept_sets.append(se)
-    return Clutter(n, tuple(kept), tuple(labels))
-
-
-def _require_proper(c: Clutter, op: str) -> None:
-    if c.unit:
-        raise ValueError(f"{op} is undefined for the unit clutter")
-
-
 def incidence_matrix(c: Clutter) -> linalg.Matrix:
     """0/1 edge-vertex incidence; rows follow the sorted edge order."""
-    _require_proper(c, "incidence_matrix")
     rows = [[1 if v in e else 0 for v in range(c.n)] for e in c.edges]
     return linalg.Matrix(rows, n=c.n)
-
-
-# ---------------------------------------------------------------------------
-# minors
-
-def minor(c: Clutter, deleted: Iterable[int] = (), contracted: Iterable[int] = ()) -> Clutter:
-    """Delete and contract disjoint vertex sets; order never matters.
-
-    Deletion drops every edge through the vertex, contraction removes the
-    vertex from each edge, and the result is minimalized. Vertices keep
-    their labels, so certificates stay readable after relabeling.
-    """
-    D, C = set(deleted), set(contracted)
-    if D & C:
-        raise ValueError("deleted and contracted sets must be disjoint")
-    for v in D | C:
-        if not 0 <= v < c.n:
-            raise ValueError(f"vertex {v} out of range")
-    keep = [v for v in range(c.n) if v not in D and v not in C]
-    labels = tuple(c.labels[v] for v in keep)
-    if c.unit:
-        return unit_clutter(len(keep), labels)
-    remap = {v: i for i, v in enumerate(keep)}
-    new_edges = []
-    for e in c.edges:
-        if D.intersection(e):
-            continue
-        new_edges.append(tuple(remap[v] for v in e if v not in C))
-    return minimalize(new_edges, len(keep), labels)
-
-
-def delete(c: Clutter, v: int) -> Clutter:
-    return minor(c, deleted=(v,))
-
-
-def contract(c: Clutter, v: int) -> Clutter:
-    return minor(c, contracted=(v,))
-
-
-def duplicate(c: Clutter, multiplicities: Sequence[int]) -> Clutter:
-    """Vertex multiplication: a_i = 0 deletes, a_i = k makes k parallel copies.
-
-    Copy labels keep the original name with a copy suffix so that covers
-    and packings of the blown-up clutter remain interpretable.
-    """
-    if len(multiplicities) != c.n:
-        raise ValueError("multiplicity vector length must equal the vertex count")
-    if any(a < 0 for a in multiplicities):
-        raise ValueError("multiplicities must be nonnegative")
-    copies: list[list[int]] = []
-    labels: list[str] = []
-    nxt = 0
-    for v in range(c.n):
-        a = multiplicities[v]
-        mine = []
-        for i in range(a):
-            mine.append(nxt)
-            labels.append(c.labels[v] if a == 1 else f"{c.labels[v]}.{i + 1}")
-            nxt += 1
-        copies.append(mine)
-    if c.unit:
-        return unit_clutter(nxt, labels)
-    new_edges: list[tuple[int, ...]] = []
-    for e in c.edges:
-        if any(not copies[v] for v in e):
-            continue
-        for choice in product(*(copies[v] for v in e)):
-            new_edges.append(tuple(sorted(choice)))
-    return minimalize(new_edges, nxt, labels)
 
 
 # ---------------------------------------------------------------------------
@@ -181,7 +72,6 @@ def duplicate(c: Clutter, multiplicities: Sequence[int]) -> Clutter:
 
 def tau(c: Clutter) -> int:
     """Minimum vertex cover size, by branch and bound on uncovered edges."""
-    _require_proper(c, "tau")
     masks = c.edge_masks()
     if not masks:
         return 0
@@ -205,7 +95,6 @@ def tau(c: Clutter) -> int:
 
 def nu(c: Clutter) -> int:
     """Maximum number of pairwise disjoint edges, exact branch and bound."""
-    _require_proper(c, "nu")
     masks = c.edge_masks()
     best = 0
 
@@ -270,7 +159,6 @@ def _greedy_matching_size(masks: list[int]) -> int:
 
 def minimal_covers(c: Clutter) -> tuple[tuple[int, ...], ...]:
     """All inclusion-minimal vertex covers via sequential transversal growth."""
-    _require_proper(c, "minimal_covers")
     partial: list[int] = [0]
     for e in c.edge_masks():
         nxt: list[int] = []
@@ -286,7 +174,6 @@ def minimal_covers(c: Clutter) -> tuple[tuple[int, ...], ...]:
 
 def has_konig(c: Clutter) -> bool:
     """tau == nu."""
-    _require_proper(c, "has_konig")
     return tau(c) == nu(c)
 
 
@@ -298,14 +185,13 @@ def has_packing(c: Clutter) -> bool:
     vertex ids, and each distinct one is checked once. Unit minors are
     skipped, since every minor of a unit clutter is unit again.
     """
-    _require_proper(c, "has_packing")
     start = tuple(sorted(c.edge_masks()))
     seen = {start}
     stack = [start]
     while stack:
         masks = stack.pop()
         edges = tuple(tuple(_bits(e)) for e in masks)
-        if not has_konig(Clutter(c.n, edges, c.labels)):
+        if not has_konig(Clutter(c.n, edges)):
             return False
         support = 0
         for e in masks:
@@ -331,7 +217,6 @@ def weighted_cover_min(c: Clutter, cost: Sequence[int]) -> int:
     The 0/1 restriction is harmless: with a 0/1 constraint matrix and
     right-hand side 1, raising any x_i above 1 never helps.
     """
-    _require_proper(c, "weighted_cover_min")
     _check_cost(c, cost)
     free = _mask(v for v in range(c.n) if cost[v] == 0)
     remaining = [e for e in c.edge_masks() if not e & free]
@@ -358,7 +243,6 @@ def weighted_cover_min(c: Clutter, cost: Sequence[int]) -> int:
 def max_integer_packing(c: Clutter, cost: Sequence[int]) -> int:
     """max sum(y) over nonnegative integer edge multiplicities y with
     column loads at most cost, by bounded depth-first search."""
-    _require_proper(c, "max_integer_packing")
     _check_cost(c, cost)
     edges = c.edges
     if not edges:
@@ -411,14 +295,9 @@ class MengerianProbe:
     cover_min: Optional[int] = None
     packing_max: Optional[int] = None
 
-    @property
-    def undecided(self) -> bool:
-        return not self.refuted
-
 
 def mengerian_bounded(c: Clutter, cmax: int) -> MengerianProbe:
     """Scan all cost vectors in {0..cmax}^n for a min-max gap."""
-    _require_proper(c, "mengerian_bounded")
     if cmax < 1:
         raise ValueError("cmax must be positive")
     for cost in product(range(cmax + 1), repeat=c.n):
@@ -434,38 +313,24 @@ def mengerian_bounded(c: Clutter, cmax: int) -> MengerianProbe:
 
 def to_text(c: Clutter) -> str:
     """Line format: header "n m", then one sorted 1-based edge per line."""
-    _require_proper(c, "to_text")
     lines = [f"{c.n} {c.m}"]
     lines += [" ".join(str(v + 1) for v in e) for e in c.edges]
     return "\n".join(lines) + "\n"
 
 
-def from_text(text: str) -> Clutter:
-    lines = [ln for ln in (raw.split("#", 1)[0].strip() for raw in text.splitlines()) if ln]
-    if not lines:
-        raise ValueError("empty clutter text")
-    head = lines[0].split()
-    if len(head) != 2:
-        raise ValueError("header must be 'n m'")
-    n, m = int(head[0]), int(head[1])
-    if len(lines) - 1 != m:
-        raise ValueError(f"expected {m} edges, found {len(lines) - 1}")
-    edges = [tuple(int(tok) - 1 for tok in ln.split()) for ln in lines[1:]]
-    return minimalize(edges, n)
-
-
 def to_json_dict(c: Clutter) -> dict:
+    # "labels" and "unit" keep the published report layout
     return {
         "n": c.n,
-        "labels": list(c.labels),
-        "unit": c.unit,
+        "labels": [f"x{v + 1}" for v in range(c.n)],
+        "unit": False,
         "edges": [[v + 1 for v in e] for e in c.edges],
     }
 
 
 def from_json_dict(d: dict) -> Clutter:
-    labels = tuple(d.get("labels", ()))
+    """Read a clutter written by to_json_dict; "labels" is ignored."""
     if d.get("unit"):
-        return unit_clutter(d["n"], labels)
+        raise ValueError("the unit clutter has no hypergraph to check")
     edges = [tuple(v - 1 for v in e) for e in d["edges"]]
-    return Clutter(d["n"], tuple(edges), labels)
+    return Clutter(d["n"], tuple(edges))

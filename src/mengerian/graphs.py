@@ -8,12 +8,10 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from itertools import combinations, permutations
+from itertools import combinations
 from typing import Iterable, Optional, Sequence
 
 from .clutters import Clutter
-
-CANONICAL_MAX_N = 9
 
 
 @dataclass(frozen=True)
@@ -300,36 +298,4 @@ def build_path_hypergraph(g: Graph, t: int = 3) -> Clutter:
     The vertex set is all of V(g); graphs with no t-edge path give the
     empty clutter, which downstream checks treat as vacuously Mengerian.
     """
-    sets = path_vertex_sets(g, t)
-    edges = sorted(tuple(sorted(s)) for s in sets)
-    labels = tuple(f"x{i + 1}" for i in range(g.n))
-    return Clutter(g.n, tuple(edges), labels)
-
-
-# ---------------------------------------------------------------------------
-# canonical labeling
-
-def canonical_form(g: Graph, max_n: int = CANONICAL_MAX_N) -> bytes:
-    """Isomorphism-invariant label: lexicographic minimum adjacency bits.
-
-    Full permutation scan, so identical output iff isomorphic; intended
-    for small graphs only (the factorial cost is capped by max_n).
-    """
-    if g.n > max_n:
-        raise ValueError(f"canonical_form capped at n <= {max_n}, got {g.n}")
-    n = g.n
-    pairs = list(combinations(range(n), 2))
-    adj = [0] * n
-    for u, v in g.edges:
-        adj[u] |= 1 << v
-        adj[v] |= 1 << u
-    best: Optional[int] = None
-    for perm in permutations(range(n)):
-        bits = 0
-        for idx, (i, j) in enumerate(pairs):
-            if adj[perm[i]] >> perm[j] & 1:
-                bits |= 1 << idx
-        if best is None or bits < best:
-            best = bits
-    nbytes = (len(pairs) + 7) // 8 if pairs else 0
-    return bytes([n]) + (best or 0).to_bytes(nbytes, "big")
+    return Clutter(g.n, tuple(path_vertex_sets(g, t)))

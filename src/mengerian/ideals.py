@@ -1,4 +1,4 @@
-"""Monomial ideals of clutters: powers, symbolic powers, torsion-freeness.
+"""Monomial ideals of clutters: power membership, symbolic powers, torsion-freeness.
 
 Monomials are exponent tuples. Symbolic powers of a square-free monomial
 ideal are computed by direct enumeration of the minimal exponent vectors
@@ -12,7 +12,6 @@ exactly.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations_with_replacement
 from typing import Iterable, Optional, Sequence
 
 from .clutters import Clutter, minimal_covers
@@ -24,20 +23,16 @@ def divides(a: Monomial, b: Monomial) -> bool:
     return all(x <= y for x, y in zip(a, b))
 
 
-def mono_mul(a: Monomial, b: Monomial) -> Monomial:
-    return tuple(x + y for x, y in zip(a, b))
-
-
 def total_degree(a: Monomial) -> int:
     return sum(a)
 
 
-def format_monomial(a: Monomial, labels: Optional[Sequence[str]] = None) -> str:
+def format_monomial(a: Monomial) -> str:
     parts = []
     for i, e in enumerate(a):
         if e == 0:
             continue
-        name = labels[i] if labels else f"x{i + 1}"
+        name = f"x{i + 1}"
         parts.append(name if e == 1 else f"{name}^{e}")
     return "*".join(parts) if parts else "1"
 
@@ -82,31 +77,10 @@ class MonomialIdeal:
         return any(divides(g, m) for g in self.gens)
 
 
-def ideal(n: int, gens: Iterable[Monomial]) -> MonomialIdeal:
-    return MonomialIdeal(n, minimalize_generators(gens))
-
-
 def edge_ideal(c: Clutter) -> MonomialIdeal:
     """Square-free generator per hyperedge; the empty clutter gives (0)."""
-    if c.unit:
-        raise ValueError("the unit clutter corresponds to the unit ideal, not an edge ideal")
     gens = [tuple(1 if v in e else 0 for v in range(c.n)) for e in c.edges]
     return MonomialIdeal(c.n, tuple(sorted(gens)))
-
-
-def power(I: MonomialIdeal, k: int) -> MonomialIdeal:
-    """Minimal generators of I^k from all k-fold generator products."""
-    if k < 1:
-        raise ValueError("power exponent must be positive")
-    if I.is_zero:
-        return I
-    prods = set()
-    for combo in combinations_with_replacement(I.gens, k):
-        m = combo[0]
-        for g in combo[1:]:
-            m = mono_mul(m, g)
-        prods.add(m)
-    return MonomialIdeal(I.n, minimalize_generators(prods))
 
 
 def cover_degree_ok(m: Monomial, covers: Sequence[tuple[int, ...]], k: int) -> bool:
@@ -157,8 +131,6 @@ def symbolic_power(c: Clutter, k: int) -> MonomialIdeal:
     Enumerates the minimal exponent vectors whose degree sum over every
     minimal cover reaches k.
     """
-    if c.unit:
-        raise ValueError("the unit clutter has no symbolic powers")
     if c.is_empty:
         raise ValueError("the zero ideal has no symbolic powers here")
     if k < 1:
@@ -217,7 +189,7 @@ def powers_equal(c: Clutter, k: int) -> PowerEquality:
     holds iff every minimal generator of the symbolic power factors into
     k edge generators. The first failing generator is the certificate.
     """
-    if c.unit or c.is_empty:
+    if c.is_empty:
         raise ValueError("powers_equal needs a nonempty proper clutter")
     if k == 1:
         return PowerEquality(True, 1)
@@ -250,8 +222,6 @@ class NtfResult:
 
 def is_normally_torsion_free(c: Clutter) -> NtfResult:
     """Exact decision via power equality for k = 2 .. ceil(mu/2)."""
-    if c.unit:
-        raise ValueError("the unit clutter is outside the torsion-free test")
     if c.is_empty:
         return NtfResult(True, 0, 0, ())
     mu = c.m

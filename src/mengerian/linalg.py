@@ -1,12 +1,12 @@
-"""Exact rational linear algebra for covering polyhedra.
+"""Exact linear algebra for covering polyhedra.
 
-All arithmetic is over Python ints and ``fractions.Fraction``; nothing here
-ever rounds. Every determinant, rank and solve goes through one
-fraction-free (Bareiss) row-echelon kernel over integer rows, total
-unimodularity is decided by an exhaustive subdeterminant scan with an
-explicit witness on failure, and the vertices of a covering polyhedron
-Q(A) = {x >= 0, Ax >= 1} are enumerated exactly from tight full-rank
-subsystems.
+Matrices hold Python ints, and points of a polyhedron are
+``fractions.Fraction`` vectors; nothing here ever rounds. Every
+determinant, rank and solve goes through one fraction-free (Bareiss)
+row-echelon kernel over integer rows, total unimodularity is decided by
+an exhaustive subdeterminant scan with an explicit witness on failure,
+and the vertices of a covering polyhedron Q(A) = {x >= 0, Ax >= 1} are
+enumerated exactly from tight full-rank subsystems.
 """
 
 from __future__ import annotations
@@ -14,35 +14,27 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from math import lcm
 from typing import Iterable, Iterator, Optional, Sequence
 
 
-def _exact(x) -> int | Fraction:
-    if isinstance(x, bool):
-        return int(x)
+def _entry(x) -> int:
     if isinstance(x, int):
-        return x
-    if isinstance(x, Fraction):
-        return int(x) if x.denominator == 1 else x
-    if isinstance(x, str):
-        f = Fraction(x)
-        return int(f) if f.denominator == 1 else f
-    raise TypeError(f"entries must be exact (int, Fraction or 'p/q' string), got {type(x).__name__}")
+        return int(x)  # bool becomes 0 or 1
+    raise TypeError(f"matrix entries must be integers, got {type(x).__name__}")
 
 
 class Matrix:
-    """Immutable dense matrix with exact entries.
+    """Immutable dense integer matrix.
 
-    Rows are tuples of ints/Fractions. A matrix with zero rows still
-    carries a column count, so incidence matrices of empty hypergraphs
-    stay well defined.
+    Rows are tuples of ints. A matrix with zero rows still carries a
+    column count, so incidence matrices of empty hypergraphs stay well
+    defined.
     """
 
     __slots__ = ("m", "n", "rows")
 
     def __init__(self, rows: Iterable[Iterable], n: Optional[int] = None):
-        rs = tuple(tuple(_exact(x) for x in row) for row in rows)
+        rs = tuple(tuple(_entry(x) for x in row) for row in rows)
         if rs:
             width = len(rs[0])
             if any(len(r) != width for r in rs):
@@ -56,46 +48,16 @@ class Matrix:
         self.m = len(rs)
         self.n = n
 
-    def __eq__(self, other):
-        return isinstance(other, Matrix) and self.n == other.n and self.rows == other.rows
-
-    def __hash__(self):
-        return hash((self.n, self.rows))
-
     def __repr__(self):
         return f"Matrix({self.m}x{self.n})"
-
-    def transpose(self) -> "Matrix":
-        return Matrix(zip(*self.rows), n=self.m) if self.m else Matrix([[] for _ in range(self.n)] if self.n else [], n=0)
 
     def submatrix(self, row_idx: Sequence[int], col_idx: Sequence[int]) -> "Matrix":
         return Matrix([[self.rows[i][j] for j in col_idx] for i in row_idx], n=len(col_idx))
 
-    def det(self) -> Fraction:
-        """Exact determinant; rational rows are scaled to integers first."""
+    def det(self) -> int:
         if self.m != self.n:
             raise ValueError("determinant requires a square matrix")
-        a, scale = _integer_rows(self.rows)
-        return Fraction(bareiss_det(a), scale)
-
-    def rank(self) -> int:
-        a, _ = _integer_rows(self.rows)
-        return _echelon(a, self.n)[0]
-
-
-def _integer_rows(rows: Iterable[Sequence]) -> tuple[list[list[int]], int]:
-    """Scale each row by the lcm of its denominators.
-
-    Returns the integer rows and the product of the scale factors, which
-    is what the determinant picks up.
-    """
-    out = []
-    scale = 1
-    for row in rows:
-        d = lcm(*(x.denominator if isinstance(x, Fraction) else 1 for x in row))
-        out.append([int(x * d) for x in row])
-        scale *= d
-    return out, scale
+        return bareiss_det([list(r) for r in self.rows])
 
 
 def _echelon(a: list[list[int]], ncols: int) -> tuple[int, int]:
@@ -162,25 +124,6 @@ def bareiss_det(a: list[list[int]]) -> int:
     return sign * a[-1][-1] if n else 1
 
 
-def solve(M: Matrix, b: Sequence) -> Optional[tuple[Fraction, ...]]:
-    """Solve M x = b when the solution is unique.
-
-    Returns the solution vector, or None when the system is inconsistent.
-    Raises ValueError when the system is consistent but underdetermined
-    (column rank below the number of unknowns).
-    """
-    if M.m != len(b):
-        raise ValueError("right-hand side length does not match row count")
-    n = M.n
-    a, _ = _integer_rows(row + (_exact(v),) for row, v in zip(M.rows, b))
-    rank, _ = _echelon(a, n)
-    if any(row[n] for row in a[rank:]):
-        return None
-    if rank < n:
-        raise ValueError("underdetermined system: column rank below unknown count")
-    return tuple(_back_substitute(a, n))
-
-
 # ---------------------------------------------------------------------------
 # total unimodularity
 
@@ -216,7 +159,7 @@ def is_totally_unimodular(M: Matrix) -> TUResult:
         for x in row:
             if x not in (0, 1, -1):
                 raise ValueError(f"entry {x!r} outside {{0, 1, -1}}")
-    rows = [tuple(int(x) for x in row) for row in M.rows]
+    rows = M.rows
     for k in range(2, min(M.m, M.n) + 1):
         for rset in combinations(range(M.m), k):
             chosen = [rows[i] for i in rset]
@@ -228,41 +171,10 @@ def is_totally_unimodular(M: Matrix) -> TUResult:
                     continue
                 if any(sum(1 for r in sub if r[j]) < 2 for j in range(k)):
                     continue
-                d = bareiss_det([list(r) for r in sub])
+                d = bareiss_det(sub)
                 if d not in (-1, 0, 1):
                     return TUResult(False, TUWitness(rset, cset, d))
     return TUResult(True, None)
-
-
-def ghouila_houri_check(M: Matrix) -> bool:
-    """Independent TU criterion used for cross-validation in tests.
-
-    Every subset of rows must admit a +-1 signing whose signed column sums
-    all lie in {-1, 0, 1}. Applied to the transpose when that side is
-    smaller; exponential, so only suitable for small matrices.
-    """
-    A = M if M.m <= M.n else M.transpose()
-    rows = [tuple(int(x) for x in row) for row in A.rows]
-    n = A.n
-    for r in range(1, len(rows) + 1):
-        for subset in combinations(range(len(rows)), r):
-            if not _signable(tuple(rows[i] for i in subset), n):
-                return False
-    return True
-
-
-def _signable(rows: tuple[tuple[int, ...], ...], n: int) -> bool:
-    first = rows[0]
-    rest = rows[1:]
-    for mask in range(1 << len(rest)):
-        sums = list(first)
-        for i, row in enumerate(rest):
-            s = 1 if mask >> i & 1 else -1
-            for j in range(n):
-                sums[j] += s * row[j]
-        if all(-1 <= s <= 1 for s in sums):
-            return True
-    return False
 
 
 # ---------------------------------------------------------------------------
@@ -294,14 +206,10 @@ class IdealityResult:
         return self.ideal
 
 
-def _validate_zero_one(M: Matrix) -> list[tuple[int, ...]]:
-    rows = []
-    for row in M.rows:
-        for x in row:
-            if x not in (0, 1):
-                raise ValueError("covering systems need a 0/1 matrix")
-        rows.append(tuple(int(x) for x in row))
-    return rows
+def _validate_zero_one(M: Matrix) -> tuple[tuple[int, ...], ...]:
+    if any(x not in (0, 1) for row in M.rows for x in row):
+        raise ValueError("covering systems need a 0/1 matrix")
+    return M.rows
 
 
 def _solve_unit_rhs(mat: list[list[int]]) -> Optional[list[Fraction]]:
@@ -357,11 +265,6 @@ def enumerate_covering_vertices(A: Matrix) -> Iterator[PolyhedronVertex]:
                 yield PolyhedronVertex(key, tight_constraints(rows, coords))
 
 
-def covering_polyhedron_vertices(A: Matrix) -> tuple[PolyhedronVertex, ...]:
-    """All vertices of Q(A), sorted by coordinates."""
-    return tuple(sorted(enumerate_covering_vertices(A), key=lambda v: v.coords))
-
-
 @dataclass(frozen=True)
 class VertexCheck:
     feasible: bool
@@ -378,7 +281,7 @@ def verify_vertex(A: Matrix, coords: Sequence) -> VertexCheck:
     that the tight subsystem has column rank n.
     """
     rows = _validate_zero_one(A)
-    pt = [Fraction(_exact(c)) for c in coords]
+    pt = [Fraction(c) for c in coords]
     if len(pt) != A.n:
         raise ValueError("coordinate count does not match column count")
     feasible = all(c >= 0 for c in pt) and all(

@@ -2,10 +2,10 @@
 
 Connected graphs are enumerated one per isomorphism class by scanning all
 adjacency bitmasks and keeping the lexicographic minimum of each orbit
-under vertex permutations (the same key canonical_form uses). The survey
-runs the exact pipeline on every class, compares it against the
-closed-form classifier, audits the TU-or-non-ideal dichotomy, and checks
-packing against the Mengerian verdict wherever packing is computed.
+under vertex permutations. The survey runs the exact pipeline on every
+class, compares it against the closed-form classifier, audits the
+TU-or-non-ideal dichotomy, and checks packing against the Mengerian
+verdict wherever packing is computed.
 """
 
 from __future__ import annotations
@@ -23,14 +23,14 @@ ENUMERATION_CAP = 7
 PACKING_MAX_N = 6
 
 
-def enumerate_connected(n: int, cap: int = ENUMERATION_CAP) -> list[Graph]:
+def enumerate_connected(n: int) -> list[Graph]:
     """All connected graphs on n vertices, one per isomorphism class.
 
     Deterministic: classes appear in increasing order of their canonical
     adjacency bitmask.
     """
-    if not 1 <= n <= cap:
-        raise ValueError(f"enumeration supports 1 <= n <= {cap}")
+    if not 1 <= n <= ENUMERATION_CAP:
+        raise ValueError(f"enumeration supports 1 <= n <= {ENUMERATION_CAP}")
     if n == 1:
         return [Graph(1, frozenset())]
     pairs = list(combinations(range(n), 2))
@@ -54,17 +54,10 @@ def enumerate_connected(n: int, cap: int = ENUMERATION_CAP) -> list[Graph]:
                 pm |= 1 << pmap[low.bit_length() - 1]
                 mm ^= low
             seen[pm] = 1
-        g = graphs.graph(n, (pairs[b] for b in _mask_bits(mask)))
+        g = graphs.graph(n, (pairs[b] for b in clutters._bits(mask)))
         if graphs.is_connected(g):
             out.append(g)
     return out
-
-
-def _mask_bits(mask: int):
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
 
 
 @dataclass
@@ -171,7 +164,6 @@ def cross_check(
     n_min: int = 4,
     packing_max_n: int = PACKING_MAX_N,
     caps: Optional[Caps] = None,
-    enumeration_cap: int = ENUMERATION_CAP,
 ) -> SurveyReport:
     """Survey all connected classes with n_min <= n <= n_max.
 
@@ -185,14 +177,11 @@ def cross_check(
     caps = caps or Caps()
     report = SurveyReport(t=t, n_min=n_min, n_max=n_max)
     for n in range(n_min, n_max + 1):
-        for idx, g in enumerate(enumerate_connected(n, cap=enumeration_cap)):
+        for idx, g in enumerate(enumerate_connected(n)):
             key = {"n": n, "index": idx, "graph6": graphs.to_graph6(g)}
             try:
                 rep = classify.decide_mengerian_exact(
-                    g, t, caps=caps,
-                    compute_packing=(n <= packing_max_n),
-                    compare_classifier=(t == 3),
-                )
+                    g, t, caps=caps, compute_packing=(n <= packing_max_n))
             except CapExceeded as exc:
                 report.rows.append(SurveyRow(n, idx, None, incomplete=str(exc)))
                 report.incomplete.append({**key, "reason": str(exc)})

@@ -205,15 +205,42 @@ def symbolic_power_scan(n, edge_sets, k):
     return acc
 
 
-def random_clutter(rng, n):
-    """A random antichain over n vertices (possibly empty, never unit)."""
-    from mengerian.clutters import minimalize
+def antichain(edges):
+    """The inclusion-minimal sets among edges, as sorted tuples in sorted order."""
+    sets = {frozenset(e) for e in edges}
+    return tuple(sorted(tuple(sorted(e)) for e in sets if not any(f < e for f in sets)))
 
+
+def random_clutter(rng, n):
+    """The edges of a random clutter on n vertices (possibly none, never empty)."""
     m = rng.randint(0, 2 * n)
-    edges = []
-    for _ in range(m):
-        size = rng.randint(1, max(1, n - 1))
-        edges.append(tuple(sorted(rng.sample(range(n), size))))
-    c = minimalize(edges, n)
-    assert not c.unit
-    return c
+    return antichain(rng.sample(range(n), rng.randint(1, max(1, n - 1))) for _ in range(m))
+
+
+def ghouila_houri_check(rows):
+    """Total unimodularity by the Ghouila-Houri criterion.
+
+    Every subset of rows must admit a +-1 signing whose signed column sums
+    all lie in {-1, 0, 1}. Applied to the transpose when that side is
+    smaller; exponential, so only suitable for small matrices.
+    """
+    if len(rows) > len(rows[0]):
+        rows = [list(col) for col in zip(*rows)]
+    for r in range(1, len(rows) + 1):
+        for subset in combinations(rows, r):
+            if not _signable(subset):
+                return False
+    return True
+
+
+def _signable(rows):
+    first, rest = rows[0], rows[1:]
+    for mask in range(1 << len(rest)):
+        sums = list(first)
+        for i, row in enumerate(rest):
+            s = 1 if mask >> i & 1 else -1
+            for j, x in enumerate(row):
+                sums[j] += s * x
+        if all(-1 <= s <= 1 for s in sums):
+            return True
+    return False

@@ -4,14 +4,17 @@ from fractions import Fraction
 
 import pytest
 
-from mengerian import graphs
+from mengerian import clutters, graphs, ideals
 from mengerian.classify import (
     Caps,
     CapExceeded,
+    capped_hypergraph,
+    check_caps,
     classify_mengerian,
     decide_mengerian_exact,
     is_path_with_double_stars,
     is_star_plus_edge,
+    ntf_json,
     verify_report_dict,
 )
 from mengerian.graphs import build_path_hypergraph, make_family, parse_edge_list, relabel
@@ -127,6 +130,18 @@ def test_decide_disconnected_allowed():
     assert rep.trace == "TU_SHORTCUT"
 
 
+def test_caps_helper():
+    check_caps(Caps(max_vertices=5, max_edges=4), 5, 4)
+    with pytest.raises(CapExceeded, match="vertex cap 5"):
+        check_caps(Caps(max_vertices=5), 6)
+    with pytest.raises(CapExceeded, match="edge cap 4"):
+        check_caps(Caps(max_edges=4), 5, 5)
+    # the vertex cap is applied before H_t is built
+    with pytest.raises(CapExceeded, match="n=13"):
+        capped_hypergraph(make_family("complete", [13]), 3, Caps())
+    assert capped_hypergraph(make_family("cycle", [8]), 3, Caps(max_edges=8)).m == 8
+
+
 def test_decide_caps():
     with pytest.raises(CapExceeded):
         decide_mengerian_exact(make_family("cycle", [8]), caps=Caps(max_vertices=5))
@@ -194,7 +209,6 @@ def test_verify_report_catches_tampering():
 def test_verify_report_ntf_certificate():
     rep = decide_mengerian_exact(make_family("cycle", [5]))
     # force the power-equality route to produce an ntf violation report
-    from mengerian import ideals
     c = rep.hypergraph
     res = ideals.is_normally_torsion_free(c)
     d = rep.to_json_dict()
@@ -205,9 +219,110 @@ def test_verify_report_ntf_certificate():
         "checked_k": list(res.checked_k),
         "violation": {
             "k": res.violation.k,
-            "monomial": ideals.format_monomial(res.violation.violation, c.labels),
+            "monomial": ideals.format_monomial(res.violation.violation),
             "exponents": list(res.violation.violation),
         },
     }
     results = verify_report_dict(d)
     assert any(name == "power_violation" and ok for name, ok, _ in results)
+
+
+def c5_report():
+    return decide_mengerian_exact(make_family("cycle", [5])).to_json_dict()
+
+
+def failed(results):
+    return {name for name, ok, _ in results if not ok}
+
+
+def test_verify_report_checks_graph():
+    d = c5_report()
+    assert verify_report_dict(d)[0] == ("hypergraph", True, "equals H_3 of the report's graph")
+    # the graph swapped for P5 and the verdict flipped
+    d["graph"] = {"n": 5, "edges": [[1, 2], [2, 3], [3, 4], [4, 5]]}
+    d["mengerian"] = True
+    assert failed(verify_report_dict(d)) == {"hypergraph", "fractional_vertex"}
+    d = c5_report()
+    d["graph"]["n"] = 6
+    assert failed(verify_report_dict(d)) == {"hypergraph"}
+
+
+@pytest.mark.parametrize("graph", [
+    None, 5, {"n": 5}, {"n": "5", "edges": []}, {"n": 5, "edges": [[1, 2, 3]]},
+    {"n": 5, "edges": [["a", 2]]}, {"n": 5, "edges": [[1, 1]]}, {"n": 5, "edges": [[1, 9]]},
+])
+def test_verify_report_malformed_graph(graph):
+    d = c5_report()
+    d["graph"] = graph
+    with pytest.raises(ValueError):
+        verify_report_dict(d)
+
+
+@pytest.mark.parametrize("flip, refuted", [
+    (lambda d: d["checks"]["tu"].update(value=True), "tu_witness"),
+    (lambda d: d["checks"]["ideal"].update(value=True), "fractional_vertex"),
+    (lambda d: d.update(mengerian=True), "fractional_vertex"),
+])
+def test_verify_report_flipped_verdict(flip, refuted):
+    d = c5_report()
+    flip(d)
+    results = verify_report_dict(d)
+    assert failed(results) == {refuted}
+    assert any("does not set" in msg for _, _, msg in results)
+
+
+@pytest.mark.parametrize("flip", [
+    lambda d: d["ntf"].update(value=True),
+    lambda d: d.update(mengerian=True),
+])
+def test_verify_report_flipped_ntf_verdict(flip):
+    c = build_path_hypergraph(make_family("cycle", [5]))
+    d = {"hypergraph": clutters.to_json_dict(c),
+         "ntf": ntf_json(ideals.is_normally_torsion_free(c), certificates=True)}
+    assert failed(verify_report_dict(d)) == set()
+    flip(d)
+    assert failed(verify_report_dict(d)) == {"power_violation"}
+
+
+@pytest.mark.parametrize("rows, cols", [
+    ([1, 2], [1, 9]),      # column out of range
+    ([0, 1], [1, 2]),      # 0 would select the last row
+    ([1, 1], [1, 2]),      # repeated row
+    ([1, 2, 3], [3, 4]),   # not square
+    ([], []),
+    ("12", [1, 2]),
+    ([1.0, 2], [1, 2]),
+])
+def test_verify_report_bad_witness_indices(rows, cols):
+    d = c5_report()
+    d["checks"]["tu"]["witness"].update(rows=rows, cols=cols)
+    assert failed(verify_report_dict(d)) == {"tu_witness"}
+
+
+def test_verify_report_tight_rows_compared():
+    d = c5_report()
+    vertex = d["checks"]["ideal"]["fractional_vertex"]
+    for tight in ([99], [3, 4, 5, 9], [3, 4, 5, 9, 10, 10], "3"):
+        vertex["tight_rows"] = tight
+        results = verify_report_dict(d)
+        assert failed(results) == {"fractional_vertex"}
+        assert any("tight_rows differ" in msg for _, _, msg in results)
+    vertex["tight_rows"] = [10, 9, 5, 4, 3]  # the set, in any order
+    assert not failed(verify_report_dict(d))
+
+
+@pytest.mark.parametrize("edit", [
+    lambda d: d["checks"]["tu"]["witness"].update(det=[2]),
+    lambda d: d["checks"]["tu"]["witness"].update(det="1/0"),
+    lambda d: d["checks"]["tu"].update(witness=3),
+    lambda d: d["checks"]["ideal"]["fractional_vertex"].update(coords=5),
+    lambda d: d["checks"]["ideal"]["fractional_vertex"].update(coords=["x"] * 5),
+    lambda d: d["checks"]["ideal"]["fractional_vertex"].update(coords=["1/2"]),
+    lambda d: d.update(checks=[]),
+    lambda d: d["hypergraph"].update(unit=True),
+])
+def test_verify_report_malformed_certificate(edit):
+    d = c5_report()
+    edit(d)
+    with pytest.raises(ValueError):
+        verify_report_dict(d)

@@ -100,13 +100,6 @@ def test_survey_csv():
     assert out.splitlines()[0].startswith("n,index,graph6")
 
 
-def test_survey_env_cap(monkeypatch):
-    monkeypatch.setenv("MENGERIAN_MAX_N", "4")
-    code, out, _ = run_cli(["survey"])
-    assert code == 0
-    assert json.loads(out)["n_max"] == 4
-
-
 def test_verify_certificate_round_trip(tmp_path):
     code, out, _ = run_cli(["decide", "--edges", "1 2\\n2 3\\n3 4\\n4 5\\n3 6"])
     assert code == 0
@@ -182,3 +175,62 @@ def test_check_ntf_respects_power_cap():
     assert err == "resource cap exceeded: power-equality bound 4 exceeds the cap 2\n"
     code, out, _ = run_cli(["--max-power", "4", "check", "ntf", "--family", "cycle:8"])
     assert code == 0 and json.loads(out)["ntf"]["checked_k"] == [2, 3, 4]
+
+
+@pytest.mark.parametrize("prop", ["tu", "ideal", "konig", "packing", "ntf", "mfmc-probe"])
+def test_check_respects_size_caps(prop):
+    for caps in (["--max-n", "3"], ["--max-edges", "4"]):
+        code, out, err = run_cli(caps + ["check", prop, "--family", "cycle:5"])
+        assert code == 1 and out == ""
+        assert err.startswith("resource cap exceeded: ") and len(err.splitlines()) == 1
+
+
+def test_verify_certificate_respects_size_caps():
+    _, report, _ = run_cli(["decide", "--family", "cycle:5"])
+    for caps, msg in ((["--max-n", "4"], "n=5 exceeds the vertex cap 4"),
+                      (["--max-edges", "4"], "m=5 exceeds the edge cap 4")):
+        code, out, err = run_cli(caps + ["verify-certificate", "-"], stdin_text=report)
+        assert code == 1 and out == ""
+        assert err == f"resource cap exceeded: {msg}\n"
+
+
+def c5_report():
+    _, out, _ = run_cli(["decide", "--family", "cycle:5"])
+    return json.loads(out)
+
+
+def test_verify_certificate_rejects_swapped_graph():
+    d = c5_report()
+    d["graph"] = {"n": 5, "edges": [[1, 2], [2, 3], [3, 4], [4, 5]]}
+    d["mengerian"] = True
+    code, out, _ = run_cli(["verify-certificate", "-"], stdin_text=json.dumps(d))
+    assert code == 2
+    assert "hypergraph: INVALID" in out and "fractional_vertex: INVALID" in out
+
+
+@pytest.mark.parametrize("edit", [
+    lambda d: d["checks"]["ideal"]["fractional_vertex"].update(tight_rows=[99]),
+    lambda d: d["checks"]["tu"]["witness"].update(cols=[1, 9]),
+    lambda d: d["checks"]["tu"]["witness"].update(rows=[0, 1, 2]),
+])
+def test_verify_certificate_tampered_indices(edit):
+    d = c5_report()
+    edit(d)
+    code, out, err = run_cli(["verify-certificate", "-"], stdin_text=json.dumps(d))
+    assert code == 2 and err == ""
+    assert len([ln for ln in out.splitlines() if "INVALID" in ln]) == 1
+
+
+@pytest.mark.parametrize("edit", [
+    lambda d: d.update(graph={"n": 5, "edges": [[1, "b"]]}),
+    lambda d: d.update(t="3"),
+    lambda d: d["hypergraph"].update(unit=True),
+    lambda d: d["checks"]["tu"]["witness"].update(det="two"),
+])
+def test_verify_certificate_malformed_report(edit):
+    d = c5_report()
+    edit(d)
+    code, out, err = run_cli(["verify-certificate", "-"], stdin_text=json.dumps(d))
+    assert code == 1 and out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")

@@ -7,16 +7,15 @@ from mengerian.clutters import incidence_matrix
 from mengerian.graphs import build_path_hypergraph, make_family
 from mengerian.linalg import (
     Matrix,
-    covering_polyhedron_vertices,
+    _echelon,
+    _solve_unit_rhs,
     enumerate_covering_vertices,
-    ghouila_houri_check,
     is_ideal,
     is_totally_unimodular,
-    solve,
     verify_vertex,
 )
 
-from oracles import cofactor_det, rank_scan
+from oracles import cofactor_det, ghouila_houri_check, rank_scan
 
 H = Fraction(1, 2)
 Q = Fraction(1, 4)
@@ -24,6 +23,14 @@ Q = Fraction(1, 4)
 
 def incidence_of(name, *params):
     return incidence_matrix(build_path_hypergraph(make_family(name, list(params))))
+
+
+def covering_vertices(A):
+    return sorted(enumerate_covering_vertices(A), key=lambda v: v.coords)
+
+
+def rank(M):
+    return _echelon([list(r) for r in M.rows], M.n)[0]
 
 
 # --- matrix basics -----------------------------------------------------------
@@ -70,8 +77,9 @@ def test_det_random_int_matrices_against_cofactor():
 
 
 def test_det_rational_entries():
-    M = Matrix([[Fraction(1, 2), 1], [0, Fraction(2, 3)]])
-    assert M.det() == Fraction(1, 3)
+    # matrices hold integers only; rationals appear only as vertex coordinates
+    with pytest.raises(TypeError, match="integers"):
+        Matrix([[Fraction(1, 2), 1], [0, Fraction(2, 3)]])
 
 
 def test_det_row_swap_changes_sign():
@@ -84,10 +92,10 @@ def test_det_row_swap_changes_sign():
 
 
 def test_rank():
-    assert Matrix([], n=4).rank() == 0
-    assert incidence_of("cycle", 5).rank() == 5
-    assert incidence_of("cycle", 8).rank() == 5
-    assert Matrix([[1, 1], [2, 2]]).rank() == 1
+    assert rank(Matrix([], n=4)) == 0
+    assert rank(incidence_of("cycle", 5)) == 5
+    assert rank(incidence_of("cycle", 8)) == 5
+    assert rank(Matrix([[1, 1], [2, 2]])) == 1
 
 
 def test_rank_permutation_invariant():
@@ -99,50 +107,32 @@ def test_rank_permutation_invariant():
         rperm = list(range(m)); rng.shuffle(rperm)
         cperm = list(range(n)); rng.shuffle(cperm)
         P = Matrix([[rows[i][j] for j in cperm] for i in rperm])
-        assert P.rank() == M.rank()
+        assert rank(P) == rank(M)
 
 
 def test_solve_identity():
-    assert solve(Matrix([[1, 0], [0, 1]]), [1, 2]) == (1, 2)
+    assert _solve_unit_rhs([[1, 0], [0, 2]]) == [1, H]
 
 
 def test_solve_five_vertex_tight_system():
-    # x4 = 0, x5 = 0, x1+x2+x4+x5 = 1, x1+x3 = 1, x2+x3 = 1
-    M = Matrix([
-        [0, 0, 0, 1, 0],
-        [0, 0, 0, 0, 1],
-        [1, 1, 0, 1, 1],
-        [1, 0, 1, 0, 0],
-        [0, 1, 1, 0, 0],
-    ])
-    assert solve(M, [0, 0, 1, 1, 1]) == (H, H, H, 0, 0)
+    # x4 = x5 = 0 pinned and dropped, as the vertex enumeration does;
+    # left: x1+x2 = 1, x1+x3 = 1, x2+x3 = 1
+    assert _solve_unit_rhs([[1, 1, 0], [1, 0, 1], [0, 1, 1]]) == [H, H, H]
 
 
 def test_solve_inconsistent_is_none():
-    assert solve(Matrix([[1], [1]]), [0, 1]) is None
+    assert _solve_unit_rhs([[1, 1], [2, 2]]) is None
 
 
-def test_solve_underdetermined_raises():
-    with pytest.raises(ValueError, match="underdetermined"):
-        solve(Matrix([[1, 1]]), [1])
-
-
-def test_solve_overdetermined_consistent():
-    M = Matrix([[1, 0], [0, 1], [1, 1]])
-    assert solve(M, [2, 3, 5]) == (2, 3)
-
-
-def random_entries(rng, m, n, rational):
-    """Small integer or rational rows; about one in three is a combination of
-    earlier rows, so rank-deficient matrices come up often."""
+def random_entries(rng, m, n):
+    """Small integer rows; about one in three is a combination of earlier
+    rows, so rank-deficient matrices come up often."""
     rows = []
     for _ in range(m):
         if len(rows) >= 2 and rng.random() < 0.35:
             a, b = rng.sample(rows, 2)
             s, t = rng.randint(-2, 2), rng.randint(-2, 2)
             rows.append([s * x + t * y for x, y in zip(a, b)])
-        elif rational:
-            rows.append([Fraction(rng.randint(-3, 3), rng.randint(1, 4)) for _ in range(n)])
         else:
             rows.append([rng.randint(-3, 3) for _ in range(n)])
     return rows
@@ -150,32 +140,24 @@ def random_entries(rng, m, n, rational):
 
 def test_rank_and_solve_against_oracles():
     rng = random.Random(71)
-    deficient = unique = 0
-    for trial in range(150):
+    deficient = singular = unique = 0
+    for _ in range(150):
         m, n = rng.randint(1, 5), rng.randint(1, 5)
-        rows = random_entries(rng, m, n, rational=trial % 2 == 1)
-        M = Matrix(rows)
-        rank = rank_scan(rows)
-        assert M.rank() == rank
-        deficient += rank < min(m, n)
-        # a right-hand side in the column space, so the system is consistent
-        x0 = [Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(n)]
-        b = [sum(a * x for a, x in zip(row, x0)) for row in rows]
-        if rank < n:
-            with pytest.raises(ValueError, match="underdetermined"):
-                solve(M, b)
-            continue
-        x = solve(M, b)
-        assert [sum(a * v for a, v in zip(row, x)) for row in rows] == b
-        assert list(x) == x0
-        unique += 1
-        if rank < m:
-            # a right-hand side off the column space is inconsistent
-            off = list(b)
-            off[rng.randrange(m)] += 1
-            if rank_scan([row + [v] for row, v in zip(rows, off)]) > rank:
-                assert solve(M, off) is None
-    assert deficient > 0 and unique > 0
+        rows = random_entries(rng, m, n)
+        r = rank_scan(rows)
+        assert _echelon([list(row) for row in rows], n)[0] == r
+        deficient += r < min(m, n)
+        # the leading square block against the unit right-hand side
+        k = min(m, n)
+        square = [row[:k] for row in rows[:k]]
+        y = _solve_unit_rhs(square)
+        if cofactor_det(square) == 0:
+            assert y is None
+            singular += 1
+        else:
+            assert [sum(a * v for a, v in zip(row, y)) for row in square] == [1] * k
+            unique += 1
+    assert deficient > 0 and singular > 0 and unique > 0
 
 
 # --- total unimodularity ---------------------------------------------------------
@@ -212,7 +194,7 @@ def test_tu_against_ghouila_houri():
         m, n = rng.randint(1, 4), rng.randint(1, 4)
         M = Matrix([[rng.choice((0, 1, -1)) for _ in range(n)] for _ in range(m)])
         verdict = is_totally_unimodular(M).totally_unimodular
-        assert verdict == ghouila_houri_check(M)
+        assert verdict == ghouila_houri_check(M.rows)
         agree[verdict] += 1
     assert agree[True] and agree[False]
 
@@ -220,7 +202,7 @@ def test_tu_against_ghouila_houri():
 # --- covering polyhedron -----------------------------------------------------------
 
 def test_vertices_single_all_ones_row():
-    verts = covering_polyhedron_vertices(Matrix([[1, 1, 1, 1]]))
+    verts = covering_vertices(Matrix([[1, 1, 1, 1]]))
     coords = {v.coords for v in verts}
     unit = lambda i: tuple(Fraction(int(i == j)) for j in range(4))
     assert coords == {unit(i) for i in range(4)}
@@ -228,14 +210,14 @@ def test_vertices_single_all_ones_row():
 
 def test_vertices_c5_contains_quarter_vector():
     A = incidence_of("cycle", 5)
-    verts = covering_polyhedron_vertices(A)
+    verts = covering_vertices(A)
     assert (Q, Q, Q, Q, Q) in {v.coords for v in verts}
 
 
 def test_vertices_c6_contains_alternating_halves():
     A = incidence_of("cycle", 6)
     target = (H, 0, H, 0, H, 0)
-    coords = {v.coords for v in covering_polyhedron_vertices(A)}
+    coords = {v.coords for v in covering_vertices(A)}
     assert tuple(Fraction(x) for x in target) in coords
 
 
@@ -251,7 +233,7 @@ def test_every_vertex_is_certified():
 
 def test_vertex_dedupe():
     A = incidence_of("cycle", 6)
-    verts = covering_polyhedron_vertices(A)
+    verts = covering_vertices(A)
     assert len({v.coords for v in verts}) == len(verts)
 
 
