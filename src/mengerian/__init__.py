@@ -42,7 +42,6 @@ from .ideals import (
 )
 from .linalg import (
     IdealityResult,
-    Matrix,
     PolyhedronVertex,
     TUResult,
     TUWitness,

@@ -9,7 +9,7 @@ decisive together with machine-checkable certificates.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
@@ -153,7 +153,6 @@ class DecisionReport:
     packing: Optional[bool] = None
     ntf: Optional[ideals.NtfResult] = None
     classifier: Optional[ClassVerdict] = None
-    notes: list[str] = field(default_factory=list)
 
     @property
     def agreement(self) -> Optional[bool]:
@@ -162,7 +161,7 @@ class DecisionReport:
         return self.classifier.mengerian == self.mengerian
 
     def to_json_dict(self, certificates: bool = True) -> dict:
-        d: dict = {
+        return {
             "schema": 1,
             "graph": {
                 "n": self.graph.n,
@@ -188,9 +187,6 @@ class DecisionReport:
             },
             "agreement": self.agreement,
         }
-        if self.notes:
-            d["notes"] = list(self.notes)
-        return d
 
 
 def tu_json(res: Optional[linalg.TUResult], certificates: bool) -> Optional[dict]:
@@ -258,8 +254,7 @@ def decide_mengerian_exact(
     konig = KonigCheck(clutters.tau(c), clutters.nu(c))
     packing = clutters.has_packing(c) if compute_packing else None
 
-    A = clutters.incidence_matrix(c)
-    tu = linalg.is_totally_unimodular(A)
+    tu = linalg.is_totally_unimodular(c)
 
     if c.is_empty:
         report = DecisionReport(g, t, c, TRACE_EMPTY, True, tu=tu,
@@ -272,7 +267,7 @@ def decide_mengerian_exact(
         return DecisionReport(g, t, c, TRACE_TU, True, tu=tu, konig=konig,
                               packing=packing, classifier=classifier)
 
-    ideality = linalg.is_ideal(A)
+    ideality = linalg.is_ideal(c)
     if not ideality.ideal:
         return DecisionReport(g, t, c, TRACE_NON_IDEAL, False, tu=tu,
                               ideal=ideality, konig=konig, packing=packing,
@@ -320,6 +315,20 @@ def _section(d: dict, key: str) -> dict:
     return v
 
 
+def _checks(d: dict) -> dict:
+    """decide reports nest the results under "checks"; check reports are flat."""
+    return _section(d, "checks") if "checks" in d else d
+
+
+def check_report_caps(d: dict, caps: Caps) -> None:
+    """Refuse a report whose hypergraph or power violation exceeds the caps."""
+    c = report_hypergraph(d)
+    check_caps(caps, c.n, c.m)
+    k = _section(_section(_checks(d), "ntf"), "violation").get("k")
+    if type(k) is int and k > caps.max_power_k:
+        raise CapExceeded(f"power violation k={k} exceeds the cap {caps.max_power_k}")
+
+
 def _rational(s, what: str) -> Fraction:
     try:
         return Fraction(s)
@@ -360,7 +369,6 @@ def verify_report_dict(d: dict) -> list[tuple[str, bool, str]]:
     refutes to false. Malformed input raises ValueError.
     """
     c = report_hypergraph(d)
-    A = clutters.incidence_matrix(c)
     out: list[tuple[str, bool, str]] = []
     if "graph" in d:
         g, t = _report_graph(d)
@@ -369,30 +377,30 @@ def verify_report_dict(d: dict) -> list[tuple[str, bool, str]]:
                     f"{'equals' if same else 'differs from'} H_{t} of the report's graph"))
     mengerian = d.get("mengerian", False)
 
-    # decide reports nest the results under "checks"; check reports are flat
-    checks = _section(d, "checks") if "checks" in d else d
+    checks = _checks(d)
     tu = _section(checks, "tu")
     w = _section(tu, "witness")
     if w:
-        rows, cols = _indices(w.get("rows"), A.m), _indices(w.get("cols"), A.n)
+        rows, cols = _indices(w.get("rows"), c.m), _indices(w.get("cols"), c.n)
         if rows and cols and len(rows) == len(cols):
-            det = A.submatrix(rows, cols).det()
+            A = clutters.incidence_matrix(c)
+            det = linalg.bareiss_det([[A[i][j] for j in cols] for i in rows])
             claimed = _rational(w.get("det"), "witness det")
             ok, msg = det == claimed and det not in (-1, 0, 1), f"subdeterminant {det}"
         else:
             ok, msg = False, (f"rows and cols must be equally many distinct indices "
-                              f"in 1..{A.m} and 1..{A.n}")
+                              f"in 1..{c.m} and 1..{c.n}")
         out.append(_refuting("tu_witness", ok, msg, tu=tu.get("value")))
 
     ideal = _section(checks, "ideal")
     vertex = _section(ideal, "fractional_vertex")
     if vertex:
         coords = [_rational(x, "vertex coordinate") for x in _list(vertex, "coords")]
-        chk = linalg.verify_vertex(A, coords)
-        tight = _indices(vertex.get("tight_rows"), A.m + A.n)
+        chk = linalg.verify_vertex(c, coords)
+        tight = _indices(vertex.get("tight_rows"), c.m + c.n)
         same_tight = tight is not None and sorted(tight) == list(chk.tight_rows)
         fractional = not all(x.denominator == 1 for x in coords)
-        msg = f"feasible={chk.feasible} tight_rank={chk.tight_rank}/{A.n}"
+        msg = f"feasible={chk.feasible} tight_rank={chk.tight_rank}/{c.n}"
         out.append(_refuting("fractional_vertex", chk.is_vertex and fractional and same_tight,
                              msg if same_tight else msg + ", tight_rows differ",
                              ideal=ideal.get("value"), mengerian=mengerian))

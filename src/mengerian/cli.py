@@ -102,14 +102,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _cmd_hypergraph(args) -> int:
     g = _load_graph(args)
-    c = graphs.build_path_hypergraph(g, args.t)
+    c = classify.capped_hypergraph(g, args.t, _caps(args))
     if args.format == "dot":
         sys.stdout.write(graphs.to_dot(g))
     elif args.format == "json":
-        incidence = [list(row) for row in clutters.incidence_matrix(c).rows]
         _emit_json({"schema": 1, "t": args.t,
                     "hypergraph": clutters.to_json_dict(c),
-                    "incidence": incidence})
+                    "incidence": clutters.incidence_matrix(c)})
     else:
         sys.stdout.write(clutters.to_text(c))
     return 0
@@ -123,11 +122,11 @@ def _cmd_check(args) -> int:
                      "hypergraph": clutters.to_json_dict(c)}
     holds: Optional[bool] = None
     if prop == "tu":
-        res = linalg.is_totally_unimodular(clutters.incidence_matrix(c))
+        res = linalg.is_totally_unimodular(c)
         holds = res.totally_unimodular
         payload["tu"] = classify.tu_json(res, certificates=True)
     elif prop == "ideal":
-        res = linalg.is_ideal(clutters.incidence_matrix(c))
+        res = linalg.is_ideal(c)
         holds = res.ideal
         payload["ideal"] = classify.ideal_json(res, certificates=True)
     elif prop == "konig":
@@ -205,8 +204,7 @@ def _cmd_verify(args) -> int:
     else:
         with open(args.report, "r", encoding="utf-8") as fh:
             data = json.load(fh)
-    c = classify.report_hypergraph(data)
-    classify.check_caps(_caps(args), c.n, c.m)
+    classify.check_report_caps(data, _caps(args))
     results = classify.verify_report_dict(data)
     for name, ok, msg in results:
         print(f"{name}: {'valid' if ok else 'INVALID'} ({msg})")

@@ -16,8 +16,6 @@ from dataclasses import dataclass
 from itertools import product
 from typing import Iterable, Iterator, Optional, Sequence
 
-from . import linalg
-
 
 @dataclass(frozen=True)
 class Clutter:
@@ -61,10 +59,9 @@ def _mask(vertices: Iterable[int]) -> int:
     return m
 
 
-def incidence_matrix(c: Clutter) -> linalg.Matrix:
-    """0/1 edge-vertex incidence; rows follow the sorted edge order."""
-    rows = [[1 if v in e else 0 for v in range(c.n)] for e in c.edges]
-    return linalg.Matrix(rows, n=c.n)
+def incidence_matrix(c: Clutter) -> list[list[int]]:
+    """0/1 edge-vertex incidence rows, in the sorted edge order."""
+    return [[1 if v in e else 0 for v in range(c.n)] for e in c.edges]
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,8 @@
-"""Exact linear algebra for covering polyhedra.
+"""Exact linear algebra for covering polyhedra of clutters.
 
-Matrices hold Python ints, and points of a polyhedron are
+Every matrix here is the 0/1 edge-vertex incidence matrix A of a
+``Clutter``, whose rows are distinct, so the functions take the clutter
+and read its edges and edge bitmasks. Points of a polyhedron are
 ``fractions.Fraction`` vectors; nothing here ever rounds. Every
 determinant, rank and solve goes through one fraction-free (Bareiss)
 row-echelon kernel over integer rows, total unimodularity is decided by
@@ -14,50 +16,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
-
-def _entry(x) -> int:
-    if isinstance(x, int):
-        return int(x)  # bool becomes 0 or 1
-    raise TypeError(f"matrix entries must be integers, got {type(x).__name__}")
-
-
-class Matrix:
-    """Immutable dense integer matrix.
-
-    Rows are tuples of ints. A matrix with zero rows still carries a
-    column count, so incidence matrices of empty hypergraphs stay well
-    defined.
-    """
-
-    __slots__ = ("m", "n", "rows")
-
-    def __init__(self, rows: Iterable[Iterable], n: Optional[int] = None):
-        rs = tuple(tuple(_entry(x) for x in row) for row in rows)
-        if rs:
-            width = len(rs[0])
-            if any(len(r) != width for r in rs):
-                raise ValueError("rows have unequal lengths")
-            if n is not None and n != width:
-                raise ValueError(f"declared {n} columns but rows have {width}")
-            n = width
-        elif n is None:
-            raise ValueError("a matrix with no rows needs an explicit column count")
-        self.rows = rs
-        self.m = len(rs)
-        self.n = n
-
-    def __repr__(self):
-        return f"Matrix({self.m}x{self.n})"
-
-    def submatrix(self, row_idx: Sequence[int], col_idx: Sequence[int]) -> "Matrix":
-        return Matrix([[self.rows[i][j] for j in col_idx] for i in row_idx], n=len(col_idx))
-
-    def det(self) -> int:
-        if self.m != self.n:
-            raise ValueError("determinant requires a square matrix")
-        return bareiss_det([list(r) for r in self.rows])
+from .clutters import Clutter, _bits, _mask, _popcount
 
 
 def _echelon(a: list[list[int]], ncols: int) -> tuple[int, int]:
@@ -145,33 +106,35 @@ class TUResult:
         return self.totally_unimodular
 
 
-def is_totally_unimodular(M: Matrix) -> TUResult:
+def is_totally_unimodular(c: Clutter) -> TUResult:
     """Exhaustive subdeterminant scan in increasing size with early exit.
 
-    Sizes are scanned from 2 upward (1x1 minors equal the entries, which
-    are validated to lie in {0, +-1} up front). At the minimal violating
-    size no row or column of the violating submatrix can have fewer than
-    two nonzeros, because a Laplace expansion along such a line would
-    exhibit a smaller violation; submatrices with a thin line or a
-    repeated row are therefore skipped safely.
+    Sizes are scanned from 2 upward, since the 1x1 minors of a 0/1 matrix
+    are its entries. At the minimal violating size no row or column of the
+    violating submatrix can have fewer than two nonzeros, because a
+    Laplace expansion along such a line would exhibit a smaller violation.
+    So for each row set the columns are drawn only from ``twice``, those
+    that at least two chosen rows contain, and a column set is skipped
+    when a chosen row meets it fewer than twice. Row and column sets are
+    visited in lexicographic order. ``bareiss_det`` is called through the
+    module global, so ``perfbench/spans.py`` can count subdeterminants by
+    wrapping it.
     """
-    for row in M.rows:
-        for x in row:
-            if x not in (0, 1, -1):
-                raise ValueError(f"entry {x!r} outside {{0, 1, -1}}")
-    rows = M.rows
-    for k in range(2, min(M.m, M.n) + 1):
-        for rset in combinations(range(M.m), k):
-            chosen = [rows[i] for i in rset]
-            if len(set(chosen)) < k:
+    masks = c.edge_masks()
+    for k in range(2, min(c.m, c.n) + 1):
+        for rset in combinations(range(c.m), k):
+            chosen = [masks[i] for i in rset]
+            once = twice = 0
+            for e in chosen:
+                twice |= once & e
+                once |= e
+            if any(_popcount(e & twice) < 2 for e in chosen):
                 continue
-            for cset in combinations(range(M.n), k):
-                sub = [[row[j] for j in cset] for row in chosen]
-                if any(sum(1 for x in r if x) < 2 for r in sub):
+            for cset in combinations(_bits(twice), k):
+                cmask = _mask(cset)
+                if any(_popcount(e & cmask) < 2 for e in chosen):
                     continue
-                if any(sum(1 for r in sub if r[j]) < 2 for j in range(k)):
-                    continue
-                d = bareiss_det(sub)
+                d = bareiss_det([[e >> j & 1 for j in cset] for e in chosen])
                 if d not in (-1, 0, 1):
                     return TUResult(False, TUWitness(rset, cset, d))
     return TUResult(True, None)
@@ -206,12 +169,6 @@ class IdealityResult:
         return self.ideal
 
 
-def _validate_zero_one(M: Matrix) -> tuple[tuple[int, ...], ...]:
-    if any(x not in (0, 1) for row in M.rows for x in row):
-        raise ValueError("covering systems need a 0/1 matrix")
-    return M.rows
-
-
 def _solve_unit_rhs(mat: list[list[int]]) -> Optional[list[Fraction]]:
     """Solve the square integer system mat * y = 1, or None if singular."""
     size = len(mat)
@@ -221,14 +178,18 @@ def _solve_unit_rhs(mat: list[list[int]]) -> Optional[list[Fraction]]:
     return _back_substitute(aug, size)
 
 
-def tight_constraints(rows: Sequence[tuple[int, ...]], coords: Sequence[Fraction]) -> tuple[int, ...]:
-    m = len(rows)
-    tight = [i for i, row in enumerate(rows) if sum(c for c, a in zip(coords, row) if a) == 1]
-    tight += [m + j for j, c in enumerate(coords) if c == 0]
+def _row_sums(c: Clutter, coords: Sequence[Fraction]) -> Iterator[Fraction]:
+    """<A_i, x> for every edge i, lazily, so feasibility checks stop early."""
+    return (sum(coords[v] for v in e) for e in c.edges)
+
+
+def tight_constraints(c: Clutter, coords: Sequence[Fraction]) -> tuple[int, ...]:
+    tight = [i for i, s in enumerate(_row_sums(c, coords)) if s == 1]
+    tight += [c.m + j for j, x in enumerate(coords) if x == 0]
     return tuple(tight)
 
 
-def enumerate_covering_vertices(A: Matrix) -> Iterator[PolyhedronVertex]:
+def enumerate_covering_vertices(c: Clutter) -> Iterator[PolyhedronVertex]:
     """Yield every vertex of Q(A) exactly once, deterministically.
 
     Bases are all n-subsets of the m + n constraints; each nonsingular
@@ -236,8 +197,8 @@ def enumerate_covering_vertices(A: Matrix) -> Iterator[PolyhedronVertex]:
     pin more coordinates to zero are visited first, so sparse vertices
     surface early.
     """
-    rows = _validate_zero_one(A)
-    m, n = A.m, A.n
+    masks = c.edge_masks()
+    m, n = c.m, c.n
     seen: set[tuple[Fraction, ...]] = set()
     for zeros in range(n, -1, -1):
         size = n - zeros
@@ -246,9 +207,9 @@ def enumerate_covering_vertices(A: Matrix) -> Iterator[PolyhedronVertex]:
         for zset in combinations(range(n), zeros):
             zs = set(zset)
             live = [j for j in range(n) if j not in zs]
-            reduced = [tuple(row[j] for j in live) for row in rows]
+            reduced = [[e >> j & 1 for j in live] for e in masks]
             for tset in combinations(range(m), size):
-                sol = _solve_unit_rhs([list(reduced[i]) for i in tset]) if size else []
+                sol = _solve_unit_rhs([reduced[i] for i in tset]) if size else []
                 if sol is None:
                     continue
                 coords = [Fraction(0)] * n
@@ -259,10 +220,10 @@ def enumerate_covering_vertices(A: Matrix) -> Iterator[PolyhedronVertex]:
                     continue
                 if any(v < 0 for v in sol):
                     continue
-                if any(sum(c for c, a in zip(coords, row) if a) < 1 for row in rows):
+                if any(s < 1 for s in _row_sums(c, coords)):
                     continue
                 seen.add(key)
-                yield PolyhedronVertex(key, tight_constraints(rows, coords))
+                yield PolyhedronVertex(key, tight_constraints(c, coords))
 
 
 @dataclass(frozen=True)
@@ -274,77 +235,70 @@ class VertexCheck:
     is_integral: bool
 
 
-def verify_vertex(A: Matrix, coords: Sequence) -> VertexCheck:
+def verify_vertex(c: Clutter, coords: Sequence) -> VertexCheck:
     """Re-validate a claimed vertex of Q(A) from scratch.
 
     Checks feasibility exactly, recomputes the full tight set and asserts
     that the tight subsystem has column rank n.
     """
-    rows = _validate_zero_one(A)
-    pt = [Fraction(c) for c in coords]
-    if len(pt) != A.n:
+    pt = [Fraction(x) for x in coords]
+    if len(pt) != c.n:
         raise ValueError("coordinate count does not match column count")
-    feasible = all(c >= 0 for c in pt) and all(
-        sum(c for c, a in zip(pt, row) if a) >= 1 for row in rows
-    )
-    tight = tight_constraints(rows, pt) if feasible else ()
+    feasible = all(x >= 0 for x in pt) and all(s >= 1 for s in _row_sums(c, pt))
+    tight = tight_constraints(c, pt) if feasible else ()
+    masks = c.edge_masks()
     tight_mat = []
     for idx in tight:
-        if idx < A.m:
-            tight_mat.append(list(rows[idx]))
-        else:
-            r = [0] * A.n
-            r[idx - A.m] = 1
-            tight_mat.append(r)
-    rk = _echelon(tight_mat, A.n)[0]
+        row = masks[idx] if idx < c.m else 1 << (idx - c.m)
+        tight_mat.append([row >> j & 1 for j in range(c.n)])
+    rk = _echelon(tight_mat, c.n)[0]
     return VertexCheck(
         feasible=feasible,
         tight_rows=tight,
         tight_rank=rk,
-        is_vertex=feasible and rk == A.n,
-        is_integral=all(c.denominator == 1 for c in pt),
+        is_vertex=feasible and rk == c.n,
+        is_integral=all(x.denominator == 1 for x in pt),
     )
 
 
-def _pattern_vertices(supports: list[frozenset[int]], n: int) -> Optional[PolyhedronVertex]:
+def _pattern_vertices(c: Clutter) -> Optional[PolyhedronVertex]:
     """Fast search for fractional vertices that are uniform on their support.
 
     Points of the form (1/q on S, 0 elsewhere) cover every fractional
     certificate arising from odd cover structures. Purely an accelerator:
     hits are verified exactly and misses fall back to full enumeration.
     """
+    masks = c.edge_masks()
+    n = c.n
     for s in range(2, n + 1):
         for q in range(2, s + 1):
             for S in combinations(range(n), s):
-                ss = set(S)
-                weights = [len(sup & ss) for sup in supports]
+                smask = _mask(S)
+                weights = [_popcount(e & smask) for e in masks]
                 if any(w < q for w in weights):
                     continue
-                tight = [i for i, w in enumerate(weights) if w == q]
-                reduced = [[1 if j in supports[i] else 0 for j in S] for i in tight]
+                reduced = [[e >> j & 1 for j in S] for e, w in zip(masks, weights) if w == q]
                 if _echelon(reduced, s)[0] != s:
                     continue
-                coords = tuple(Fraction(1, q) if j in ss else Fraction(0) for j in range(n))
-                full_rows = [tuple(1 if j in sup else 0 for j in range(n)) for sup in supports]
-                return PolyhedronVertex(coords, tight_constraints(full_rows, coords))
+                coords = tuple(Fraction(1, q) if smask >> j & 1 else Fraction(0)
+                               for j in range(n))
+                return PolyhedronVertex(coords, tight_constraints(c, coords))
     return None
 
 
-def is_ideal(A: Matrix) -> IdealityResult:
+def is_ideal(c: Clutter) -> IdealityResult:
     """Decide whether every vertex of Q(A) is integral.
 
     A fractional vertex is returned as the certificate. The pattern
     pre-pass only accelerates refutations; a positive answer is always
     backed by the full exhaustive enumeration.
     """
-    rows = _validate_zero_one(A)
-    if A.m == 0:
+    if c.is_empty:
         return IdealityResult(True, None)
-    supports = [frozenset(j for j, a in enumerate(row) if a) for row in rows]
-    hit = _pattern_vertices(supports, A.n)
+    hit = _pattern_vertices(c)
     if hit is not None:
         return IdealityResult(False, hit)
-    for vertex in enumerate_covering_vertices(A):
+    for vertex in enumerate_covering_vertices(c):
         if not vertex.is_integral:
             return IdealityResult(False, vertex)
     return IdealityResult(True, None)

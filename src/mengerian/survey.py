@@ -104,7 +104,7 @@ class SurveyReport:
             "mengerian_per_n": {str(n): per_n.get(n, 0) for n in range(self.n_min, self.n_max + 1)},
         }
 
-    def to_json_dict(self, certificates: bool = False) -> dict:
+    def to_json_dict(self) -> dict:
         return {
             "schema": 1,
             "t": self.t,

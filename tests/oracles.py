@@ -244,3 +244,20 @@ def _signable(rows):
         if all(-1 <= s <= 1 for s in sums):
             return True
     return False
+
+
+def tu_witness_scan(rows):
+    """The first square submatrix whose determinant is outside {0, +-1}.
+
+    Unpruned: sizes k upward, then row sets, then column sets, each in
+    lexicographic order, every submatrix by cofactor expansion. Returns
+    None when every subdeterminant is in {0, +-1}, else (rows, cols, det).
+    """
+    m, n = len(rows), len(rows[0]) if rows else 0
+    for k in range(1, min(m, n) + 1):
+        for rset in combinations(range(m), k):
+            for cset in combinations(range(n), k):
+                d = cofactor_det([[rows[i][j] for j in cset] for i in rset])
+                if d not in (-1, 0, 1):
+                    return rset, cset, d
+    return None

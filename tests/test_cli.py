@@ -87,6 +87,15 @@ def test_hypergraph_text_and_dot():
     assert code == 0 and dot.startswith("graph G {")
 
 
+def test_hypergraph_respects_size_caps():
+    # K25 is refused before any path is enumerated
+    code, out, err = run_cli(["hypergraph", "--family", "complete:25"])
+    assert code == 1 and out == ""
+    assert err == "resource cap exceeded: n=25 exceeds the vertex cap 12\n"
+    code, out, err = run_cli(["--max-edges", "4", "hypergraph", "--family", "cycle:5"])
+    assert code == 1 and err == "resource cap exceeded: m=5 exceeds the edge cap 4\n"
+
+
 def test_survey_small():
     code, out, _ = run_cli(["survey", "--max-n", "4"])
     assert code == 0
@@ -192,6 +201,19 @@ def test_verify_certificate_respects_size_caps():
         code, out, err = run_cli(caps + ["verify-certificate", "-"], stdin_text=report)
         assert code == 1 and out == ""
         assert err == f"resource cap exceeded: {msg}\n"
+
+
+def test_verify_certificate_respects_power_cap():
+    _, report, _ = run_cli(["check", "ntf", "--family", "cycle:5"])
+    d = json.loads(report)
+    d["ntf"]["violation"].update(k=2000, exponents=[2000] * 5)
+    code, out, err = run_cli(["verify-certificate", "-"], stdin_text=json.dumps(d))
+    assert code == 1 and out == ""
+    assert err == "resource cap exceeded: power violation k=2000 exceeds the cap 8\n"
+    d["ntf"]["violation"].update(k=3, exponents=[1, 1, 1, 1, 1])
+    code, out, err = run_cli(["--max-power", "2", "verify-certificate", "-"],
+                             stdin_text=json.dumps(d))
+    assert code == 1 and err == "resource cap exceeded: power violation k=3 exceeds the cap 2\n"
 
 
 def c5_report():
