@@ -320,13 +320,21 @@ def _checks(d: dict) -> dict:
     return _section(d, "checks") if "checks" in d else d
 
 
-def check_report_caps(d: dict, caps: Caps) -> None:
-    """Refuse a report whose hypergraph or power violation exceeds the caps."""
+def check_report_caps(d: dict, caps: Caps, cmax: int) -> None:
+    """Refuse a report whose hypergraph, power violation or mfmc cost exceeds the caps.
+
+    cmax bounds each entry of an mfmc-probe cost, as it does for check mfmc-probe.
+    """
     c = report_hypergraph(d)
     check_caps(caps, c.n, c.m)
     k = _section(_section(_checks(d), "ntf"), "violation").get("k")
     if type(k) is int and k > caps.max_power_k:
         raise CapExceeded(f"power violation k={k} exceeds the cap {caps.max_power_k}")
+    cost = _section(d, "mfmc_probe").get("cost")
+    if isinstance(cost, list):
+        big = [x for x in cost if type(x) is int and x > cmax]
+        if big:
+            raise CapExceeded(f"mfmc cost entry {max(big)} exceeds the cost bound {cmax}")
 
 
 def _rational(s, what: str) -> Fraction:

@@ -97,6 +97,8 @@ def build_parser() -> argparse.ArgumentParser:
     pv = sub.add_parser("verify-certificate", help="re-validate certificates in a report")
     pv.add_argument("report", nargs="?", default="-",
                     help="DecisionReport JSON file (default: stdin)")
+    pv.add_argument("--cmax", type=int, default=2,
+                    help="cost bound for a replayed mfmc-probe gap")
     return p
 
 
@@ -204,7 +206,7 @@ def _cmd_verify(args) -> int:
     else:
         with open(args.report, "r", encoding="utf-8") as fh:
             data = json.load(fh)
-    classify.check_report_caps(data, _caps(args))
+    classify.check_report_caps(data, _caps(args), args.cmax)
     results = classify.verify_report_dict(data)
     for name, ok, msg in results:
         print(f"{name}: {'valid' if ok else 'INVALID'} ({msg})")

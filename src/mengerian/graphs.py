@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterable, Optional, Sequence
 
-from .clutters import Clutter
+from .clutters import Clutter, _bits
 
 
 @dataclass(frozen=True)
@@ -64,16 +64,23 @@ def relabel(g: Graph, perm: Sequence[int]) -> Graph:
 
 def is_connected(g: Graph) -> bool:
     """True iff g has a single connected component (one vertex counts)."""
-    adj = adjacency(g)
-    seen = {0}
-    stack = [0]
-    while stack:
-        v = stack.pop()
-        for w in adj[v]:
-            if w not in seen:
-                seen.add(w)
-                stack.append(w)
-    return len(seen) == g.n
+    adj = [0] * g.n
+    for u, v in g.edges:
+        adj[u] |= 1 << v
+        adj[v] |= 1 << u
+    return masks_connected(adj)
+
+
+def masks_connected(adj: list[int]) -> bool:
+    """The same test on neighbour bitmasks: bit w of adj[v] is the edge vw."""
+    seen = frontier = 1
+    while frontier:
+        reach = 0
+        for v in _bits(frontier):
+            reach |= adj[v]
+        frontier = reach & ~seen
+        seen |= frontier
+    return seen == (1 << len(adj)) - 1
 
 
 # ---------------------------------------------------------------------------

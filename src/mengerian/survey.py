@@ -1,63 +1,98 @@
 """Exhaustive small-graph enumeration and batch verification.
 
-Connected graphs are enumerated one per isomorphism class by scanning all
-adjacency bitmasks and keeping the lexicographic minimum of each orbit
-under vertex permutations. The survey runs the exact pipeline on every
-class, compares it against the closed-form classifier, audits the
-TU-or-non-ideal dichotomy, and checks packing against the Mengerian
-verdict wherever packing is computed.
+Connected graphs on up to 8 vertices are enumerated one per isomorphism
+class, each as the least adjacency bitmask of its orbit under vertex
+permutations, by orderly generation: a search that deletes edges from K_n
+and keeps only least masks, so no orbit is ever scanned. The survey runs
+the exact pipeline on every class, compares it against the closed-form
+classifier, audits the TU-or-non-ideal dichotomy, and checks packing
+against the Mengerian verdict wherever packing is computed.
 """
 
 from __future__ import annotations
 
 import io
 from dataclasses import dataclass, field
-from itertools import combinations, permutations
+from itertools import combinations
 from typing import Optional
 
 from . import classify, clutters, graphs
 from .classify import Caps, CapExceeded, DecisionReport
 from .graphs import Graph
 
-ENUMERATION_CAP = 7
+ENUMERATION_CAP = 8
 PACKING_MAX_N = 6
 
 
-def enumerate_connected(n: int) -> list[Graph]:
-    """All connected graphs on n vertices, one per isomorphism class.
-
-    Deterministic: classes appear in increasing order of their canonical
-    adjacency bitmask.
-    """
+def _check_n(n: int) -> None:
     if not 1 <= n <= ENUMERATION_CAP:
         raise ValueError(f"enumeration supports 1 <= n <= {ENUMERATION_CAP}")
-    if n == 1:
-        return [Graph(1, frozenset())]
+
+
+def enumerate_connected(n: int) -> list[Graph]:
+    """All connected graphs on n vertices (1 <= n <= 8), one per isomorphism class.
+
+    Each class is represented by its least adjacency bitmask, bit i standing
+    for combinations(range(n), 2)[i]. Classes appear in increasing order of
+    that mask.
+
+    Orderly generation by edge deletion (Read 1978, Faradzev 1978): setting
+    the lowest zero bit of a least mask gives a least mask, so every least
+    mask but K_n's has a unique least parent, and a connected one has a
+    connected parent. The search starts from K_n and clears each bit of a
+    parent's run of trailing ones, keeping the children that are connected
+    and least in their orbit.
+    """
+    _check_n(n)
     pairs = list(combinations(range(n), 2))
-    nbits = len(pairs)
-    pair_index = {p: i for i, p in enumerate(pairs)}
-    perm_maps = []
-    for perm in permutations(range(n)):
-        perm_maps.append(tuple(
-            pair_index[(perm[i], perm[j])] if perm[i] < perm[j] else pair_index[(perm[j], perm[i])]
-            for i, j in pairs))
-    seen = bytearray(1 << nbits)
-    out: list[Graph] = []
-    for mask in range(1 << nbits):
-        if seen[mask]:
-            continue
-        for pmap in perm_maps:
-            pm = 0
-            mm = mask
-            while mm:
-                low = mm & -mm
-                pm |= 1 << pmap[low.bit_length() - 1]
-                mm ^= low
-            seen[pm] = 1
-        g = graphs.graph(n, (pairs[b] for b in clutters._bits(mask)))
-        if graphs.is_connected(g):
-            out.append(g)
-    return out
+    full = (1 << len(pairs)) - 1
+    adj_full = [((1 << n) - 1) ^ (1 << v) for v in range(n)]
+    found = []
+    stack = [(full, adj_full)]
+    while stack:
+        mask, adj = stack.pop()
+        found.append(mask)
+        run = ((mask + 1) & ~mask).bit_length() - 1
+        for b in range(run):
+            u, v = pairs[b]
+            child = adj[:]
+            child[u] ^= 1 << v
+            child[v] ^= 1 << u
+            cmask = mask ^ (1 << b)
+            if graphs.masks_connected(child) and _is_least(cmask, child):
+                stack.append((cmask, child))
+    return [graphs.graph(n, (pairs[b] for b in clutters._bits(mask)))
+            for mask in sorted(found)]
+
+
+def _is_least(mask: int, adj: list[int]) -> bool:
+    """Is mask the least adjacency bitmask of its graph's isomorphism class?
+
+    A backtrack over relabellings that fills positions n-1 down to 0. Placing
+    a vertex at position a fixes the bits of pairs (a, a+1) .. (a, n-1), the
+    next block of the mask from the top, as its adjacency to the vertices
+    already placed. A branch whose block exceeds the mask's is dropped; one
+    below it proves a smaller mask in the orbit.
+    """
+    n = len(adj)
+
+    def place(a: int, free: int, rows: list[int]) -> bool:
+        # rows[v] has bit p set when v is adjacent to the vertex at position p;
+        # bit a*(n-1) - a*(a-1)/2 of the mask is the pair (a, a+1)
+        want = (mask >> (a * (n - 1) - a * (a - 1) // 2)) & ((1 << (n - 1 - a)) - 1)
+        for v in clutters._bits(free):
+            got = rows[v] >> (a + 1)
+            if got < want:
+                return False
+            if got == want and a:
+                nxt = rows[:]
+                for u in clutters._bits(adj[v] & free):
+                    nxt[u] |= 1 << a
+                if not place(a - 1, free ^ (1 << v), nxt):
+                    return False
+        return True
+
+    return place(n - 1, (1 << n) - 1, [0] * n)
 
 
 @dataclass
@@ -172,8 +207,11 @@ def cross_check(
     neither totally unimodular nor non-ideal are dichotomy exceptions;
     packing-versus-Mengerian disagreements are conjecture findings, never
     assertion failures. Instances over a resource cap are INCOMPLETE and
-    never counted as verified.
+    never counted as verified. n_min or n_max outside 1..ENUMERATION_CAP
+    raises ValueError before any instance is decided.
     """
+    _check_n(n_min)
+    _check_n(n_max)
     caps = caps or Caps()
     report = SurveyReport(t=t, n_min=n_min, n_max=n_max)
     for n in range(n_min, n_max + 1):

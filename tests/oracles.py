@@ -144,6 +144,35 @@ def isomorphic_scan(g1, g2):
     return False
 
 
+def connected_classes_scan(n):
+    """Connected graphs on n vertices, one per isomorphism class.
+
+    Bit i of an adjacency mask stands for combinations(range(n), 2)[i]. Masks
+    are scanned in increasing order; each one not yet seen is the least of
+    its orbit, and all n! relabellings of it are marked seen. Returns the
+    connected classes' sorted edge tuples, in increasing mask order.
+    """
+    pairs = list(combinations(range(n), 2))
+    index = {p: i for i, p in enumerate(pairs)}
+    maps = [[index[(min(perm[u], perm[v]), max(perm[u], perm[v]))] for u, v in pairs]
+            for perm in permutations(range(n))]
+    seen = bytearray(1 << len(pairs))
+    out = []
+    for mask in range(1 << len(pairs)):
+        if seen[mask]:
+            continue
+        bits = [i for i in range(len(pairs)) if mask >> i & 1]
+        for pmap in maps:
+            seen[sum(1 << pmap[i] for i in bits)] = 1
+        edges = tuple(pairs[i] for i in bits)
+        reached = {0}
+        for _ in range(n):
+            reached |= {w for u, v in edges for w in (u, v) if {u, v} & reached}
+        if len(reached) == n:
+            out.append(edges)
+    return out
+
+
 def symbolic_member_scan(mono, covers, k):
     """Membership in the k-th symbolic power via per-cover degree sums."""
     return all(sum(mono[v] for v in cov) >= k for cov in covers)

@@ -1,9 +1,11 @@
 import io
 import json
 import sys
+import time
 
 import pytest
 
+from mengerian import classify
 from mengerian.cli import main
 
 
@@ -107,6 +109,16 @@ def test_survey_csv():
     code, out, _ = run_cli(["survey", "--max-n", "4", "--csv"])
     assert code == 0
     assert out.splitlines()[0].startswith("n,index,graph6")
+
+
+def test_survey_refuses_n_over_cap_before_work(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("an instance was decided")
+
+    monkeypatch.setattr(classify, "decide_mengerian_exact", refuse)
+    code, out, err = run_cli(["survey", "--max-n", "9"])
+    assert code == 1 and out == ""
+    assert err == "error: enumeration supports 1 <= n <= 8\n"
 
 
 def test_verify_certificate_round_trip(tmp_path):
@@ -214,6 +226,23 @@ def test_verify_certificate_respects_power_cap():
     code, out, err = run_cli(["--max-power", "2", "verify-certificate", "-"],
                              stdin_text=json.dumps(d))
     assert code == 1 and err == "resource cap exceeded: power violation k=3 exceeds the cap 2\n"
+
+
+def test_verify_certificate_respects_cost_bound():
+    _, report, _ = run_cli(["check", "mfmc-probe", "--family", "cycle:5", "--cmax", "1"])
+    code, out, err = run_cli(["verify-certificate", "-"], stdin_text=report)
+    assert code == 0 and err == ""
+    assert out.startswith("mfmc_gap: valid")
+    d = json.loads(report)
+    d["mfmc_probe"]["cost"] = [1000000] * 5
+    start = time.perf_counter()
+    code, out, err = run_cli(["verify-certificate", "-"], stdin_text=json.dumps(d))
+    assert time.perf_counter() - start < 5
+    assert code == 1 and out == ""
+    assert err == "resource cap exceeded: mfmc cost entry 1000000 exceeds the cost bound 2\n"
+    code, out, err = run_cli(["verify-certificate", "--cmax", "0", "-"], stdin_text=report)
+    assert code == 1 and out == ""
+    assert err == "resource cap exceeded: mfmc cost entry 1 exceeds the cost bound 0\n"
 
 
 def c5_report():

@@ -1,15 +1,21 @@
 import json
+import os
 from itertools import combinations
 
 import pytest
 
+from mengerian import classify
 from mengerian.classify import Caps
+from mengerian.graphs import is_connected
 from mengerian.survey import cross_check, enumerate_connected
 
 import oracles
 
 
-KNOWN_CONNECTED_COUNTS = {1: 1, 2: 1, 3: 2, 4: 6, 5: 21, 6: 112}
+KNOWN_CONNECTED_COUNTS = {1: 1, 2: 1, 3: 2, 4: 6, 5: 21, 6: 112, 7: 853}
+
+extended = pytest.mark.skipif(not os.environ.get("MENGERIAN_EXTENDED"),
+                              reason="extended run; set MENGERIAN_EXTENDED=1")
 
 
 def test_enumerate_connected_counts():
@@ -17,11 +23,38 @@ def test_enumerate_connected_counts():
         assert len(enumerate_connected(n)) == expected
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, pytest.param(7, marks=extended)])
+def test_enumerate_matches_orbit_scan(n):
+    # same representatives, same labelling, same order as the orbit scan
+    got = [tuple(sorted(g.edges)) for g in enumerate_connected(n)]
+    assert got == oracles.connected_classes_scan(n)
+
+
+@extended
+def test_enumerate_n8_count():
+    gs = enumerate_connected(8)
+    assert len(gs) == 11117  # OEIS A001349
+    index = {p: i for i, p in enumerate(combinations(range(8), 2))}
+    masks = {sum(1 << index[e] for e in g.edges) for g in gs}
+    assert len(masks) == len(gs)
+    assert all(is_connected(g) for g in gs)
+
+
 def test_enumerate_cap():
     with pytest.raises(ValueError):
-        enumerate_connected(8)
+        enumerate_connected(9)
     with pytest.raises(ValueError):
         enumerate_connected(0)
+
+
+def test_cross_check_refuses_range_before_work(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("an instance was decided")
+
+    monkeypatch.setattr(classify, "decide_mengerian_exact", refuse)
+    for n_min, n_max in ((4, 9), (0, 4), (9, 9)):
+        with pytest.raises(ValueError, match="enumeration supports 1 <= n <= 8"):
+            cross_check(n_max, n_min=n_min)
 
 
 def test_enumerate_one_per_isomorphism_class():
