@@ -8,16 +8,12 @@ incidence matrix, and the Mengerian property itself.
 
 from .clutters import (
     Clutter,
-    MengerianProbe,
     has_konig,
     has_packing,
     incidence_matrix,
-    max_integer_packing,
-    mengerian_bounded,
     minimal_covers,
     nu,
     tau,
-    weighted_cover_min,
 )
 from .graphs import (
     Graph,
@@ -31,12 +27,16 @@ from .graphs import (
     to_graph6,
 )
 from .ideals import (
+    MengerianProbe,
     MonomialIdeal,
     NtfResult,
     PowerEquality,
+    cover_degree,
     edge_ideal,
     is_normally_torsion_free,
     member_of_power,
+    mengerian_bounded,
+    packing_number,
     powers_equal,
     symbolic_power,
 )

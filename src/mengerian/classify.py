@@ -128,6 +128,16 @@ def check_power_cap(c: Clutter, caps: Caps) -> None:
             f"power-equality bound {bound} exceeds the cap {caps.max_power_k}")
 
 
+MFMC_SCAN_CAP = 3 ** 12
+
+
+def check_mfmc_cap(c: Clutter, cmax: int) -> None:
+    """Refuse an mfmc-probe scan over more than 3^12 cost vectors (--cmax 2 at n=12)."""
+    if cmax >= 1 and (cmax + 1) ** c.n > MFMC_SCAN_CAP:
+        raise CapExceeded(f"mfmc scan of {cmax + 1}^{c.n} cost vectors exceeds "
+                          f"the cap 3^12 = {MFMC_SCAN_CAP}")
+
+
 @dataclass(frozen=True)
 class KonigCheck:
     tau: int
@@ -359,6 +369,14 @@ def _indices(values, top: int) -> Optional[list[int]]:
     return [v - 1 for v in values] if len(set(values)) == len(values) else None
 
 
+def _exponents(values, n: int) -> Optional[ideals.Monomial]:
+    """An exponent or cost vector of n nonnegative integers, else None."""
+    if isinstance(values, list) and len(values) == n and all(
+            type(e) is int and e >= 0 for e in values):
+        return tuple(values)
+    return None
+
+
 def _refuting(name: str, ok: bool, msg: str, **verdicts) -> tuple[str, bool, str]:
     """A certificate check; it fails, too, unless each verdict it refutes is false."""
     claimed = [k for k, v in verdicts.items() if v is not False]
@@ -423,11 +441,9 @@ def verify_report_dict(d: dict) -> list[tuple[str, bool, str]]:
     ntf = _section(checks, "ntf")
     v = _section(ntf, "violation")
     if v:
-        k, mono = v.get("k"), v.get("exponents")
-        if (type(k) is int and k >= 1 and isinstance(mono, list) and len(mono) == c.n
-                and all(type(e) is int and e >= 0 for e in mono)):
-            mono = tuple(mono)
-            in_symbolic = ideals.cover_degree_ok(mono, clutters.minimal_covers(c), k)
+        k, mono = v.get("k"), _exponents(v.get("exponents"), c.n)
+        if type(k) is int and k >= 1 and mono is not None:
+            in_symbolic = ideals.cover_degree(mono, clutters.minimal_covers(c)) >= k
             in_power = ideals.member_of_power(mono, ideals.edge_ideal(c), k)
             ok, msg = in_symbolic and not in_power, f"symbolic={in_symbolic} ordinary={in_power}"
         else:
@@ -437,10 +453,13 @@ def verify_report_dict(d: dict) -> list[tuple[str, bool, str]]:
 
     probe = _section(d, "mfmc_probe")
     if probe.get("refuted"):
-        cost = tuple(_list(probe, "cost"))
-        wc = clutters.weighted_cover_min(c, cost)
-        mp = clutters.max_integer_packing(c, cost)
-        ok = wc == probe.get("cover_min") and mp == probe.get("packing_max") and mp < wc
-        out.append(("mfmc_gap", ok, f"cover_min={wc} packing_max={mp}"))
+        cost = _exponents(probe.get("cost"), c.n)
+        ok, msg = False, f"cost must be {c.n} nonnegative integers"
+        if cost is not None:
+            wc = ideals.cover_degree(cost, clutters.minimal_covers(c))
+            mp = ideals.packing_number(cost, ideals.edge_ideal(c))
+            ok = wc == probe.get("cover_min") and mp == probe.get("packing_max") and mp < wc
+            msg = f"cover_min={wc} packing_max={mp}"
+        out.append(_refuting("mfmc_gap", ok, msg, holds=d.get("holds")))
 
     return out

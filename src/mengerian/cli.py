@@ -145,9 +145,10 @@ def _cmd_check(args) -> int:
         payload["ntf"] = classify.ntf_json(res, certificates=True)
     else:  # mfmc-probe
         if c.is_empty:
-            probe = clutters.MengerianProbe(False)
+            probe = ideals.MengerianProbe(False)
         else:
-            probe = clutters.mengerian_bounded(c, args.cmax)
+            classify.check_mfmc_cap(c, args.cmax)
+            probe = ideals.mengerian_bounded(c, args.cmax)
         holds = not probe.refuted
         payload["mfmc_probe"] = {
             "refuted": probe.refuted,

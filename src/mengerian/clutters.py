@@ -5,16 +5,15 @@ A clutter stores an antichain of nonempty hyperedges over the vertices
 edge, the unit ideal); it is no Clutter value, and the packing walk skips
 it.
 
-All solvers here are exact. Branch and bound is used for tau, nu and the
-two integer sides of the min-max equation; brute subset scans survive in
-the test suite as independent oracles.
+All solvers here are exact. Branch and bound is used for tau and nu; the
+weighted sides of the min-max equation live with the monomial ideals.
+Brute subset scans survive in the test suite as independent oracles.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Iterator
 
 
 @dataclass(frozen=True)
@@ -203,106 +202,6 @@ def has_packing(c: Clutter) -> bool:
                     seen.add(child)
                     stack.append(child)
     return True
-
-
-# ---------------------------------------------------------------------------
-# weighted min-max probing
-
-def weighted_cover_min(c: Clutter, cost: Sequence[int]) -> int:
-    """min <cost, x> over 0/1 covers x of every edge.
-
-    The 0/1 restriction is harmless: with a 0/1 constraint matrix and
-    right-hand side 1, raising any x_i above 1 never helps.
-    """
-    _check_cost(c, cost)
-    free = _mask(v for v in range(c.n) if cost[v] == 0)
-    remaining = [e for e in c.edge_masks() if not e & free]
-    if not remaining:
-        return 0
-    best = sum(cost)
-
-    def search(rem: list[int], acc: int):
-        nonlocal best
-        if acc >= best:
-            return
-        if not rem:
-            best = acc
-            return
-        e = min(rem, key=_popcount)
-        for v in sorted(_bits(e), key=lambda u: cost[u]):
-            bit = 1 << v
-            search([r for r in rem if not r & bit], acc + cost[v])
-
-    search(remaining, 0)
-    return best
-
-
-def max_integer_packing(c: Clutter, cost: Sequence[int]) -> int:
-    """max sum(y) over nonnegative integer edge multiplicities y with
-    column loads at most cost, by bounded depth-first search."""
-    _check_cost(c, cost)
-    edges = c.edges
-    if not edges:
-        return 0
-    best = 0
-
-    def bound(idx: int, cap: list[int]) -> int:
-        return sum(min(cap[v] for v in edges[i]) for i in range(idx, len(edges)))
-
-    def search(idx: int, cap: list[int], acc: int):
-        nonlocal best
-        if idx == len(edges):
-            best = max(best, acc)
-            return
-        if acc + bound(idx, cap) <= best:
-            return
-        top = min(cap[v] for v in edges[idx])
-        for y in range(top, -1, -1):
-            if y:
-                for v in edges[idx]:
-                    cap[v] -= y
-            search(idx + 1, cap, acc + y)
-            if y:
-                for v in edges[idx]:
-                    cap[v] += y
-
-    search(0, list(cost), 0)
-    return best
-
-
-def _check_cost(c: Clutter, cost: Sequence[int]) -> None:
-    if len(cost) != c.n:
-        raise ValueError("cost vector length must equal the vertex count")
-    if any(not isinstance(x, int) or x < 0 for x in cost):
-        raise ValueError("costs must be nonnegative integers")
-
-
-@dataclass(frozen=True)
-class MengerianProbe:
-    """Outcome of the bounded min-max scan.
-
-    refuted=True carries the first cost vector whose integer covering
-    minimum exceeds the integer packing maximum; refuted=False means the
-    scan is merely inconclusive (the exact decision lives with the
-    normally-torsion-free test).
-    """
-
-    refuted: bool
-    cost: Optional[tuple[int, ...]] = None
-    cover_min: Optional[int] = None
-    packing_max: Optional[int] = None
-
-
-def mengerian_bounded(c: Clutter, cmax: int) -> MengerianProbe:
-    """Scan all cost vectors in {0..cmax}^n for a min-max gap."""
-    if cmax < 1:
-        raise ValueError("cmax must be positive")
-    for cost in product(range(cmax + 1), repeat=c.n):
-        wc = weighted_cover_min(c, cost)
-        mp = max_integer_packing(c, cost)
-        if mp < wc:
-            return MengerianProbe(True, cost, wc, mp)
-    return MengerianProbe(False)
 
 
 # ---------------------------------------------------------------------------

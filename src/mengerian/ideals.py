@@ -6,13 +6,16 @@ whose degree sum over every minimal cover reaches k; the test suite checks
 them against the defining intersection of powers of minimal-cover primes.
 The headline operation decides I^k = I^(k) for k up to ceil(mu/2), which
 settles the normally-torsion-free question, and with it the Mengerian one,
-exactly.
+exactly. Read on a cost vector, the same two membership tests give the
+weighted cover minimum and the integer packing maximum that the bounded
+min-max probe compares.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from itertools import product
+from typing import Iterable, Iterator, Optional, Sequence
 
 from .clutters import Clutter, minimal_covers
 
@@ -83,9 +86,9 @@ def edge_ideal(c: Clutter) -> MonomialIdeal:
     return MonomialIdeal(c.n, tuple(sorted(gens)))
 
 
-def cover_degree_ok(m: Monomial, covers: Sequence[tuple[int, ...]], k: int) -> bool:
-    """Membership in the k-th symbolic power: every minimal cover sees degree >= k."""
-    return all(sum(m[v] for v in cov) >= k for cov in covers)
+def cover_degree(a: Monomial, covers: Sequence[tuple[int, ...]]) -> int:
+    """Least a-degree of a minimal cover: x^a is in I^(k) exactly when it is >= k."""
+    return min(sum(a[v] for v in cov) for cov in covers)
 
 
 def _minimal_cover_vectors(covers: Sequence[tuple[int, ...]], k: int, n: int) -> list[Monomial]:
@@ -142,8 +145,8 @@ def symbolic_power(c: Clutter, k: int) -> MonomialIdeal:
 def member_of_power(m: Monomial, I: MonomialIdeal, k: int) -> bool:
     """Does some product of k generators (with repetition) divide m?
 
-    Depth-first over generators with divisibility and degree pruning,
-    memoized on the remaining exponent budget.
+    Depth-first over generators with divisibility and degree pruning, on an
+    explicit stack of lazy iterators that expands each (rest, depth) state once.
     """
     if k < 1:
         raise ValueError("power exponent must be positive")
@@ -153,26 +156,33 @@ def member_of_power(m: Monomial, I: MonomialIdeal, k: int) -> bool:
         raise ValueError("monomial arity mismatch")
     gens = I.gens
     min_deg = min(total_degree(g) for g in gens)
-    memo: dict[tuple[Monomial, int], bool] = {}
 
-    def search(rem: Monomial, depth: int) -> bool:
-        if depth == 0:
-            return True
-        if total_degree(rem) < depth * min_deg:
-            return False
-        key = (rem, depth)
-        hit = memo.get(key)
-        if hit is not None:
-            return hit
-        ok = False
-        for g in gens:
-            if divides(g, rem) and search(tuple(r - x for r, x in zip(rem, g)), depth - 1):
-                ok = True
-                break
-        memo[key] = ok
-        return ok
+    def children(rem: Monomial, depth: int) -> Iterator[tuple[Monomial, int]]:
+        if total_degree(rem) >= depth * min_deg:
+            for g in gens:
+                if divides(g, rem):
+                    yield tuple(r - x for r, x in zip(rem, g)), depth - 1
 
-    return search(m, k)
+    seen: set[tuple[Monomial, int]] = set()
+    stack = [iter([(m, k)])]
+    while stack:
+        state = next(stack[-1], None)
+        if state is None:
+            stack.pop()
+        elif state not in seen:
+            if state[1] == 0:
+                return True
+            seen.add(state)
+            stack.append(children(*state))
+    return False
+
+
+def packing_number(a: Monomial, I: MonomialIdeal) -> int:
+    """Largest k with x^a in I^k: the most edges, with repetition, that fit under a."""
+    k = 0
+    while member_of_power(a, I, k + 1):
+        k += 1
+    return k
 
 
 @dataclass(frozen=True)
@@ -233,3 +243,33 @@ def is_normally_torsion_free(c: Clutter) -> NtfResult:
         if not res.equal:
             return NtfResult(False, mu, bound, tuple(checked), res)
     return NtfResult(True, mu, bound, tuple(checked))
+
+
+@dataclass(frozen=True)
+class MengerianProbe:
+    """Outcome of the bounded min-max scan: the first gap, if it found one.
+
+    refuted=False means only that no cost up to cmax has a gap; the exact
+    decision lives with the normally-torsion-free test.
+    """
+
+    refuted: bool
+    cost: Optional[tuple[int, ...]] = None
+    cover_min: Optional[int] = None
+    packing_max: Optional[int] = None
+
+
+def mengerian_bounded(c: Clutter, cmax: int) -> MengerianProbe:
+    """Scan all cost vectors in {0..cmax}^n for a min-max gap.
+
+    Cost a has a gap when x^a is in I^(k) but not in I^k, k = cover_degree(a) > 0.
+    """
+    if cmax < 1:
+        raise ValueError("cmax must be positive")
+    covers = minimal_covers(c)
+    I = edge_ideal(c)
+    for cost in product(range(cmax + 1), repeat=c.n):
+        k = cover_degree(cost, covers)
+        if k and not member_of_power(cost, I, k):
+            return MengerianProbe(True, cost, k, packing_number(cost, I))
+    return MengerianProbe(False)

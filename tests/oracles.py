@@ -88,6 +88,18 @@ def packing_scan(edge_sets, cost):
     return best
 
 
+def mfmc_probe_scan(n, edge_sets, cmax):
+    """The first cost in {0..cmax}^n, in product order, whose weighted cover
+    minimum exceeds its integer packing maximum, as (cost, cover, packing);
+    None when no cost has a gap."""
+    for cost in product(range(cmax + 1), repeat=n):
+        wc = weighted_cover_scan(n, edge_sets, cost)
+        mp = packing_scan(edge_sets, cost)
+        if mp < wc:
+            return cost, wc, mp
+    return None
+
+
 def cofactor_det(rows):
     """Recursive cofactor expansion over exact Fractions."""
     size = len(rows)

@@ -15,7 +15,14 @@ from mengerian import clutters
 from mengerian.classify import classify_mengerian, decide_mengerian_exact
 from mengerian.clutters import Clutter, incidence_matrix, minimal_covers
 from mengerian.graphs import build_path_hypergraph, make_family, parse_edge_list, relabel
-from mengerian.ideals import edge_ideal, is_normally_torsion_free, powers_equal, symbolic_power
+from mengerian.ideals import (
+    cover_degree,
+    edge_ideal,
+    is_normally_torsion_free,
+    packing_number,
+    powers_equal,
+    symbolic_power,
+)
 from mengerian.linalg import (
     bareiss_det,
     enumerate_covering_vertices,
@@ -215,8 +222,8 @@ def test_criterion_8_property_suites(survey6):
         n = rng.randint(2, 7)
         c = Clutter(n, oracles.random_clutter(rng, n))
         cost = tuple(rng.randint(0, 3) for _ in range(n))
-        mp = clutters.max_integer_packing(c, cost)
-        wc = clutters.weighted_cover_min(c, cost)
+        mp = packing_number(cost, edge_ideal(c))
+        wc = cover_degree(cost, minimal_covers(c))
         assert mp <= wc
         if c.edges:
             assert clutters.nu(c) <= clutters.tau(c)

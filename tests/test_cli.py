@@ -7,6 +7,7 @@ import pytest
 
 from mengerian import classify
 from mengerian.cli import main
+from mengerian.clutters import Clutter
 
 
 def run_cli(argv, stdin_text=None):
@@ -243,6 +244,54 @@ def test_verify_certificate_respects_cost_bound():
     code, out, err = run_cli(["verify-certificate", "--cmax", "0", "-"], stdin_text=report)
     assert code == 1 and out == ""
     assert err == "resource cap exceeded: mfmc cost entry 1 exceeds the cost bound 0\n"
+
+
+def test_verify_certificate_deep_power_violation():
+    # k = 2000 factors: the membership search must not recurse once per factor
+    _, report, _ = run_cli(["check", "ntf", "--family", "cycle:5"])
+    d = json.loads(report)
+    d["ntf"]["violation"].update(k=2000, exponents=[2000] * 5)
+    code, out, err = run_cli(["--max-power", "5000", "verify-certificate", "-"],
+                             stdin_text=json.dumps(d))
+    assert code == 2 and err == ""
+    assert out == "power_violation: INVALID (symbolic=True ordinary=True)\n"
+
+
+def c5_probe_report():
+    _, out, _ = run_cli(["check", "mfmc-probe", "--family", "cycle:5", "--cmax", "1"])
+    return json.loads(out)
+
+
+def test_verify_mfmc_gap_needs_refuted_verdict():
+    d = c5_probe_report()
+    d["holds"] = True
+    code, out, err = run_cli(["verify-certificate", "-"], stdin_text=json.dumps(d))
+    assert code == 2 and err == ""
+    assert out == ("mfmc_gap: INVALID (cover_min=2 packing_max=1; "
+                   "the report does not set holds false)\n")
+
+
+def test_verify_mfmc_cost_validation():
+    # booleans, negatives, floats, short and non-list costs are malformed certificates
+    for cost in ([True] * 5, [1, -1, 1, 1, 1], [1.0] * 5, [1, 1, 1], "11111"):
+        d = c5_probe_report()
+        d["mfmc_probe"]["cost"] = cost
+        code, out, err = run_cli(["verify-certificate", "-"], stdin_text=json.dumps(d))
+        assert code == 2 and err == ""
+        assert out == "mfmc_gap: INVALID (cost must be 5 nonnegative integers)\n"
+
+
+def test_check_mfmc_probe_respects_scan_cap():
+    start = time.perf_counter()
+    code, out, err = run_cli(["check", "mfmc-probe", "--family", "cycle:8", "--cmax", "20"])
+    assert time.perf_counter() - start < 5
+    assert code == 1 and out == ""
+    assert err == ("resource cap exceeded: mfmc scan of 21^8 cost vectors exceeds "
+                   "the cap 3^12 = 531441\n")
+    # the defaults' largest scan, --cmax 2 at n = 12, stays allowed
+    classify.check_mfmc_cap(Clutter(12, ()), 2)
+    with pytest.raises(classify.CapExceeded):
+        classify.check_mfmc_cap(Clutter(13, ()), 2)
 
 
 def c5_report():

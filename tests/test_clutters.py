@@ -10,14 +10,13 @@ from mengerian.clutters import (
     has_konig,
     has_packing,
     incidence_matrix,
-    max_integer_packing,
-    mengerian_bounded,
     minimal_covers,
     nu,
     tau,
-    weighted_cover_min,
 )
 from mengerian.graphs import build_path_hypergraph, make_family
+from mengerian.ideals import cover_degree, edge_ideal, mengerian_bounded, packing_number
+from mengerian.survey import enumerate_connected
 
 import oracles
 
@@ -185,17 +184,26 @@ def test_packing_against_minor_scan():
 
 
 # --- weighted covers and packings ---------------------------------------------------
+# the two sides of the min-max equation, through the monomial-ideal membership tests
+
+def cover_min(c, cost):
+    return cover_degree(cost, minimal_covers(c))
+
+
+def packing_max(c, cost):
+    return packing_number(cost, edge_ideal(c))
+
 
 def test_weighted_cover_fixtures(h3c8, h3c5):
-    assert weighted_cover_min(h3c8, (1,) * 8) == 2
-    assert weighted_cover_min(h3c8, (0,) * 8) == 0
-    assert weighted_cover_min(h3c5, (1, 1, 1, 2, 2)) == 2
+    assert cover_min(h3c8, (1,) * 8) == 2
+    assert cover_min(h3c8, (0,) * 8) == 0
+    assert cover_min(h3c5, (1, 1, 1, 2, 2)) == 2
 
 
 def test_packing_fixtures_weighted(h3c8, h3c5):
-    assert max_integer_packing(h3c8, (1,) * 8) == 2
-    assert max_integer_packing(h3c8, (0,) * 8) == 0
-    assert max_integer_packing(h3c5, (1,) * 5) == 1
+    assert packing_max(h3c8, (1,) * 8) == 2
+    assert packing_max(h3c8, (0,) * 8) == 0
+    assert packing_max(h3c5, (1,) * 5) == 1
 
 
 def test_weighted_sides_against_scan_and_duality():
@@ -204,18 +212,11 @@ def test_weighted_sides_against_scan_and_duality():
         n = rng.randint(2, 6)
         c = random_clutter(rng, n)
         cost = tuple(rng.randint(0, 2) for _ in range(n))
-        wc = weighted_cover_min(c, cost)
-        mp = max_integer_packing(c, cost)
+        wc = cover_min(c, cost)
+        mp = packing_max(c, cost)
         assert wc == oracles.weighted_cover_scan(n, c.edges, cost)
         assert mp == oracles.packing_scan(c.edges, cost)
         assert mp <= wc
-
-
-def test_cost_validation(h3c5):
-    with pytest.raises(ValueError):
-        weighted_cover_min(h3c5, (1, 1, 1))
-    with pytest.raises(ValueError):
-        max_integer_packing(h3c5, (1, -1, 1, 1, 1))
 
 
 # --- bounded min-max probe ------------------------------------------------------------
@@ -233,6 +234,21 @@ def test_probe_c8_undecided(h3c8):
 
 def test_probe_empty_undecided():
     assert not mengerian_bounded(Clutter(3, ()), 2).refuted
+
+
+def test_probe_matches_oracle_scan():
+    # every connected class with n <= 6 at cmax 1, then random clutters at cmax 2
+    instances = [(build_path_hypergraph(g), 1) for n in range(1, 7) for g in enumerate_connected(n)]
+    rng = random.Random(47)
+    instances += [(random_clutter(rng, rng.randint(2, 5)), 2) for _ in range(40)]
+    refuted = [0, 0]
+    for c, cmax in instances:
+        probe = mengerian_bounded(c, cmax)
+        got = (probe.cost, probe.cover_min, probe.packing_max) if probe.refuted else None
+        assert got == oracles.mfmc_probe_scan(c.n, c.edges, cmax)
+        refuted[cmax - 1] += probe.refuted
+    # both halves see gaps and gap-free scans
+    assert 0 < refuted[0] < 143 and 0 < refuted[1] < 40
 
 
 # --- serialization ---------------------------------------------------------------------

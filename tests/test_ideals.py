@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from mengerian.clutters import Clutter, minimal_covers, mengerian_bounded
+from mengerian.clutters import Clutter, minimal_covers
 from mengerian.graphs import build_path_hypergraph, make_family, parse_edge_list
 from mengerian.ideals import (
     MonomialIdeal,
@@ -10,6 +10,7 @@ from mengerian.ideals import (
     format_monomial,
     is_normally_torsion_free,
     member_of_power,
+    mengerian_bounded,
     powers_equal,
     symbolic_power,
 )
