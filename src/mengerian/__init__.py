@@ -48,6 +48,7 @@ from .linalg import (
     is_ideal,
     is_totally_unimodular,
     verify_vertex,
+    vertex_tu_witness,
 )
 from .classify import (
     Caps,

@@ -2,8 +2,8 @@
 
 The classifier implements the closed-form characterization (four vertices,
 the 8-cycle, paths with double stars, stars with a leaf edge); the exact
-pipeline decides the same question from first principles via total
-unimodularity, idealness, and power equality, and reports which route was
+pipeline decides the same question from first principles via idealness,
+total unimodularity, and power equality, and reports which route was
 decisive together with machine-checkable certificates.
 """
 
@@ -250,10 +250,15 @@ def decide_mengerian_exact(
 ) -> DecisionReport:
     """Exact Mengerian decision with a method trace.
 
-    Empty hypergraphs are vacuously Mengerian; a totally unimodular
-    incidence matrix decides positively; a fractional vertex of the
-    covering polyhedron decides negatively; the residual case is settled
-    by power equality up to ceil(mu/2), which is always conclusive.
+    Routes, in order. Idealness comes first: a fractional vertex of the
+    covering polyhedron decides negatively (NON_IDEAL) and also refutes
+    total unimodularity, through the witness that
+    ``linalg.vertex_tu_witness`` reads off it. Only ideal clutters meet
+    the exhaustive TU scan: an empty hypergraph is vacuously Mengerian
+    (EMPTY), a totally unimodular incidence matrix decides positively
+    (TU_SHORTCUT, reported with ``ideal`` unset), and the rest, ideal and
+    not TU, are settled by power equality up to ceil(mu/2), which is
+    always conclusive (POWER_EQUALITY).
     """
     c = capped_hypergraph(g, t, caps)
 
@@ -264,24 +269,22 @@ def decide_mengerian_exact(
     konig = KonigCheck(clutters.tau(c), clutters.nu(c))
     packing = clutters.has_packing(c) if compute_packing else None
 
-    tu = linalg.is_totally_unimodular(c)
-
-    if c.is_empty:
-        report = DecisionReport(g, t, c, TRACE_EMPTY, True, tu=tu,
-                                ideal=linalg.IdealityResult(True, None),
-                                konig=konig, packing=packing,
-                                ntf=ideals.is_normally_torsion_free(c),
-                                classifier=classifier)
-        return report
-    if tu.totally_unimodular:
-        return DecisionReport(g, t, c, TRACE_TU, True, tu=tu, konig=konig,
-                              packing=packing, classifier=classifier)
-
     ideality = linalg.is_ideal(c)
     if not ideality.ideal:
+        tu = linalg.vertex_tu_witness(c, ideality.certificate)
         return DecisionReport(g, t, c, TRACE_NON_IDEAL, False, tu=tu,
                               ideal=ideality, konig=konig, packing=packing,
                               classifier=classifier)
+
+    tu = linalg.is_totally_unimodular(c)
+    if c.is_empty:
+        return DecisionReport(g, t, c, TRACE_EMPTY, True, tu=tu, ideal=ideality,
+                              konig=konig, packing=packing,
+                              ntf=ideals.is_normally_torsion_free(c),
+                              classifier=classifier)
+    if tu.totally_unimodular:
+        return DecisionReport(g, t, c, TRACE_TU, True, tu=tu, konig=konig,
+                              packing=packing, classifier=classifier)
 
     check_power_cap(c, caps)
     ntf = ideals.is_normally_torsion_free(c)
@@ -377,6 +380,11 @@ def _exponents(values, n: int) -> Optional[ideals.Monomial]:
     return None
 
 
+def _is_int(claimed, value: int) -> bool:
+    """A claimed number equals value and is an int, not a bool or a float."""
+    return type(claimed) is int and claimed == value
+
+
 def _refuting(name: str, ok: bool, msg: str, **verdicts) -> tuple[str, bool, str]:
     """A certificate check; it fails, too, unless each verdict it refutes is false."""
     claimed = [k for k, v in verdicts.items() if v is not False]
@@ -411,8 +419,10 @@ def verify_report_dict(d: dict) -> list[tuple[str, bool, str]]:
         if rows and cols and len(rows) == len(cols):
             A = clutters.incidence_matrix(c)
             det = linalg.bareiss_det([[A[i][j] for j in cols] for i in rows])
-            claimed = _rational(w.get("det"), "witness det")
-            ok, msg = det == claimed and det not in (-1, 0, 1), f"subdeterminant {det}"
+            claimed = w.get("det")
+            _rational(claimed, "witness det")  # a non-number is malformed
+            # a number is valid only as the integer's decimal string, as tu_json writes it
+            ok, msg = claimed == str(det) and det not in (-1, 0, 1), f"subdeterminant {det}"
         else:
             ok, msg = False, (f"rows and cols must be equally many distinct indices "
                               f"in 1..{c.m} and 1..{c.n}")
@@ -434,8 +444,8 @@ def verify_report_dict(d: dict) -> list[tuple[str, bool, str]]:
     konig = _section(checks, "konig")
     if "tau" in konig:
         t_, n_ = clutters.tau(c), clutters.nu(c)
-        ok = (t_ == konig["tau"] and n_ == konig.get("nu")
-              and (t_ == n_) == konig.get("value"))
+        ok = (_is_int(konig["tau"], t_) and _is_int(konig.get("nu"), n_)
+              and konig.get("value") is (t_ == n_))
         out.append(("konig_values", ok, f"tau={t_} nu={n_}"))
 
     ntf = _section(checks, "ntf")
@@ -458,7 +468,8 @@ def verify_report_dict(d: dict) -> list[tuple[str, bool, str]]:
         if cost is not None:
             wc = ideals.cover_degree(cost, clutters.minimal_covers(c))
             mp = ideals.packing_number(cost, ideals.edge_ideal(c))
-            ok = wc == probe.get("cover_min") and mp == probe.get("packing_max") and mp < wc
+            ok = (_is_int(probe.get("cover_min"), wc) and _is_int(probe.get("packing_max"), mp)
+                  and mp < wc)
             msg = f"cover_min={wc} packing_max={mp}"
         out.append(_refuting("mfmc_gap", ok, msg, holds=d.get("holds")))
 

@@ -9,6 +9,13 @@ row-echelon kernel over integer rows, total unimodularity is decided by
 an exhaustive subdeterminant scan with an explicit witness on failure,
 and the vertices of a covering polyhedron Q(A) = {x >= 0, Ax >= 1} are
 enumerated exactly from tight full-rank subsystems.
+
+The two questions share their work. A totally unimodular matrix has an
+integral Q(A) (Hoffman-Kruskal), so ``is_ideal`` enumerates vertices only
+when the TU scan refutes TU, and a positive answer is backed by the scan
+or by the enumeration. Conversely a fractional vertex refutes TU:
+``vertex_tu_witness`` reads a square submatrix with |det| >= 2 off its
+tight rows, so a caller that has the vertex needs no scan.
 """
 
 from __future__ import annotations
@@ -290,15 +297,48 @@ def is_ideal(c: Clutter) -> IdealityResult:
     """Decide whether every vertex of Q(A) is integral.
 
     A fractional vertex is returned as the certificate. The pattern
-    pre-pass only accelerates refutations; a positive answer is always
-    backed by the full exhaustive enumeration.
+    pre-pass only accelerates refutations. A positive answer is backed
+    either by the TU scan (a totally unimodular matrix has an integral
+    Q(A), by Hoffman-Kruskal) or by the full exhaustive enumeration, which
+    runs only when the scan refutes TU. The scan is called through the
+    module global, so ``perfbench/spans.py`` sees it.
     """
     if c.is_empty:
         return IdealityResult(True, None)
     hit = _pattern_vertices(c)
     if hit is not None:
         return IdealityResult(False, hit)
+    if is_totally_unimodular(c).totally_unimodular:
+        return IdealityResult(True, None)
     for vertex in enumerate_covering_vertices(c):
         if not vertex.is_integral:
             return IdealityResult(False, vertex)
     return IdealityResult(True, None)
+
+
+def vertex_tu_witness(c: Clutter, vertex: PolyhedronVertex) -> TUResult:
+    """The TU refutation that a fractional vertex of Q(A) implies.
+
+    The columns are the support S of the vertex. The rows are its tight
+    covering rows, taken in index order while each stays linearly
+    independent on S, until there are |S| of them; a vertex has that many,
+    since its tight system has rank n and its zero coordinates account for
+    the rest. The square submatrix B then solves B x_S = 1, so by Cramer's
+    rule |det B| = 1 would make the vertex integral. The witness need not
+    be the first one the exhaustive scan would find.
+    """
+    cols = tuple(j for j, x in enumerate(vertex.coords) if x)
+    masks = c.edge_masks()
+    rows: list[int] = []
+    block: list[list[int]] = []
+    for i in vertex.tight_rows:
+        if i >= c.m or len(rows) == len(cols):
+            break
+        trial = block + [[masks[i] >> j & 1 for j in cols]]
+        if _echelon([r[:] for r in trial], len(cols))[0] == len(trial):
+            rows.append(i)
+            block = trial
+    det = bareiss_det(block) if len(rows) == len(cols) else 0
+    if abs(det) < 2:
+        raise ArithmeticError("the tight rows of a fractional vertex gave no |det| >= 2 block")
+    return TUResult(False, TUWitness(tuple(rows), cols, det))

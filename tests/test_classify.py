@@ -311,6 +311,38 @@ def test_verify_report_tight_rows_compared():
     assert not failed(verify_report_dict(d))
 
 
+def c5_probe_dict():
+    c = build_path_hypergraph(make_family("cycle", [5]))
+    return {"hypergraph": clutters.to_json_dict(c), "holds": False,
+            "mfmc_probe": {"refuted": True, "cost": [1] * 5,
+                           "cover_min": 2, "packing_max": 1}}
+
+
+def det_text(d):
+    return d["checks"]["tu"]["witness"]["det"]
+
+
+@pytest.mark.parametrize("edit, refuted", [
+    # True == 1 and 2.0 == 2 in Python, so each claimed number must be checked for its type
+    (lambda d: d["checks"]["konig"].update(tau=2.0), "konig_values"),
+    (lambda d: d["checks"]["konig"].update(nu=True), "konig_values"),
+    (lambda d: d["checks"]["konig"].update(tau=2.0, nu=True), "konig_values"),
+    (lambda d: d["checks"]["konig"].update(value=0), "konig_values"),
+    (lambda d: d["checks"]["tu"]["witness"].update(det=det_text(d) + ".0"), "tu_witness"),
+    (lambda d: d["checks"]["tu"]["witness"].update(det=f"{2 * int(det_text(d))}/2"),
+     "tu_witness"),
+    (lambda d: d["checks"]["tu"]["witness"].update(det=f" {det_text(d)} "), "tu_witness"),
+    (lambda d: d["checks"]["tu"]["witness"].update(det=int(det_text(d))), "tu_witness"),
+    (lambda d: d["mfmc_probe"].update(cover_min=2.0), "mfmc_gap"),
+    (lambda d: d["mfmc_probe"].update(packing_max=True), "mfmc_gap"),
+])
+def test_verify_report_loose_number_types(edit, refuted):
+    d = c5_probe_dict() if refuted == "mfmc_gap" else c5_report()
+    assert failed(verify_report_dict(d)) == set()
+    edit(d)
+    assert failed(verify_report_dict(d)) == {refuted}
+
+
 @pytest.mark.parametrize("edit", [
     lambda d: d["checks"]["tu"]["witness"].update(det=[2]),
     lambda d: d["checks"]["tu"]["witness"].update(det="1/0"),

@@ -1,5 +1,7 @@
 import io
 import json
+import os
+import subprocess
 import sys
 import time
 
@@ -281,6 +283,15 @@ def test_verify_mfmc_cost_validation():
         assert out == "mfmc_gap: INVALID (cost must be 5 nonnegative integers)\n"
 
 
+def test_verify_mfmc_gap_number_types():
+    # 2.0 == 2 and True == 1 in Python; the claimed numbers must be ints
+    d = c5_probe_report()
+    d["mfmc_probe"].update(cover_min=2.0, packing_max=True)
+    code, out, err = run_cli(["verify-certificate", "-"], stdin_text=json.dumps(d))
+    assert code == 2 and err == ""
+    assert out == "mfmc_gap: INVALID (cover_min=2 packing_max=1)\n"
+
+
 def test_check_mfmc_probe_respects_scan_cap():
     start = time.perf_counter()
     code, out, err = run_cli(["check", "mfmc-probe", "--family", "cycle:8", "--cmax", "20"])
@@ -334,3 +345,19 @@ def test_verify_certificate_malformed_report(edit):
     assert code == 1 and out == ""
     lines = err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: ")
+
+
+def test_python_m_mengerian_pipes_decide_into_verify():
+    # `python -m mengerian` runs the CLI from a checkout, with src on PYTHONPATH
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    cmd = [sys.executable, "-m", "mengerian"]
+    decide = subprocess.run(cmd + ["decide", "--family", "cycle:5"], env=env,
+                            capture_output=True, text=True, timeout=60)
+    assert decide.returncode == 0 and decide.stderr == ""
+    assert json.loads(decide.stdout)["trace"] == "NON_IDEAL"
+    verify = subprocess.run(cmd + ["verify-certificate"], input=decide.stdout, env=env,
+                            capture_output=True, text=True, timeout=60)
+    assert verify.returncode == 0 and verify.stderr == ""
+    assert "tu_witness: valid" in verify.stdout
+    assert "fractional_vertex: valid" in verify.stdout
