@@ -157,7 +157,7 @@ class DecisionReport:
     hypergraph: Clutter
     trace: str
     mengerian: bool
-    tu: Optional[linalg.TUResult] = None
+    tu: linalg.TUResult
     ideal: Optional[linalg.IdealityResult] = None
     konig: Optional[KonigCheck] = None
     packing: Optional[bool] = None
@@ -199,9 +199,7 @@ class DecisionReport:
         }
 
 
-def tu_json(res: Optional[linalg.TUResult], certificates: bool) -> Optional[dict]:
-    if res is None:
-        return None
+def tu_json(res: linalg.TUResult, certificates: bool) -> dict:
     d: dict = {"value": res.totally_unimodular}
     if certificates and res.witness is not None:
         d["witness"] = {
@@ -250,15 +248,15 @@ def decide_mengerian_exact(
 ) -> DecisionReport:
     """Exact Mengerian decision with a method trace.
 
-    Routes, in order. Idealness comes first: a fractional vertex of the
-    covering polyhedron decides negatively (NON_IDEAL) and also refutes
-    total unimodularity, through the witness that
-    ``linalg.vertex_tu_witness`` reads off it. Only ideal clutters meet
-    the exhaustive TU scan: an empty hypergraph is vacuously Mengerian
-    (EMPTY), a totally unimodular incidence matrix decides positively
-    (TU_SHORTCUT, reported with ``ideal`` unset), and the rest, ideal and
-    not TU, are settled by power equality up to ceil(mu/2), which is
-    always conclusive (POWER_EQUALITY).
+    Routes, in order. Idealness comes first, and ``linalg.is_ideal`` also
+    settles total unimodularity: a fractional vertex of the covering
+    polyhedron decides negatively (NON_IDEAL) and refutes TU through the
+    witness read off it. An ideal clutter is settled by the TU verdict of
+    the same call: an empty hypergraph is vacuously Mengerian (EMPTY), a
+    totally unimodular incidence matrix decides positively (TU_SHORTCUT,
+    reported with ``ideal`` unset), and the rest, ideal and not TU, are
+    settled by power equality up to ceil(mu/2), which is always conclusive
+    (POWER_EQUALITY).
     """
     c = capped_hypergraph(g, t, caps)
 
@@ -270,27 +268,21 @@ def decide_mengerian_exact(
     packing = clutters.has_packing(c) if compute_packing else None
 
     ideality = linalg.is_ideal(c)
+    ntf = None
     if not ideality.ideal:
-        tu = linalg.vertex_tu_witness(c, ideality.certificate)
-        return DecisionReport(g, t, c, TRACE_NON_IDEAL, False, tu=tu,
-                              ideal=ideality, konig=konig, packing=packing,
-                              classifier=classifier)
-
-    tu = linalg.is_totally_unimodular(c)
-    if c.is_empty:
-        return DecisionReport(g, t, c, TRACE_EMPTY, True, tu=tu, ideal=ideality,
-                              konig=konig, packing=packing,
-                              ntf=ideals.is_normally_torsion_free(c),
-                              classifier=classifier)
-    if tu.totally_unimodular:
-        return DecisionReport(g, t, c, TRACE_TU, True, tu=tu, konig=konig,
-                              packing=packing, classifier=classifier)
-
-    check_power_cap(c, caps)
-    ntf = ideals.is_normally_torsion_free(c)
-    return DecisionReport(g, t, c, TRACE_POWER, ntf.normally_torsion_free,
-                          tu=tu, ideal=ideality, konig=konig, packing=packing,
-                          ntf=ntf, classifier=classifier)
+        trace, mengerian = TRACE_NON_IDEAL, False
+    elif c.is_empty:
+        trace, mengerian = TRACE_EMPTY, True
+        ntf = ideals.is_normally_torsion_free(c)
+    elif ideality.tu.totally_unimodular:
+        trace, mengerian = TRACE_TU, True
+    else:
+        check_power_cap(c, caps)
+        ntf = ideals.is_normally_torsion_free(c)
+        trace, mengerian = TRACE_POWER, ntf.normally_torsion_free
+    return DecisionReport(g, t, c, trace, mengerian, ideality.tu,
+                          ideal=None if trace == TRACE_TU else ideality,
+                          konig=konig, packing=packing, ntf=ntf, classifier=classifier)
 
 
 # ---------------------------------------------------------------------------

@@ -225,8 +225,14 @@ def to_json_dict(c: Clutter) -> dict:
 
 
 def from_json_dict(d: dict) -> Clutter:
-    """Read a clutter written by to_json_dict; "labels" is ignored."""
+    """Read a clutter written by to_json_dict; "labels" is ignored.
+
+    n and every edge vertex must be exact ints: a float or a bool that
+    compares equal to an int is refused with TypeError.
+    """
     if d.get("unit"):
         raise ValueError("the unit clutter has no hypergraph to check")
-    edges = [tuple(v - 1 for v in e) for e in d["edges"]]
-    return Clutter(d["n"], tuple(edges))
+    n, edges = d["n"], [tuple(e) for e in d["edges"]]
+    if type(n) is not int or not all(type(v) is int for e in edges for v in e):
+        raise TypeError("n and edge vertices must be integers")
+    return Clutter(n, tuple(tuple(v - 1 for v in e) for e in edges))

@@ -226,9 +226,6 @@ class NtfResult:
     checked_k: tuple[int, ...]
     violation: Optional[PowerEquality] = None
 
-    def __bool__(self):
-        return self.normally_torsion_free
-
 
 def is_normally_torsion_free(c: Clutter) -> NtfResult:
     """Exact decision via power equality for k = 2 .. ceil(mu/2)."""

@@ -10,12 +10,14 @@ an exhaustive subdeterminant scan with an explicit witness on failure,
 and the vertices of a covering polyhedron Q(A) = {x >= 0, Ax >= 1} are
 enumerated exactly from tight full-rank subsystems.
 
-The two questions share their work. A totally unimodular matrix has an
-integral Q(A) (Hoffman-Kruskal), so ``is_ideal`` enumerates vertices only
-when the TU scan refutes TU, and a positive answer is backed by the scan
-or by the enumeration. Conversely a fractional vertex refutes TU:
-``vertex_tu_witness`` reads a square submatrix with |det| >= 2 off its
-tight rows, so a caller that has the vertex needs no scan.
+The two questions share their work, and ``is_ideal`` settles both. A
+totally unimodular matrix has an integral Q(A) (Hoffman-Kruskal), so
+``is_ideal`` enumerates vertices only when the TU scan refutes TU, and a
+positive answer is backed by the scan or by the enumeration. Conversely a
+fractional vertex refutes TU: ``vertex_tu_witness`` reads a square
+submatrix with |det| >= 2 off its tight rows. So every ``IdealityResult``
+carries the TU verdict too, and a caller that asks for idealness needs no
+second scan.
 """
 
 from __future__ import annotations
@@ -109,9 +111,6 @@ class TUResult:
     totally_unimodular: bool
     witness: Optional[TUWitness]
 
-    def __bool__(self):
-        return self.totally_unimodular
-
 
 def is_totally_unimodular(c: Clutter) -> TUResult:
     """Exhaustive subdeterminant scan in increasing size with early exit.
@@ -169,11 +168,11 @@ class PolyhedronVertex:
 
 @dataclass(frozen=True)
 class IdealityResult:
+    """Idealness with the fractional vertex that refutes it, and the TU verdict it settled."""
+
     ideal: bool
     certificate: Optional[PolyhedronVertex]
-
-    def __bool__(self):
-        return self.ideal
+    tu: TUResult
 
 
 def _solve_unit_rhs(mat: list[list[int]]) -> Optional[list[Fraction]]:
@@ -294,26 +293,27 @@ def _pattern_vertices(c: Clutter) -> Optional[PolyhedronVertex]:
 
 
 def is_ideal(c: Clutter) -> IdealityResult:
-    """Decide whether every vertex of Q(A) is integral.
+    """Decide whether every vertex of Q(A) is integral, and settle TU on the way.
 
-    A fractional vertex is returned as the certificate. The pattern
+    A fractional vertex is returned as the certificate, and the TU verdict
+    is then the witness ``vertex_tu_witness`` reads off it. The pattern
     pre-pass only accelerates refutations. A positive answer is backed
     either by the TU scan (a totally unimodular matrix has an integral
-    Q(A), by Hoffman-Kruskal) or by the full exhaustive enumeration, which
-    runs only when the scan refutes TU. The scan is called through the
-    module global, so ``perfbench/spans.py`` sees it.
+    Q(A), by Hoffman-Kruskal), whose result is returned as the TU verdict,
+    or by the full exhaustive enumeration, which runs only when the scan
+    refutes TU. The scan is called through the module global, so
+    ``perfbench/spans.py`` sees it.
     """
     if c.is_empty:
-        return IdealityResult(True, None)
-    hit = _pattern_vertices(c)
-    if hit is not None:
-        return IdealityResult(False, hit)
-    if is_totally_unimodular(c).totally_unimodular:
-        return IdealityResult(True, None)
-    for vertex in enumerate_covering_vertices(c):
-        if not vertex.is_integral:
-            return IdealityResult(False, vertex)
-    return IdealityResult(True, None)
+        return IdealityResult(True, None, TUResult(True, None))
+    vertex = _pattern_vertices(c)
+    if vertex is None:
+        tu = is_totally_unimodular(c)
+        if not tu.totally_unimodular:
+            vertex = next((v for v in enumerate_covering_vertices(c) if not v.is_integral), None)
+        if vertex is None:
+            return IdealityResult(True, None, tu)
+    return IdealityResult(False, vertex, vertex_tu_witness(c, vertex))
 
 
 def vertex_tu_witness(c: Clutter, vertex: PolyhedronVertex) -> TUResult:

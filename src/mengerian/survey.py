@@ -11,7 +11,6 @@ against the Mengerian verdict wherever packing is computed.
 
 from __future__ import annotations
 
-import io
 from dataclasses import dataclass, field
 from itertools import combinations
 from typing import Optional
@@ -22,6 +21,8 @@ from .graphs import Graph
 
 ENUMERATION_CAP = 8
 PACKING_MAX_N = 6
+CSV_COLUMNS = ("n", "index", "graph6", "clause", "trace", "mengerian", "tu", "ideal",
+               "konig", "packing")
 
 
 def _check_n(n: int) -> None:
@@ -108,6 +109,22 @@ class SurveyRow:
         return self.report.graph
 
 
+def _instance(row: SurveyRow) -> dict:
+    """The one per-instance record that the JSON instances and the CSV rows print."""
+    rec = {"n": row.n, "index": row.index, "graph6": None, "trace": "INCOMPLETE",
+           "mengerian": None, "clause": None, "tu": None, "ideal": None,
+           "packing": None, "konig": None, "incomplete": row.incomplete}
+    rep = row.report
+    if rep is not None:
+        rec.update(graph6=graphs.to_graph6(rep.graph), trace=rep.trace,
+                   mengerian=rep.mengerian,
+                   clause=rep.classifier.clause if rep.classifier else None,
+                   tu=rep.tu.totally_unimodular,
+                   ideal=None if rep.ideal is None else rep.ideal.ideal,
+                   packing=rep.packing, konig=rep.konig.holds if rep.konig else None)
+    return rec
+
+
 @dataclass
 class SurveyReport:
     """Aggregate outcome of a survey run; see cross_check."""
@@ -133,7 +150,7 @@ class SurveyReport:
             "decided": len(done),
             "mengerian": sum(1 for r in done if r.mengerian),
             "non_ideal": sum(1 for r in done if r.trace == classify.TRACE_NON_IDEAL),
-            "tu": sum(1 for r in done if r.tu is not None and r.tu.totally_unimodular),
+            "tu": sum(1 for r in done if r.tu.totally_unimodular),
             "power_equality": sum(1 for r in done if r.trace == classify.TRACE_POWER),
             "empty": sum(1 for r in done if r.trace == classify.TRACE_EMPTY),
             "mengerian_per_n": {str(n): per_n.get(n, 0) for n in range(self.n_min, self.n_max + 1)},
@@ -150,47 +167,16 @@ class SurveyReport:
             "conjecture_violations": self.conjecture_violations,
             "dichotomy_exceptions": self.dichotomy_exceptions,
             "incomplete": self.incomplete,
-            "instances": [
-                {
-                    "n": row.n,
-                    "index": row.index,
-                    "graph6": graphs.to_graph6(row.report.graph) if row.report else None,
-                    "trace": row.report.trace if row.report else "INCOMPLETE",
-                    "mengerian": row.report.mengerian if row.report else None,
-                    "clause": row.report.classifier.clause
-                    if row.report and row.report.classifier else None,
-                    "tu": row.report.tu.totally_unimodular
-                    if row.report and row.report.tu else None,
-                    "ideal": None if not row.report or row.report.ideal is None
-                    else row.report.ideal.ideal,
-                    "packing": row.report.packing if row.report else None,
-                    "konig": row.report.konig.holds
-                    if row.report and row.report.konig else None,
-                    "incomplete": row.incomplete,
-                }
-                for row in self.rows
-            ],
+            "instances": [_instance(row) for row in self.rows],
         }
 
     def to_csv(self) -> str:
-        buf = io.StringIO()
-        buf.write("n,index,graph6,clause,trace,mengerian,tu,ideal,konig,packing\n")
+        """The instance records as CSV_COLUMNS, with None written as an empty field."""
+        lines = [",".join(CSV_COLUMNS)]
         for row in self.rows:
-            rep = row.report
-            if rep is None:
-                buf.write(f"{row.n},{row.index},,,INCOMPLETE,,,,,\n")
-                continue
-            vals = [
-                row.n, row.index, graphs.to_graph6(rep.graph),
-                rep.classifier.clause if rep.classifier else "",
-                rep.trace, rep.mengerian,
-                rep.tu.totally_unimodular if rep.tu else "",
-                "" if rep.ideal is None else rep.ideal.ideal,
-                rep.konig.holds if rep.konig else "",
-                "" if rep.packing is None else rep.packing,
-            ]
-            buf.write(",".join(str(v) for v in vals) + "\n")
-        return buf.getvalue()
+            rec = _instance(row)
+            lines.append(",".join("" if rec[k] is None else str(rec[k]) for k in CSV_COLUMNS))
+        return "\n".join(lines) + "\n"
 
 
 def cross_check(
@@ -234,9 +220,7 @@ def cross_check(
                     "classifier_mengerian": rep.classifier.mengerian,
                     "pipeline_mengerian": rep.mengerian,
                 })
-            tu_ok = rep.tu is not None and rep.tu.totally_unimodular
-            non_ideal = rep.ideal is not None and not rep.ideal.ideal
-            if not tu_ok and not non_ideal:
+            if not rep.tu.totally_unimodular and rep.trace != classify.TRACE_NON_IDEAL:
                 report.dichotomy_exceptions.append({
                     **key, "trace": rep.trace, "mengerian": rep.mengerian,
                 })

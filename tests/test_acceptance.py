@@ -33,6 +33,7 @@ from mengerian.linalg import (
 from mengerian.survey import cross_check
 
 import oracles
+from test_survey import extended
 
 H = Fraction(1, 2)
 Q = Fraction(1, 4)
@@ -44,6 +45,10 @@ def H3(name, *params):
 
 def covering_vertices(c):
     return sorted(enumerate_covering_vertices(c), key=lambda v: v.coords)
+
+
+def alternating_halves(k):
+    return tuple(H if i % 2 == 0 else Fraction(0) for i in range(k))
 
 
 @pytest.fixture(scope="module")
@@ -105,16 +110,17 @@ def test_criterion_3_negative_certificates():
         assert verify_vertex(c, quarter).is_vertex
         assert quarter in {v.coords for v in covering_vertices(c)}
 
-    # k = 2 mod 4: alternating halves
+    # k = 2 mod 4: alternating halves; verify_vertex certifies them exactly,
+    # and C6's vertex list is checked to contain them (C10's, which takes
+    # about 9 s to enumerate, in the extended test below)
     for k in (6, 10):
         c = H3("cycle", k)
         res = is_ideal(c)
         assert not res.ideal
         assert verify_vertex(c, res.certificate.coords).is_vertex
-        alternating = tuple(H if i % 2 == 0 else Fraction(0) for i in range(k))
-        chk = verify_vertex(c, alternating)
+        chk = verify_vertex(c, alternating_halves(k))
         assert chk.is_vertex and chk.tight_rank == k
-        assert alternating in {v.coords for v in covering_vertices(c)}
+    assert alternating_halves(6) in {v.coords for v in covering_vertices(H3("cycle", 6))}
 
     # k = 0 mod 4, k >= 12: the sparser half pattern, at least 12 tight rows
     c12 = H3("cycle", 12)
@@ -149,6 +155,12 @@ def test_criterion_3_negative_certificates():
     print(f"ACCEPTANCE 3 PASS: fractional certificates for C5 C7 C6 C10 C12 and "
           f"the pendant tree verified exactly in {time.time() - start:.1f}s "
           f"(tree certificate on the leaf-adjacent parity class)")
+
+
+@extended
+def test_criterion_3_c10_alternating_halves_enumerated():
+    c10 = H3("cycle", 10)
+    assert alternating_halves(10) in {v.coords for v in covering_vertices(c10)}
 
 
 def test_criterion_4_determinants():
@@ -252,7 +264,7 @@ def test_criterion_8_property_suites(survey6):
     tu_instances = 0
     for row in survey6.rows:
         rep = row.report
-        if rep.tu is not None and rep.tu.totally_unimodular and not rep.hypergraph.is_empty:
+        if rep.tu.totally_unimodular and not rep.hypergraph.is_empty:
             assert all(v.is_integral for v in enumerate_covering_vertices(rep.hypergraph))
             tu_instances += 1
     assert tu_instances > 0

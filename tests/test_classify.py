@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from mengerian import clutters, graphs, ideals
+from mengerian import clutters, graphs, ideals, linalg
 from mengerian.classify import (
     Caps,
     CapExceeded,
@@ -121,6 +121,27 @@ def test_decide_tu_shortcut_for_trees():
         rep = decide_mengerian_exact(make_family(fam, params))
         assert rep.trace == "TU_SHORTCUT", (fam, params)
         assert rep.mengerian and rep.agreement is True
+
+
+@pytest.mark.parametrize("family, params, scans", [
+    ("path", [9], 1),     # TU: the scan inside is_ideal settles both verdicts
+    ("cycle", [8], 1),    # ideal, not TU: the refuting scan is reported as is
+    ("cycle", [5], 0),    # the pattern pre-pass finds a fractional vertex first
+    ("star", [3], 0),     # empty hypergraph
+])
+def test_decide_scans_for_tu_at_most_once(monkeypatch, family, params, scans):
+    calls = []
+    scan = linalg.is_totally_unimodular
+
+    def counting(c):
+        calls.append(c)
+        return scan(c)
+
+    monkeypatch.setattr(linalg, "is_totally_unimodular", counting)
+    rep = decide_mengerian_exact(make_family(family, params))
+    assert len(calls) == scans
+    if calls:
+        assert rep.tu == scan(rep.hypergraph)
 
 
 def test_decide_disconnected_allowed():

@@ -158,6 +158,12 @@ def test_verify_certificate_stdin_tampered():
     {"schema": 1, "hypergraph": 5},
     {"schema": 1, "hypergraph": {"n": 3}},
     {"schema": 1, "hypergraph": {"n": 3, "edges": [["a"]]}},
+    # floats and bools equal to an int are not vertices, as in the report's graph
+    {"schema": 1, "hypergraph": {"n": 4, "edges": [[1.0, 2.0, 3.0, 4.0]]}},
+    {"schema": 1, "hypergraph": {"n": 4, "edges": [[1.5, 2, 3, 4]]}},
+    {"schema": 1, "hypergraph": {"n": 4.0, "edges": [[1, 2, 3, 4]]}},
+    {"schema": 1, "hypergraph": {"n": True, "edges": [[1]]}},
+    {"schema": 1, "hypergraph": {"n": 4, "edges": [[True, 2, 3, 4]]}},
 ])
 def test_verify_certificate_without_hypergraph(report):
     code, out, err = run_cli(["verify-certificate", "-"], stdin_text=json.dumps(report))

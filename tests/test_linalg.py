@@ -280,7 +280,8 @@ def test_ideal_p5_true():
 
 
 def test_ideal_empty_matrix_true():
-    assert is_ideal(Clutter(4, ())).ideal
+    res = is_ideal(Clutter(4, ()))
+    assert res.ideal and res.tu == linalg.TUResult(True, None)
 
 
 def test_ideal_pattern_prepass_agrees_with_enumeration():
@@ -298,7 +299,8 @@ def test_ideal_tu_branch_agrees_with_enumeration():
     # must give the same verdict on every class with n <= 6, on C8 (ideal,
     # not TU) and on random clutters. A refutation's certificate is checked
     # to be a fractional vertex, which the enumeration yields, so plain
-    # enumeration runs in full only where is_ideal answers ideal.
+    # enumeration runs in full only where is_ideal answers ideal. The TU
+    # verdict is_ideal carries must be the scan's.
     rng = random.Random(83)
     cases = [build_path_hypergraph(g) for n in range(1, 7) for g in enumerate_connected(n)]
     cases += [h3("cycle", 8)]
@@ -311,7 +313,10 @@ def test_ideal_tu_branch_agrees_with_enumeration():
         else:
             assert verify_vertex(c, res.certificate.coords).is_vertex
             assert not res.certificate.is_integral
-        seen[res.ideal, is_totally_unimodular(c).totally_unimodular] += 1
+            assert res.tu == vertex_tu_witness(c, res.certificate)
+        tu = is_totally_unimodular(c).totally_unimodular
+        assert res.tu.totally_unimodular == tu
+        seen[res.ideal, tu] += 1
     assert all(seen.values()), seen
 
 

@@ -83,6 +83,19 @@ def test_cross_check_deterministic():
     assert json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)
 
 
+def test_non_ideal_instances_record_tu_false():
+    # a non-ideal clutter is not TU, and both the JSON and the CSV say so
+    rep = cross_check(5)
+    instances = rep.to_json_dict()["instances"]
+    header, *lines = rep.to_csv().splitlines()
+    tu_col = header.split(",").index("tu")
+    non_ideal = [i for i, inst in enumerate(instances) if inst["trace"] == "NON_IDEAL"]
+    assert len(non_ideal) == rep.counters["non_ideal"] == 17
+    for i in non_ideal:
+        assert instances[i]["tu"] is False
+        assert lines[i].split(",")[tu_col] == "False"
+
+
 def test_cross_check_t4_small():
     rep = cross_check(5, t=4)
     # 5-uniform hypergraphs on at most 5 vertices: empty or one edge, all TU
