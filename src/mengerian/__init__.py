@@ -30,7 +30,6 @@ from .ideals import (
     MengerianProbe,
     MonomialIdeal,
     NtfResult,
-    PowerEquality,
     cover_degree,
     edge_ideal,
     is_normally_torsion_free,

@@ -138,16 +138,6 @@ def check_mfmc_cap(c: Clutter, cmax: int) -> None:
                           f"the cap 3^12 = {MFMC_SCAN_CAP}")
 
 
-@dataclass(frozen=True)
-class KonigCheck:
-    tau: int
-    nu: int
-
-    @property
-    def holds(self) -> bool:
-        return self.tau == self.nu
-
-
 @dataclass
 class DecisionReport:
     """Full pipeline verdict with method trace and certificates."""
@@ -158,8 +148,9 @@ class DecisionReport:
     trace: str
     mengerian: bool
     tu: linalg.TUResult
+    tau: int
+    nu: int
     ideal: Optional[linalg.IdealityResult] = None
-    konig: Optional[KonigCheck] = None
     packing: Optional[bool] = None
     ntf: Optional[ideals.NtfResult] = None
     classifier: Optional[ClassVerdict] = None
@@ -184,9 +175,7 @@ class DecisionReport:
             "checks": {
                 "tu": tu_json(self.tu, certificates),
                 "ideal": ideal_json(self.ideal, certificates),
-                "konig": None if self.konig is None else {
-                    "value": self.konig.holds, "tau": self.konig.tau, "nu": self.konig.nu,
-                },
+                "konig": konig_json(self.tau, self.nu),
                 "packing": self.packing,
                 "ntf": ntf_json(self.ntf, certificates),
             },
@@ -197,6 +186,10 @@ class DecisionReport:
             },
             "agreement": self.agreement,
         }
+
+
+def konig_json(tau: int, nu: int) -> dict:
+    return {"value": tau == nu, "tau": tau, "nu": nu}
 
 
 def tu_json(res: linalg.TUResult, certificates: bool) -> dict:
@@ -231,11 +224,11 @@ def ntf_json(res: Optional[ideals.NtfResult], certificates: bool) -> Optional[di
         "bound": res.bound,
         "checked_k": list(res.checked_k),
     }
-    if certificates and res.violation is not None and res.violation.violation is not None:
+    if certificates and res.violation is not None:
         d["violation"] = {
-            "k": res.violation.k,
-            "monomial": ideals.format_monomial(res.violation.violation),
-            "exponents": list(res.violation.violation),
+            "k": res.checked_k[-1],
+            "monomial": ideals.format_monomial(res.violation),
+            "exponents": list(res.violation),
         }
     return d
 
@@ -264,7 +257,7 @@ def decide_mengerian_exact(
     if t == 3 and graphs.is_connected(g):
         classifier = classify_mengerian(g)
 
-    konig = KonigCheck(clutters.tau(c), clutters.nu(c))
+    tau, nu = clutters.tau(c), clutters.nu(c)
     packing = clutters.has_packing(c) if compute_packing else None
 
     ideality = linalg.is_ideal(c)
@@ -280,9 +273,9 @@ def decide_mengerian_exact(
         check_power_cap(c, caps)
         ntf = ideals.is_normally_torsion_free(c)
         trace, mengerian = TRACE_POWER, ntf.normally_torsion_free
-    return DecisionReport(g, t, c, trace, mengerian, ideality.tu,
+    return DecisionReport(g, t, c, trace, mengerian, ideality.tu, tau, nu,
                           ideal=None if trace == TRACE_TU else ideality,
-                          konig=konig, packing=packing, ntf=ntf, classifier=classifier)
+                          packing=packing, ntf=ntf, classifier=classifier)
 
 
 # ---------------------------------------------------------------------------

@@ -35,7 +35,10 @@ def _load_graph(args) -> graphs.Graph:
         name, _, rest = args.family.partition(":")
         if not rest:
             raise SystemExit("family descriptor must look like name:params, e.g. cycle:8")
-        params = [int(tok) for tok in rest.split(",")]
+        try:
+            params = [int(tok) for tok in rest.split(",")]
+        except ValueError:
+            raise ValueError(f"{name} parameters must be integers, got {rest!r}") from None
         return graphs.make_family(name, params)
     if args.file:
         with open(args.file, "r", encoding="utf-8") as fh:
@@ -132,9 +135,8 @@ def _cmd_check(args) -> int:
         holds = res.ideal
         payload["ideal"] = classify.ideal_json(res, certificates=True)
     elif prop == "konig":
-        t_, n_ = clutters.tau(c), clutters.nu(c)
-        holds = t_ == n_
-        payload["konig"] = {"value": holds, "tau": t_, "nu": n_}
+        payload["konig"] = classify.konig_json(clutters.tau(c), clutters.nu(c))
+        holds = payload["konig"]["value"]
     elif prop == "packing":
         holds = clutters.has_packing(c)
         payload["packing"] = {"value": holds}

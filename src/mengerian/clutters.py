@@ -69,9 +69,7 @@ def incidence_matrix(c: Clutter) -> list[list[int]]:
 def tau(c: Clutter) -> int:
     """Minimum vertex cover size, by branch and bound on uncovered edges."""
     masks = c.edge_masks()
-    if not masks:
-        return 0
-    best = _greedy_cover_size(masks)
+    best = min(c.n, len(masks))  # every vertex, or one vertex from each edge, is a cover
 
     def search(remaining: list[int], depth: int):
         nonlocal best
@@ -117,21 +115,6 @@ def _bits(mask: int) -> Iterator[int]:
         low = mask & -mask
         yield low.bit_length() - 1
         mask ^= low
-
-
-def _greedy_cover_size(masks: list[int]) -> int:
-    remaining = list(masks)
-    size = 0
-    while remaining:
-        counts: dict[int, int] = {}
-        for e in remaining:
-            for v in _bits(e):
-                counts[v] = counts.get(v, 0) + 1
-        v = max(sorted(counts), key=lambda u: counts[u])
-        bit = 1 << v
-        remaining = [e for e in remaining if not e & bit]
-        size += 1
-    return size
 
 
 def _minimal_masks(masks: Iterable[int]) -> list[int]:

@@ -221,6 +221,11 @@ def make_family(name: str, params: Sequence[int]) -> Graph:
     complete k   all pairs
     """
     params = list(params)
+    arity = {"path": 1, "cycle": 1, "star": 1, "double_star": 2, "star_plus_edge": 1,
+             "complete": 1}.get(name)
+    if arity is not None and len(params) != arity:
+        raise ValueError(f"{name} takes {arity} parameter{'s' * (arity > 1)}, "
+                         f"got {len(params)}")
     if name == "path":
         (k,) = params
         if k < 1:

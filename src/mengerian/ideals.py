@@ -6,9 +6,11 @@ whose degree sum over every minimal cover reaches k; the test suite checks
 them against the defining intersection of powers of minimal-cover primes.
 The headline operation decides I^k = I^(k) for k up to ceil(mu/2), which
 settles the normally-torsion-free question, and with it the Mengerian one,
-exactly. Read on a cost vector, the same two membership tests give the
-weighted cover minimum and the integer packing maximum that the bounded
-min-max probe compares.
+exactly: powers_equal returns the first generator of I^(k) outside I^k,
+or None, and a refuted NtfResult carries it for k = checked_k[-1]. Read on
+a cost vector, the same two membership tests give the weighted cover
+minimum and the integer packing maximum that the bounded min-max probe
+compares.
 """
 
 from __future__ import annotations
@@ -185,30 +187,16 @@ def packing_number(a: Monomial, I: MonomialIdeal) -> int:
     return k
 
 
-@dataclass(frozen=True)
-class PowerEquality:
-    equal: bool
-    k: int
-    violation: Optional[Monomial] = None
-
-
-def powers_equal(c: Clutter, k: int) -> PowerEquality:
-    """Decide I^k = I^(k).
+def powers_equal(c: Clutter, k: int) -> Optional[Monomial]:
+    """Decide I^k = I^(k): None when equal, else the first violating generator.
 
     The ordinary power always sits inside the symbolic one, so equality
     holds iff every minimal generator of the symbolic power factors into
-    k edge generators. The first failing generator is the certificate.
+    k edge generators. The first one that does not is the certificate.
+    The empty clutter and k < 1 raise ValueError, as for symbolic_power.
     """
-    if c.is_empty:
-        raise ValueError("powers_equal needs a nonempty proper clutter")
-    if k == 1:
-        return PowerEquality(True, 1)
     I = edge_ideal(c)
-    sym = symbolic_power(c, k)
-    for g in sym.gens:
-        if not member_of_power(g, I, k):
-            return PowerEquality(False, k, g)
-    return PowerEquality(True, k)
+    return next((g for g in symbolic_power(c, k).gens if not member_of_power(g, I, k)), None)
 
 
 @dataclass(frozen=True)
@@ -217,29 +205,27 @@ class NtfResult:
 
     normally_torsion_free is equivalent to the Mengerian property of the
     underlying clutter. checked_k lists the exponents whose power equality
-    was verified; the bound ceil(mu/2) makes the finite check conclusive.
+    was tested; the bound ceil(mu/2) makes the finite check conclusive.
+    violation, when set, is a generator of I^(k) outside I^k for the
+    refuting k = checked_k[-1].
     """
 
     normally_torsion_free: bool
     mu: int
     bound: int
     checked_k: tuple[int, ...]
-    violation: Optional[PowerEquality] = None
+    violation: Optional[Monomial] = None
 
 
 def is_normally_torsion_free(c: Clutter) -> NtfResult:
     """Exact decision via power equality for k = 2 .. ceil(mu/2)."""
-    if c.is_empty:
-        return NtfResult(True, 0, 0, ())
     mu = c.m
     bound = (mu + 1) // 2
-    checked = []
     for k in range(2, bound + 1):
-        res = powers_equal(c, k)
-        checked.append(k)
-        if not res.equal:
-            return NtfResult(False, mu, bound, tuple(checked), res)
-    return NtfResult(True, mu, bound, tuple(checked))
+        violation = powers_equal(c, k)
+        if violation is not None:
+            return NtfResult(False, mu, bound, tuple(range(2, k + 1)), violation)
+    return NtfResult(True, mu, bound, tuple(range(2, bound + 1)))
 
 
 @dataclass(frozen=True)

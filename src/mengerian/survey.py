@@ -103,11 +103,6 @@ class SurveyRow:
     report: Optional[DecisionReport]
     incomplete: Optional[str] = None
 
-    @property
-    def graph(self) -> Graph:
-        assert self.report is not None
-        return self.report.graph
-
 
 def _instance(row: SurveyRow) -> dict:
     """The one per-instance record that the JSON instances and the CSV rows print."""
@@ -121,7 +116,7 @@ def _instance(row: SurveyRow) -> dict:
                    clause=rep.classifier.clause if rep.classifier else None,
                    tu=rep.tu.totally_unimodular,
                    ideal=None if rep.ideal is None else rep.ideal.ideal,
-                   packing=rep.packing, konig=rep.konig.holds if rep.konig else None)
+                   packing=rep.packing, konig=rep.tau == rep.nu)
     return rec
 
 
@@ -193,11 +188,13 @@ def cross_check(
     neither totally unimodular nor non-ideal are dichotomy exceptions;
     packing-versus-Mengerian disagreements are conjecture findings, never
     assertion failures. Instances over a resource cap are INCOMPLETE and
-    never counted as verified. n_min or n_max outside 1..ENUMERATION_CAP
-    raises ValueError before any instance is decided.
+    never counted as verified. n_min or n_max outside 1..ENUMERATION_CAP,
+    or n_min > n_max, raises ValueError before any instance is decided.
     """
     _check_n(n_min)
     _check_n(n_max)
+    if n_min > n_max:
+        raise ValueError(f"empty survey range: min-n {n_min} > max-n {n_max}")
     caps = caps or Caps()
     report = SurveyReport(t=t, n_min=n_min, n_max=n_max)
     for n in range(n_min, n_max + 1):

@@ -112,7 +112,7 @@ def test_decide_pro3_tree_non_ideal():
 def test_decide_star_empty():
     rep = decide_mengerian_exact(make_family("star", [6]))
     assert rep.trace == "EMPTY" and rep.mengerian
-    assert rep.konig.tau == 0 and rep.konig.nu == 0
+    assert rep.tau == 0 and rep.nu == 0
 
 
 def test_decide_tu_shortcut_for_trees():
@@ -239,9 +239,9 @@ def test_verify_report_ntf_certificate():
         "bound": res.bound,
         "checked_k": list(res.checked_k),
         "violation": {
-            "k": res.violation.k,
-            "monomial": ideals.format_monomial(res.violation.violation),
-            "exponents": list(res.violation.violation),
+            "k": res.checked_k[-1],
+            "monomial": ideals.format_monomial(res.violation),
+            "exponents": list(res.violation),
         },
     }
     results = verify_report_dict(d)

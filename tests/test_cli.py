@@ -124,6 +124,16 @@ def test_survey_refuses_n_over_cap_before_work(monkeypatch):
     assert err == "error: enumeration supports 1 <= n <= 8\n"
 
 
+@pytest.mark.parametrize("argv,n_min,n_max", [
+    (["survey", "--min-n", "5", "--max-n", "4"], 5, 4),
+    (["survey", "--max-n", "3"], 4, 3),  # the default --min-n is 4
+])
+def test_survey_refuses_reversed_range(argv, n_min, n_max):
+    code, out, err = run_cli(argv)
+    assert (code, out) == (1, "")
+    assert err == f"error: empty survey range: min-n {n_min} > max-n {n_max}\n"
+
+
 def test_verify_certificate_round_trip(tmp_path):
     code, out, _ = run_cli(["decide", "--edges", "1 2\\n2 3\\n3 4\\n4 5\\n3 6"])
     assert code == 0
@@ -177,9 +187,18 @@ def test_input_source_required():
         run_cli(["decide"])
 
 
-def test_bad_family_is_error():
-    code, _, err = run_cli(["decide", "--family", "cycle:2"])
-    assert code == 1 and "error" in err
+BAD_FAMILIES = [
+    ("cycle:2", "cycle needs k >= 3"),
+    ("cycle:5,6", "cycle takes 1 parameter, got 2"),
+    ("double_star:1", "double_star takes 2 parameters, got 1"),
+    ("cycle:abc", "cycle parameters must be integers, got 'abc'"),
+]
+
+
+@pytest.mark.parametrize("family,message", BAD_FAMILIES, ids=[f for f, _ in BAD_FAMILIES])
+def test_bad_family_is_error(family, message):
+    code, out, err = run_cli(["decide", "--family", family])
+    assert (code, out, err) == (1, "", f"error: {message}\n")
 
 
 def test_parse_error_exit_code():

@@ -104,10 +104,12 @@ def test_tau_nu_fixtures(h3c8, h3c5):
 
 def test_tau_nu_against_scan():
     rng = random.Random(13)
-    for _ in range(60):
-        n = rng.randint(2, 7)
-        c = random_clutter(rng, n)
-        assert tau(c) == oracles.tau_scan(n, c.edges)
+    corpus = [random_clutter(rng, rng.randint(2, 7)) for _ in range(60)]
+    # the benchmark's inputs: every connected class with n <= 6 and the fixtures
+    corpus += [build_path_hypergraph(g) for n in range(1, 7) for g in enumerate_connected(n)]
+    corpus += [H3("cycle", k) for k in (8, 10, 12)] + [H3("path", 9), H3("complete", 6)]
+    for c in corpus:
+        assert tau(c) == oracles.tau_scan(c.n, c.edges)
         assert nu(c) == oracles.nu_scan(c.edges)
 
 

@@ -1,0 +1,72 @@
+"""Report bytes pinned by digest.
+
+Each invocation runs through cli.main in-process, and the sha256 of its
+exit code, stdout and stderr must equal the digest recorded here. A change
+that alters these bytes on purpose updates the digest and says so.
+"""
+
+import contextlib
+import hashlib
+import io
+import json
+import sys
+
+import pytest
+
+from mengerian.cli import main
+
+TREE6 = "1 2\n2 3\n3 4\n4 5\n3 6"
+
+PINNED = [
+    (["decide", "--packing", "--family", "cycle:8"],
+     "1d4fda20e9378d26fff87544b295003471bda91f1aef4fee53ae0c88f45d3359"),
+    (["decide", "--packing", "--family", "cycle:10"],
+     "9c15849e60bf54cffb7b5ba7423f7644a9ca8d35b5ad9f2feef6c9df122fe50e"),
+    (["decide", "--packing", "--family", "cycle:12"],
+     "75260b6b3080549620e93e1c9615b8bce81ea0b415cae84b635c3030396fd1f9"),
+    (["decide", "--packing", "--family", "complete:6"],
+     "4ea79bbbe24747c65c6eb1f10863fa421df8d32f02093c39a2d10c6d927f8ac1"),
+    (["decide", "--packing", "--family", "path:9"],
+     "4bee6ccb6c954020923997f6be7da9ccc48f6b1a44085aaaa2709b88e10e6349"),
+    (["decide", "--packing", "--edges", TREE6],
+     "9b473a8e1fda4a2f22a1b13a6006d4412327d187ee52f1a76025580a4cec5bec"),
+    (["check", "konig", "--family", "cycle:5"],
+     "04edfd5db8de5d16f41e3b44580e5e07c0662737598e488006e96c81ec4f9c25"),
+    (["check", "konig", "--family", "cycle:8"],
+     "5f6354e9281d1232b5fef15a4b39c1f6ace9cf96975e1dbfd5b45a6dde520256"),
+    (["check", "ntf", "--family", "cycle:5"],
+     "91e660f59fa40d10f4f213933f77abf39f1f534a7fc725f9dfcaf4e55e291059"),
+    (["check", "ntf", "--family", "cycle:8"],
+     "75fd473a1cad4846e8b57ec8a31ac1302e23cac25ead68af6388e2e1ccf56577"),
+    (["check", "mfmc-probe", "--family", "cycle:5", "--cmax", "1"],
+     "d2c7b95dbb04217097c2db3a8aee7113cea23cef00ee2f26289bc733f5e2bc26"),
+    (["survey", "--max-n", "5"],
+     "dc4b10fd579a3ba0d2ba0fe6daef8c2563a36c2363fcfb2aa0549f768c0a903e"),
+    (["survey", "--max-n", "5", "--csv"],
+     "d2765aebeecc3a81fe32b851f72b3ae1d81bc84b1a044350aa1dc436dcf88933"),
+]
+
+
+def run_digest(argv, stdin_text=None):
+    out, err = io.StringIO(), io.StringIO()
+    old_stdin = sys.stdin
+    if stdin_text is not None:
+        sys.stdin = io.StringIO(stdin_text)
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+    finally:
+        sys.stdin = old_stdin
+    record = json.dumps([code, out.getvalue(), err.getvalue()])
+    return hashlib.sha256(record.encode()).hexdigest(), out.getvalue()
+
+
+@pytest.mark.parametrize("argv,digest", PINNED, ids=[" ".join(a) for a, _ in PINNED])
+def test_report_bytes(argv, digest):
+    assert run_digest(argv)[0] == digest
+
+
+def test_verify_certificate_bytes():
+    _, report = run_digest(["decide", "--family", "cycle:5"])
+    assert run_digest(["verify-certificate"], stdin_text=report)[0] == (
+        "5cf776ee5f660651121ebfeccd979d12724c6733d6e256bd6c29ba10944797e5")

@@ -55,6 +55,8 @@ def test_cross_check_refuses_range_before_work(monkeypatch):
     for n_min, n_max in ((4, 9), (0, 4), (9, 9)):
         with pytest.raises(ValueError, match="enumeration supports 1 <= n <= 8"):
             cross_check(n_max, n_min=n_min)
+    with pytest.raises(ValueError, match="empty survey range: min-n 5 > max-n 4"):
+        cross_check(4, n_min=5)
 
 
 def test_enumerate_one_per_isomorphism_class():
