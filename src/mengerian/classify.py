@@ -33,38 +33,25 @@ TRACE_POWER = "POWER_EQUALITY"
 class ClassVerdict:
     mengerian: bool
     clause: str
-    note: str = ""
 
 
 def is_path_with_double_stars(g: Graph) -> bool:
     """Tree with at most two vertices adjacent to leaves (paths and stars count)."""
-    if g.m != g.n - 1 or not graphs.is_connected(g):
+    if g.m != g.n - 1:
         return False
     adj = graphs.adjacency(g)
-    leaf_neighbors = {next(iter(adj[v])) for v in range(g.n) if len(adj[v]) == 1}
-    return len(leaf_neighbors) <= 2
+    leaf_neighbors = {a for a in adj if a.bit_count() == 1}
+    return graphs.masks_connected(adj) and len(leaf_neighbors) <= 2
 
 
 def is_star_plus_edge(g: Graph) -> bool:
-    """A star whose two first leaves are joined by an extra edge.
+    """A star with one extra edge joining two leaves; K3 qualifies.
 
-    Exactly one cycle, necessarily the triangle through the center; the
-    center is adjacent to everything, the joined leaves have degree two,
-    and every other vertex is a pendant of the center. K3 qualifies.
+    A vertex of degree n - 1 spends n - 1 edges on reaching every other
+    vertex, so the graph is connected, and m = n leaves exactly one more
+    edge, which joins two leaves.
     """
-    if g.m != g.n or not graphs.is_connected(g):
-        return False
-    degs = [g.degree(v) for v in range(g.n)]
-    centers = [v for v in range(g.n) if degs[v] == g.n - 1]
-    if not centers:
-        return False
-    center = centers[0]
-    others = [v for v in range(g.n) if v != center]
-    extra = [(u, v) for u, v in g.edges if center not in (u, v)]
-    if len(extra) != 1:
-        return False
-    a, b = extra[0]
-    return all(degs[v] == (2 if v in (a, b) else 1) for v in others)
+    return g.m == g.n and any(a.bit_count() == g.n - 1 for a in graphs.adjacency(g))
 
 
 def classify_mengerian(g: Graph) -> ClassVerdict:
@@ -182,7 +169,7 @@ class DecisionReport:
             "classifier": None if self.classifier is None else {
                 "mengerian": self.classifier.mengerian,
                 "clause": self.classifier.clause,
-                "note": self.classifier.note,
+                "note": "",
             },
             "agreement": self.agreement,
         }
@@ -420,9 +407,9 @@ def verify_report_dict(d: dict) -> list[tuple[str, bool, str]]:
         chk = linalg.verify_vertex(c, coords)
         tight = _indices(vertex.get("tight_rows"), c.m + c.n)
         same_tight = tight is not None and sorted(tight) == list(chk.tight_rows)
-        fractional = not all(x.denominator == 1 for x in coords)
         msg = f"feasible={chk.feasible} tight_rank={chk.tight_rank}/{c.n}"
-        out.append(_refuting("fractional_vertex", chk.is_vertex and fractional and same_tight,
+        out.append(_refuting("fractional_vertex",
+                             chk.is_vertex and not chk.is_integral and same_tight,
                              msg if same_tight else msg + ", tight_rows differ",
                              ideal=ideal.get("value"), mengerian=mengerian))
 

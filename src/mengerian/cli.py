@@ -39,13 +39,18 @@ def _load_graph(args) -> graphs.Graph:
             params = [int(tok) for tok in rest.split(",")]
         except ValueError:
             raise ValueError(f"{name} parameters must be integers, got {rest!r}") from None
+        # the vertex cap is applied before the family member is built
+        classify.check_caps(_caps(args), graphs.family_order(name, params))
         return graphs.make_family(name, params)
     if args.file:
         with open(args.file, "r", encoding="utf-8") as fh:
-            return graphs.parse_edge_list(fh.read())
-    if args.edges:
-        return graphs.parse_edge_list(args.edges.replace("\\n", "\n"))
-    return graphs.parse_graph6(args.graph6)
+            g = graphs.parse_edge_list(fh.read())
+    elif args.edges:
+        g = graphs.parse_edge_list(args.edges.replace("\\n", "\n"))
+    else:
+        g = graphs.parse_graph6(args.graph6)
+    classify.check_caps(_caps(args), g.n)
+    return g
 
 
 def _caps(args) -> Caps:
@@ -183,11 +188,11 @@ def _cmd_decide(args) -> int:
 
 
 def _cmd_classify(args) -> int:
-    g = _load_graph(args)
+    g = _load_graph(args)  # applies the vertex cap
     verdict = classify.classify_mengerian(g)
     if args.format == "json":
         _emit_json({"schema": 1, "mengerian": verdict.mengerian,
-                    "clause": verdict.clause, "note": verdict.note})
+                    "clause": verdict.clause, "note": ""})
     else:
         print(f"{verdict.clause}: mengerian={verdict.mengerian}")
     return 0

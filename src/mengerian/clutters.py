@@ -12,16 +12,21 @@ Brute subset scans survive in the test suite as independent oracles.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Iterator
 
 
 @dataclass(frozen=True)
 class Clutter:
-    """Antichain of nonempty hyperedges on vertices 0..n-1."""
+    """Antichain of nonempty hyperedges on vertices 0..n-1.
+
+    ``masks[i]`` is the vertex bitmask of ``edges[i]``, built once here and
+    read by every layer; equality and hashing ignore it.
+    """
 
     n: int
     edges: tuple[tuple[int, ...], ...]
+    masks: tuple[int, ...] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if self.n < 0:
@@ -33,11 +38,12 @@ class Clutter:
                 raise ValueError("empty edge: the unit clutter is not a hypergraph")
             if e[0] < 0 or e[-1] >= self.n:
                 raise ValueError(f"edge {e} out of range for n={self.n}")
-        for e in norm:
-            se = set(e)
-            for f in norm:
-                if f is not e and set(f) <= se:
+        masks = tuple(_mask(e) for e in norm)
+        for e, me in zip(norm, masks):
+            for f, mf in zip(norm, masks):
+                if mf != me and mf & me == mf:
                     raise ValueError(f"not an antichain: {f} is contained in {e}")
+        object.__setattr__(self, "masks", masks)
 
     @property
     def m(self) -> int:
@@ -47,9 +53,6 @@ class Clutter:
     def is_empty(self) -> bool:
         return not self.edges
 
-    def edge_masks(self) -> list[int]:
-        return [_mask(e) for e in self.edges]
-
 
 def _mask(vertices: Iterable[int]) -> int:
     m = 0
@@ -58,9 +61,14 @@ def _mask(vertices: Iterable[int]) -> int:
     return m
 
 
+def _row(mask: int, cols: Iterable[int]) -> list[int]:
+    """The 0/1 row of a vertex bitmask over the given columns."""
+    return [mask >> j & 1 for j in cols]
+
+
 def incidence_matrix(c: Clutter) -> list[list[int]]:
     """0/1 edge-vertex incidence rows, in the sorted edge order."""
-    return [[1 if v in e else 0 for v in range(c.n)] for e in c.edges]
+    return [_row(e, range(c.n)) for e in c.masks]
 
 
 # ---------------------------------------------------------------------------
@@ -68,7 +76,7 @@ def incidence_matrix(c: Clutter) -> list[list[int]]:
 
 def tau(c: Clutter) -> int:
     """Minimum vertex cover size, by branch and bound on uncovered edges."""
-    masks = c.edge_masks()
+    masks = c.masks
     best = min(c.n, len(masks))  # every vertex, or one vertex from each edge, is a cover
 
     def search(remaining: list[int], depth: int):
@@ -89,7 +97,7 @@ def tau(c: Clutter) -> int:
 
 def nu(c: Clutter) -> int:
     """Maximum number of pairwise disjoint edges, exact branch and bound."""
-    masks = c.edge_masks()
+    masks = c.masks
     best = 0
 
     def search(idx: int, used: int, count: int):
@@ -139,7 +147,7 @@ def _greedy_matching_size(masks: list[int]) -> int:
 def minimal_covers(c: Clutter) -> tuple[tuple[int, ...], ...]:
     """All inclusion-minimal vertex covers via sequential transversal growth."""
     partial: list[int] = [0]
-    for e in c.edge_masks():
+    for e in c.masks:
         nxt: list[int] = []
         for t in partial:
             if t & e:
@@ -164,7 +172,7 @@ def has_packing(c: Clutter) -> bool:
     vertex ids, and each distinct one is checked once. Unit minors are
     skipped, since every minor of a unit clutter is unit again.
     """
-    start = tuple(sorted(c.edge_masks()))
+    start = tuple(sorted(c.masks))
     seen = {start}
     stack = [start]
     while stack:

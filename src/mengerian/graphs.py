@@ -34,9 +34,6 @@ class Graph:
     def m(self) -> int:
         return len(self.edges)
 
-    def has_edge(self, u: int, v: int) -> bool:
-        return (min(u, v), max(u, v)) in self.edges
-
     def degree(self, v: int) -> int:
         return sum(1 for e in self.edges if v in e)
 
@@ -47,11 +44,12 @@ def graph(n: int, edges: Iterable[Sequence[int]]) -> Graph:
     return Graph(n, norm)
 
 
-def adjacency(g: Graph) -> list[set[int]]:
-    adj: list[set[int]] = [set() for _ in range(g.n)]
+def adjacency(g: Graph) -> list[int]:
+    """Neighbour bitmasks: bit w of adj[v] is the edge vw."""
+    adj = [0] * g.n
     for u, v in g.edges:
-        adj[u].add(v)
-        adj[v].add(u)
+        adj[u] |= 1 << v
+        adj[v] |= 1 << u
     return adj
 
 
@@ -64,15 +62,11 @@ def relabel(g: Graph, perm: Sequence[int]) -> Graph:
 
 def is_connected(g: Graph) -> bool:
     """True iff g has a single connected component (one vertex counts)."""
-    adj = [0] * g.n
-    for u, v in g.edges:
-        adj[u] |= 1 << v
-        adj[v] |= 1 << u
-    return masks_connected(adj)
+    return masks_connected(adjacency(g))
 
 
 def masks_connected(adj: list[int]) -> bool:
-    """The same test on neighbour bitmasks: bit w of adj[v] is the edge vw."""
+    """The same test on the neighbour bitmasks of ``adjacency``."""
     seen = frontier = 1
     while frontier:
         reach = 0
@@ -209,6 +203,35 @@ def to_dot(g: Graph, values: Optional[Sequence] = None, name: str = "G") -> str:
 # ---------------------------------------------------------------------------
 # standard families
 
+# name: (parameter count, None for any; least parameter; its range error; vertex count)
+_FAMILIES = {
+    "path": (1, 1, "path needs k >= 1", lambda k: k),
+    "cycle": (1, 3, "cycle needs k >= 3", lambda k: k),
+    "star": (1, 1, "star needs at least one leaf", lambda k: k + 1),
+    "double_star": (2, 1, "double_star needs positive leaf counts", lambda p, q: p + q + 2),
+    "spider": (None, 1, "spider needs positive leg lengths", lambda *legs: 1 + sum(legs)),
+    "star_plus_edge": (1, 2, "star_plus_edge needs at least two leaves", lambda k: k + 1),
+    "complete": (1, 1, "complete needs k >= 1", lambda k: k),
+}
+
+
+def family_order(name: str, params: Sequence[int]) -> int:
+    """The vertex count of a family member, after checking its parameters.
+
+    Raises the same ValueError as make_family, so a caller can apply a
+    vertex cap before any graph is built.
+    """
+    if name not in _FAMILIES:
+        raise ValueError(f"unknown family {name!r}")
+    arity, least, error, order = _FAMILIES[name]
+    if arity is not None and len(params) != arity:
+        raise ValueError(f"{name} takes {arity} parameter{'s' * (arity > 1)}, "
+                         f"got {len(params)}")
+    if not params or min(params) < least:
+        raise ValueError(error)
+    return order(*params)
+
+
 def make_family(name: str, params: Sequence[int]) -> Graph:
     """Construct a named family member with its documented numbering.
 
@@ -221,86 +244,54 @@ def make_family(name: str, params: Sequence[int]) -> Graph:
     complete k   all pairs
     """
     params = list(params)
-    arity = {"path": 1, "cycle": 1, "star": 1, "double_star": 2, "star_plus_edge": 1,
-             "complete": 1}.get(name)
-    if arity is not None and len(params) != arity:
-        raise ValueError(f"{name} takes {arity} parameter{'s' * (arity > 1)}, "
-                         f"got {len(params)}")
+    n = family_order(name, params)
     if name == "path":
-        (k,) = params
-        if k < 1:
-            raise ValueError("path needs k >= 1")
-        return graph(k, ((i, i + 1) for i in range(k - 1)))
+        return graph(n, ((i, i + 1) for i in range(n - 1)))
     if name == "cycle":
-        (k,) = params
-        if k < 3:
-            raise ValueError("cycle needs k >= 3")
-        return graph(k, ((i, (i + 1) % k) for i in range(k)))
+        return graph(n, ((i, (i + 1) % n) for i in range(n)))
     if name == "star":
-        (k,) = params
-        if k < 1:
-            raise ValueError("star needs at least one leaf")
-        return graph(k + 1, ((0, i) for i in range(1, k + 1)))
+        return graph(n, ((0, i) for i in range(1, n)))
     if name == "double_star":
         p, q = params
-        if p < 1 or q < 1:
-            raise ValueError("double_star needs positive leaf counts")
         edges = [(0, 1)]
         edges += [(0, 2 + i) for i in range(p)]
         edges += [(1, 2 + p + i) for i in range(q)]
-        return graph(p + q + 2, edges)
+        return graph(n, edges)
     if name == "spider":
-        legs = params
-        if not legs or any(l < 1 for l in legs):
-            raise ValueError("spider needs positive leg lengths")
         edges = []
         nxt = 1
-        for leg in legs:
+        for leg in params:
             prev = 0
             for _ in range(leg):
                 edges.append((prev, nxt))
                 prev = nxt
                 nxt += 1
-        return graph(nxt, edges)
+        return graph(n, edges)
     if name == "star_plus_edge":
-        (k,) = params
-        if k < 2:
-            raise ValueError("star_plus_edge needs at least two leaves")
-        edges = [(0, i) for i in range(1, k + 1)] + [(1, 2)]
-        return graph(k + 1, edges)
-    if name == "complete":
-        (k,) = params
-        if k < 1:
-            raise ValueError("complete needs k >= 1")
-        return graph(k, combinations(range(k), 2))
-    raise ValueError(f"unknown family {name!r}")
+        return graph(n, [(0, i) for i in range(1, n)] + [(1, 2)])
+    return graph(n, combinations(range(n), 2))
 
 
 # ---------------------------------------------------------------------------
 # path hypergraphs
 
-def path_vertex_sets(g: Graph, t: int) -> set[frozenset[int]]:
-    """Vertex sets of all simple paths with exactly t edges."""
+def path_vertex_sets(g: Graph, t: int) -> set[int]:
+    """Vertex bitmasks of all simple paths with exactly t edges.
+
+    Depth-first on an explicit stack of (used vertices, end vertex, edges
+    left) states, extending each path at its end by an unused neighbour.
+    """
     if t < 1:
         raise ValueError("path length t must be >= 1")
     adj = adjacency(g)
-    found: set[frozenset[int]] = set()
-    path: list[int] = []
-
-    def extend(v: int, visited: set[int]):
-        path.append(v)
-        visited.add(v)
-        if len(path) == t + 1:
-            found.add(frozenset(path))
+    found: set[int] = set()
+    stack = [(1 << v, v, t) for v in range(g.n)]
+    while stack:
+        used, v, left = stack.pop()
+        if left:
+            stack.extend((used | 1 << w, w, left - 1) for w in _bits(adj[v] & ~used))
         else:
-            for w in adj[v]:
-                if w not in visited:
-                    extend(w, visited)
-        visited.discard(v)
-        path.pop()
-
-    for v in range(g.n):
-        extend(v, set())
+            found.add(used)
     return found
 
 
@@ -310,4 +301,4 @@ def build_path_hypergraph(g: Graph, t: int = 3) -> Clutter:
     The vertex set is all of V(g); graphs with no t-edge path give the
     empty clutter, which downstream checks treat as vacuously Mengerian.
     """
-    return Clutter(g.n, tuple(path_vertex_sets(g, t)))
+    return Clutter(g.n, tuple(tuple(_bits(s)) for s in path_vertex_sets(g, t)))

@@ -19,17 +19,13 @@ from dataclasses import dataclass
 from itertools import product
 from typing import Iterable, Iterator, Optional, Sequence
 
-from .clutters import Clutter, minimal_covers
+from .clutters import Clutter, _row, minimal_covers
 
 Monomial = tuple[int, ...]
 
 
 def divides(a: Monomial, b: Monomial) -> bool:
     return all(x <= y for x, y in zip(a, b))
-
-
-def total_degree(a: Monomial) -> int:
-    return sum(a)
 
 
 def format_monomial(a: Monomial) -> str:
@@ -44,11 +40,11 @@ def format_monomial(a: Monomial) -> str:
 
 def minimalize_generators(gens: Iterable[Monomial]) -> tuple[Monomial, ...]:
     """Unique minimal generating set: drop every multiple of another generator."""
-    uniq = sorted(set(gens), key=lambda g: (total_degree(g), g))
+    uniq = sorted(set(gens), key=lambda g: (sum(g), g))
     kept: list[Monomial] = []
     for g in uniq:
-        dg = total_degree(g)
-        if not any(divides(h, g) for h in kept if total_degree(h) < dg):
+        dg = sum(g)
+        if not any(divides(h, g) for h in kept if sum(h) < dg):
             kept.append(g)
     return tuple(sorted(kept))
 
@@ -71,20 +67,13 @@ class MonomialIdeal:
             raise ValueError("generators are not a minimal generating set")
 
     @property
-    def mu(self) -> int:
-        return len(self.gens)
-
-    @property
     def is_zero(self) -> bool:
         return not self.gens
-
-    def contains(self, m: Monomial) -> bool:
-        return any(divides(g, m) for g in self.gens)
 
 
 def edge_ideal(c: Clutter) -> MonomialIdeal:
     """Square-free generator per hyperedge; the empty clutter gives (0)."""
-    gens = [tuple(1 if v in e else 0 for v in range(c.n)) for e in c.edges]
+    gens = [tuple(_row(e, range(c.n))) for e in c.masks]
     return MonomialIdeal(c.n, tuple(sorted(gens)))
 
 
@@ -157,10 +146,10 @@ def member_of_power(m: Monomial, I: MonomialIdeal, k: int) -> bool:
     if len(m) != I.n:
         raise ValueError("monomial arity mismatch")
     gens = I.gens
-    min_deg = min(total_degree(g) for g in gens)
+    min_deg = min(sum(g) for g in gens)
 
     def children(rem: Monomial, depth: int) -> Iterator[tuple[Monomial, int]]:
-        if total_degree(rem) >= depth * min_deg:
+        if sum(rem) >= depth * min_deg:
             for g in gens:
                 if divides(g, rem):
                     yield tuple(r - x for r, x in zip(rem, g)), depth - 1

@@ -27,7 +27,7 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Iterator, Optional, Sequence
 
-from .clutters import Clutter, _bits, _mask, _popcount
+from .clutters import Clutter, _bits, _mask, _popcount, _row
 
 
 def _echelon(a: list[list[int]], ncols: int) -> tuple[int, int]:
@@ -126,7 +126,7 @@ def is_totally_unimodular(c: Clutter) -> TUResult:
     module global, so ``perfbench/spans.py`` can count subdeterminants by
     wrapping it.
     """
-    masks = c.edge_masks()
+    masks = c.masks
     for k in range(2, min(c.m, c.n) + 1):
         for rset in combinations(range(c.m), k):
             chosen = [masks[i] for i in rset]
@@ -140,7 +140,7 @@ def is_totally_unimodular(c: Clutter) -> TUResult:
                 cmask = _mask(cset)
                 if any(_popcount(e & cmask) < 2 for e in chosen):
                     continue
-                d = bareiss_det([[e >> j & 1 for j in cset] for e in chosen])
+                d = bareiss_det([_row(e, cset) for e in chosen])
                 if d not in (-1, 0, 1):
                     return TUResult(False, TUWitness(rset, cset, d))
     return TUResult(True, None)
@@ -203,7 +203,6 @@ def enumerate_covering_vertices(c: Clutter) -> Iterator[PolyhedronVertex]:
     pin more coordinates to zero are visited first, so sparse vertices
     surface early.
     """
-    masks = c.edge_masks()
     m, n = c.m, c.n
     seen: set[tuple[Fraction, ...]] = set()
     for zeros in range(n, -1, -1):
@@ -213,7 +212,7 @@ def enumerate_covering_vertices(c: Clutter) -> Iterator[PolyhedronVertex]:
         for zset in combinations(range(n), zeros):
             zs = set(zset)
             live = [j for j in range(n) if j not in zs]
-            reduced = [[e >> j & 1 for j in live] for e in masks]
+            reduced = [_row(e, live) for e in c.masks]
             for tset in combinations(range(m), size):
                 sol = _solve_unit_rhs([reduced[i] for i in tset]) if size else []
                 if sol is None:
@@ -252,11 +251,7 @@ def verify_vertex(c: Clutter, coords: Sequence) -> VertexCheck:
         raise ValueError("coordinate count does not match column count")
     feasible = all(x >= 0 for x in pt) and all(s >= 1 for s in _row_sums(c, pt))
     tight = tight_constraints(c, pt) if feasible else ()
-    masks = c.edge_masks()
-    tight_mat = []
-    for idx in tight:
-        row = masks[idx] if idx < c.m else 1 << (idx - c.m)
-        tight_mat.append([row >> j & 1 for j in range(c.n)])
+    tight_mat = [_row(c.masks[i] if i < c.m else 1 << (i - c.m), range(c.n)) for i in tight]
     rk = _echelon(tight_mat, c.n)[0]
     return VertexCheck(
         feasible=feasible,
@@ -274,7 +269,7 @@ def _pattern_vertices(c: Clutter) -> Optional[PolyhedronVertex]:
     certificate arising from odd cover structures. Purely an accelerator:
     hits are verified exactly and misses fall back to full enumeration.
     """
-    masks = c.edge_masks()
+    masks = c.masks
     n = c.n
     for s in range(2, n + 1):
         for q in range(2, s + 1):
@@ -283,12 +278,14 @@ def _pattern_vertices(c: Clutter) -> Optional[PolyhedronVertex]:
                 weights = [_popcount(e & smask) for e in masks]
                 if any(w < q for w in weights):
                     continue
-                reduced = [[e >> j & 1 for j in S] for e, w in zip(masks, weights) if w == q]
-                if _echelon(reduced, s)[0] != s:
+                # tight: the rows with weight q, then the zero coordinates off S
+                tight = [i for i, w in enumerate(weights) if w == q]
+                if _echelon([_row(masks[i], S) for i in tight], s)[0] != s:
                     continue
                 coords = tuple(Fraction(1, q) if smask >> j & 1 else Fraction(0)
                                for j in range(n))
-                return PolyhedronVertex(coords, tight_constraints(c, coords))
+                tight += [c.m + j for j in range(n) if not smask >> j & 1]
+                return PolyhedronVertex(coords, tuple(tight))
     return None
 
 
@@ -328,13 +325,12 @@ def vertex_tu_witness(c: Clutter, vertex: PolyhedronVertex) -> TUResult:
     be the first one the exhaustive scan would find.
     """
     cols = tuple(j for j, x in enumerate(vertex.coords) if x)
-    masks = c.edge_masks()
     rows: list[int] = []
     block: list[list[int]] = []
     for i in vertex.tight_rows:
         if i >= c.m or len(rows) == len(cols):
             break
-        trial = block + [[masks[i] >> j & 1 for j in cols]]
+        trial = block + [_row(c.masks[i], cols)]
         if _echelon([r[:] for r in trial], len(cols))[0] == len(trial):
             rows.append(i)
             block = trial

@@ -25,6 +25,17 @@ def path_hypergraph_edges(n, edges, t):
     return sorted(s for s in combinations(range(n), t + 1) if spans_path(s, es))
 
 
+def star_plus_edge_scan(n, edges):
+    """Is the edge set {c-x : x != c} | {a-b} for some center c and leaves a, b?"""
+    es = {(min(u, v), max(u, v)) for u, v in edges}
+    for c in range(n):
+        leaves = [x for x in range(n) if x != c]
+        star = {(min(c, x), max(c, x)) for x in leaves}
+        if any(es == star | {pair} for pair in combinations(leaves, 2)):
+            return True
+    return False
+
+
 def tau_scan(n, edge_sets):
     """Minimum cover size by scanning subsets in increasing size."""
     if not edge_sets:

@@ -60,7 +60,7 @@ def test_criterion_1_c8_fixture():
     start = time.time()
     c = H3("cycle", 8)
     J = edge_ideal(c)
-    assert J.mu == 8
+    assert len(J.gens) == 8
 
     published_covers = sorted(
         [tuple(sorted(x - 1 for x in t)) for t in

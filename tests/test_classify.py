@@ -1,6 +1,7 @@
 import json
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
@@ -18,6 +19,9 @@ from mengerian.classify import (
     verify_report_dict,
 )
 from mengerian.graphs import build_path_hypergraph, make_family, parse_edge_list, relabel
+from mengerian.survey import enumerate_connected
+
+import oracles
 
 
 PRO3_TREE = "1 2\n2 3\n3 4\n4 5\n3 6"
@@ -49,6 +53,16 @@ def test_star_plus_edge_predicate():
     assert not is_star_plus_edge(make_family("cycle", [4]))
     assert not is_star_plus_edge(make_family("complete", [4]))
     assert not is_star_plus_edge(make_family("star", [4]))
+    # every labelled graph with n <= 5 and every connected class with n <= 7
+    corpus = []
+    for n in range(1, 6):
+        pairs = list(combinations(range(n), 2))
+        corpus += [graphs.graph(n, [p for i, p in enumerate(pairs) if mask >> i & 1])
+                   for mask in range(1 << len(pairs))]
+    corpus += [g for n in range(1, 8) for g in enumerate_connected(n)]
+    got = [is_star_plus_edge(g) for g in corpus]
+    assert got == [oracles.star_plus_edge_scan(g.n, g.edges) for g in corpus]
+    assert sum(got) > 20
 
 
 # --- classifier -------------------------------------------------------------------

@@ -7,7 +7,7 @@ import time
 
 import pytest
 
-from mengerian import classify
+from mengerian import classify, graphs
 from mengerian.cli import main
 from mengerian.clutters import Clutter
 
@@ -215,6 +215,24 @@ def test_deterministic_output():
 def test_cap_exceeded_exit():
     code, _, err = run_cli(["--max-n", "5", "decide", "--family", "cycle:8"])
     assert code == 1 and "cap" in err
+
+
+def test_family_cap_applies_before_the_build(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the family member was built")
+
+    monkeypatch.setattr(graphs, "make_family", refuse)
+    code, out, err = run_cli(["decide", "--family", "complete:1500"])
+    assert (code, out) == (1, "")
+    assert err == "resource cap exceeded: n=1500 exceeds the vertex cap 12\n"
+
+
+def test_classify_respects_vertex_cap():
+    code, out, err = run_cli(["classify", "--family", "path:40"])
+    assert (code, out) == (1, "")
+    assert err == "resource cap exceeded: n=40 exceeds the vertex cap 12\n"
+    code, out, err = run_cli(["--max-n", "40", "classify", "--family", "path:40"])
+    assert (code, out, err) == (0, "PATH_WITH_DOUBLE_STARS: mengerian=True\n", "")
 
 
 def test_check_ntf_respects_power_cap():

@@ -47,8 +47,24 @@ def h3p5():
 # --- construction and minimalization ----------------------------------------
 
 def test_antichain_enforced():
-    with pytest.raises(ValueError, match="antichain"):
+    with pytest.raises(ValueError) as err:
         Clutter(3, ((0, 1), (0, 1, 2)))
+    assert str(err.value) == "not an antichain: (0, 1) is contained in (0, 1, 2)"
+
+
+def test_masks_are_the_edge_bitmasks():
+    rng = random.Random(7)
+    for _ in range(40):
+        c = random_clutter(rng, rng.randint(1, 8))
+        assert len(c.masks) == c.m
+        for e, mask in zip(c.edges, c.masks):
+            assert mask == sum(1 << v for v in e)
+    # masks is derived: equality and hashing read n and edges only
+    a = Clutter(4, ((0, 1), (2, 3)))
+    b = Clutter(4, ((2, 3), (1, 0)))
+    object.__setattr__(b, "masks", ())
+    assert a == b and hash(a) == hash(b)
+    assert "masks" not in repr(a)
 
 
 # _minimal_masks is the antichain step of contraction in the packing walk
@@ -63,7 +79,7 @@ def test_minimalize_empty_edge_gives_unit():
 
 
 def test_minimalize_h3c8_unchanged(h3c8):
-    assert sorted(_minimal_masks(h3c8.edge_masks())) == sorted(h3c8.edge_masks())
+    assert sorted(_minimal_masks(h3c8.masks)) == sorted(h3c8.masks)
 
 
 def test_unit_clutter_rejected_by_most_ops():

@@ -119,7 +119,7 @@ def test_family_shapes():
     spider = make_family("spider", [2, 1, 1])
     assert spider.n == 5 and spider.degree(0) == 3
     spe = make_family("star_plus_edge", [4])
-    assert spe.n == 5 and spe.m == 5 and spe.has_edge(1, 2)
+    assert spe.n == 5 and spe.m == 5 and (1, 2) in spe.edges
     k4 = make_family("complete", [4])
     assert k4.m == 6
 
@@ -162,14 +162,15 @@ def test_h3_c5_every_four_subset():
     assert H.m == 5  # each 4-subset of a 5-cycle spans a path
 
 
-def test_h3_matches_ordering_oracle_random():
+@pytest.mark.parametrize("t", [1, 2, 3, 4])
+def test_h3_matches_ordering_oracle_random(t):
     rng = random.Random(11)
     for _ in range(25):
         n = rng.randint(4, 7)
         pairs = list(combinations(range(n), 2))
         g = graphs.graph(n, [p for p in pairs if rng.random() < 0.5])
-        H = build_path_hypergraph(g)
-        assert list(H.edges) == path_hypergraph_edges(n, g.edges, 3)
+        H = build_path_hypergraph(g, t)
+        assert list(H.edges) == path_hypergraph_edges(n, g.edges, t)
 
 
 def test_h_t_uniformity_and_small_cases():

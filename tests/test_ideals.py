@@ -6,6 +6,7 @@ from mengerian.clutters import Clutter, minimal_covers
 from mengerian.graphs import build_path_hypergraph, make_family, parse_edge_list
 from mengerian.ideals import (
     MonomialIdeal,
+    divides,
     edge_ideal,
     format_monomial,
     is_normally_torsion_free,
@@ -62,7 +63,7 @@ def corpus():
 
 def test_edge_ideal_c8(h3c8):
     J = edge_ideal(h3c8)
-    assert J.mu == 8
+    assert len(J.gens) == 8
     assert (1, 1, 1, 1, 0, 0, 0, 0) in J.gens
     assert all(sum(g) == 4 for g in J.gens)
 
@@ -118,6 +119,10 @@ def test_intersect_fixtures():
         (1, 1, 0, 0, 0, 0), (1, 0, 0, 0, 0, 1), (0, 1, 0, 0, 1, 0), (0, 0, 0, 0, 1, 1)}
 
 
+def contains(I, m):
+    return any(divides(g, m) for g in I.gens)
+
+
 def test_intersect_membership_oracle():
     rng = random.Random(59)
     for _ in range(20):
@@ -127,9 +132,9 @@ def test_intersect_membership_oracle():
         K = ideal(n, oracles.intersect(I.gens, J.gens))
         assert K.gens == oracles.intersect(I.gens, J.gens)
         for g in K.gens:
-            assert I.contains(g) and J.contains(g)
+            assert contains(I, g) and contains(J, g)
         for g in list(I.gens) + list(J.gens):
-            assert K.contains(g) == (I.contains(g) and J.contains(g))
+            assert contains(K, g) == (contains(I, g) and contains(J, g))
 
 
 # --- symbolic powers ----------------------------------------------------------------

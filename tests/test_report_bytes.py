@@ -44,6 +44,27 @@ PINNED = [
      "dc4b10fd579a3ba0d2ba0fe6daef8c2563a36c2363fcfb2aa0549f768c0a903e"),
     (["survey", "--max-n", "5", "--csv"],
      "d2765aebeecc3a81fe32b851f72b3ae1d81bc84b1a044350aa1dc436dcf88933"),
+    (["--t", "2", "hypergraph", "--format", "json", "--family", "cycle:8"],
+     "8425cf1fef0b9379f00debf327c68b399f8027f0d01477ef5495979fb9dd7db2"),
+    (["--t", "3", "hypergraph", "--format", "json", "--family", "cycle:8"],
+     "daf1eb100957ac28f00488f5d0b2203280393b7ed89b0df95a0c1a67e6add300"),
+    (["--t", "4", "hypergraph", "--format", "json", "--family", "cycle:8"],
+     "22712cbd8dbc9acab8b9a319e3528d66cee56f6593a162d57ace3fb7ffd8c604"),
+    (["--t", "2", "hypergraph", "--format", "json", "--family", "complete:6"],
+     "f76af2d37a6cb16f0661a53cd77e5b200ea26fe2f446de8c77dfee995950eb92"),
+    (["--t", "3", "hypergraph", "--format", "json", "--family", "complete:6"],
+     "d84f7b7dfd96f82b441fb817a1a0e227d9b80513660f80d1366e886ef9915218"),
+    (["--t", "4", "hypergraph", "--format", "json", "--family", "complete:6"],
+     "de444148ded45688a563925e8f88a97232f402cadf47c1fc465ef05d39c1bb54"),
+    # the pre-pass vertices of these three carry their tight_rows
+    (["check", "ideal", "--family", "cycle:5"],
+     "d011ddddd72eba5668ac691213c03e5b119a60dcc4655e66adefbba5d9a42ea6"),
+    (["check", "ideal", "--family", "cycle:7"],
+     "1afa7ca5b7bbd994e834e39edad2ffe0a6fa65c2ac683f72c96cde61ef2d9326"),
+    (["check", "ideal", "--family", "complete:5"],
+     "d011ddddd72eba5668ac691213c03e5b119a60dcc4655e66adefbba5d9a42ea6"),
+    (["classify", "--format", "json", "--family", "cycle:8"],
+     "14ef1897785e45a0f94a75ca817055ec55627c803c4e684c5a384df905b2e89c"),
 ]
 
 
