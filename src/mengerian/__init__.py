@@ -27,15 +27,12 @@ from .graphs import (
     to_graph6,
 )
 from .ideals import (
-    MengerianProbe,
     MonomialIdeal,
     NtfResult,
     cover_degree,
     edge_ideal,
     is_normally_torsion_free,
     member_of_power,
-    mengerian_bounded,
-    packing_number,
     powers_equal,
     symbolic_power,
 )

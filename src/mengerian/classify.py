@@ -115,16 +115,6 @@ def check_power_cap(c: Clutter, caps: Caps) -> None:
             f"power-equality bound {bound} exceeds the cap {caps.max_power_k}")
 
 
-MFMC_SCAN_CAP = 3 ** 12
-
-
-def check_mfmc_cap(c: Clutter, cmax: int) -> None:
-    """Refuse an mfmc-probe scan over more than 3^12 cost vectors (--cmax 2 at n=12)."""
-    if cmax >= 1 and (cmax + 1) ** c.n > MFMC_SCAN_CAP:
-        raise CapExceeded(f"mfmc scan of {cmax + 1}^{c.n} cost vectors exceeds "
-                          f"the cap 3^12 = {MFMC_SCAN_CAP}")
-
-
 @dataclass
 class DecisionReport:
     """Full pipeline verdict with method trace and certificates."""
@@ -305,21 +295,13 @@ def _checks(d: dict) -> dict:
     return _section(d, "checks") if "checks" in d else d
 
 
-def check_report_caps(d: dict, caps: Caps, cmax: int) -> None:
-    """Refuse a report whose hypergraph, power violation or mfmc cost exceeds the caps.
-
-    cmax bounds each entry of an mfmc-probe cost, as it does for check mfmc-probe.
-    """
+def check_report_caps(d: dict, caps: Caps) -> None:
+    """Refuse a report whose hypergraph or power violation exceeds the caps."""
     c = report_hypergraph(d)
     check_caps(caps, c.n, c.m)
     k = _section(_section(_checks(d), "ntf"), "violation").get("k")
     if type(k) is int and k > caps.max_power_k:
         raise CapExceeded(f"power violation k={k} exceeds the cap {caps.max_power_k}")
-    cost = _section(d, "mfmc_probe").get("cost")
-    if isinstance(cost, list):
-        big = [x for x in cost if type(x) is int and x > cmax]
-        if big:
-            raise CapExceeded(f"mfmc cost entry {max(big)} exceeds the cost bound {cmax}")
 
 
 def _rational(s, what: str) -> Fraction:
@@ -345,7 +327,7 @@ def _indices(values, top: int) -> Optional[list[int]]:
 
 
 def _exponents(values, n: int) -> Optional[ideals.Monomial]:
-    """An exponent or cost vector of n nonnegative integers, else None."""
+    """An exponent vector of n nonnegative integers, else None."""
     if isinstance(values, list) and len(values) == n and all(
             type(e) is int and e >= 0 for e in values):
         return tuple(values)
@@ -372,9 +354,12 @@ def verify_report_dict(d: dict) -> list[tuple[str, bool, str]]:
     report carried nothing verifiable (positive verdicts have no compact
     witness). A report that names its graph must carry H_t of that graph,
     and a certificate is valid only when the report sets every verdict it
-    refutes to false. Malformed input raises ValueError.
+    refutes to false. Malformed input raises ValueError, as does a report of
+    the retired bounded min-max probe.
     """
     c = report_hypergraph(d)
+    if "mfmc_probe" in d:
+        raise ValueError("report key 'mfmc_probe' is retired; check ntf gives the exact verdict")
     out: list[tuple[str, bool, str]] = []
     if "graph" in d:
         g, t = _report_graph(d)
@@ -432,17 +417,5 @@ def verify_report_dict(d: dict) -> list[tuple[str, bool, str]]:
             ok, msg = False, f"k must be a positive integer and exponents {c.n} nonnegative integers"
         out.append(_refuting("power_violation", ok, msg,
                              ntf=ntf.get("value"), mengerian=mengerian))
-
-    probe = _section(d, "mfmc_probe")
-    if probe.get("refuted"):
-        cost = _exponents(probe.get("cost"), c.n)
-        ok, msg = False, f"cost must be {c.n} nonnegative integers"
-        if cost is not None:
-            wc = ideals.cover_degree(cost, clutters.minimal_covers(c))
-            mp = ideals.packing_number(cost, ideals.edge_ideal(c))
-            ok = (_is_int(probe.get("cover_min"), wc) and _is_int(probe.get("packing_max"), mp)
-                  and mp < wc)
-            msg = f"cover_min={wc} packing_max={mp}"
-        out.append(_refuting("mfmc_gap", ok, msg, holds=d.get("holds")))
 
     return out

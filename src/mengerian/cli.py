@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import warnings
 from typing import Optional
 
 from . import classify, clutters, graphs, ideals, linalg, survey
@@ -30,11 +31,11 @@ def _add_input_args(p: argparse.ArgumentParser) -> None:
 def _load_graph(args) -> graphs.Graph:
     sources = [s for s in ("family", "file", "edges", "graph6") if getattr(args, s, None)]
     if len(sources) != 1:
-        raise SystemExit("exactly one of --family/--file/--edges/--graph6 is required")
+        raise ValueError("exactly one of --family/--file/--edges/--graph6 is required")
     if args.family:
         name, _, rest = args.family.partition(":")
         if not rest:
-            raise SystemExit("family descriptor must look like name:params, e.g. cycle:8")
+            raise ValueError("family descriptor must look like name:params, e.g. cycle:8")
         try:
             params = [int(tok) for tok in rest.split(",")]
         except ValueError:
@@ -77,11 +78,10 @@ def build_parser() -> argparse.ArgumentParser:
     ph.add_argument("--format", choices=("text", "json", "dot"), default="text")
 
     pc = sub.add_parser("check", help="run a single property check")
-    pc.add_argument("property", choices=("tu", "ideal", "konig", "packing", "ntf", "mfmc-probe"))
+    pc.add_argument("property", choices=("tu", "ideal", "konig", "packing", "ntf"))
     _add_input_args(pc)
     pc.add_argument("--assert", dest="assert_mode", action="store_true",
                     help="exit 2 when the property is refuted")
-    pc.add_argument("--cmax", type=int, default=2, help="cost bound for mfmc-probe")
     pc.add_argument("--format", choices=("text", "json", "dot"), default="json",
                     help="dot renders the graph; for a refuted ideal check the "
                          "vertices carry the fractional certificate values")
@@ -105,8 +105,6 @@ def build_parser() -> argparse.ArgumentParser:
     pv = sub.add_parser("verify-certificate", help="re-validate certificates in a report")
     pv.add_argument("report", nargs="?", default="-",
                     help="DecisionReport JSON file (default: stdin)")
-    pv.add_argument("--cmax", type=int, default=2,
-                    help="cost bound for a replayed mfmc-probe gap")
     return p
 
 
@@ -130,7 +128,6 @@ def _cmd_check(args) -> int:
     prop = args.property
     payload: dict = {"schema": 1, "t": args.t, "property": prop,
                      "hypergraph": clutters.to_json_dict(c)}
-    holds: Optional[bool] = None
     if prop == "tu":
         res = linalg.is_totally_unimodular(c)
         holds = res.totally_unimodular
@@ -145,26 +142,11 @@ def _cmd_check(args) -> int:
     elif prop == "packing":
         holds = clutters.has_packing(c)
         payload["packing"] = {"value": holds}
-    elif prop == "ntf":
+    else:  # ntf
         classify.check_power_cap(c, _caps(args))
         res = ideals.is_normally_torsion_free(c)
         holds = res.normally_torsion_free
         payload["ntf"] = classify.ntf_json(res, certificates=True)
-    else:  # mfmc-probe
-        if c.is_empty:
-            probe = ideals.MengerianProbe(False)
-        else:
-            classify.check_mfmc_cap(c, args.cmax)
-            probe = ideals.mengerian_bounded(c, args.cmax)
-        holds = not probe.refuted
-        payload["mfmc_probe"] = {
-            "refuted": probe.refuted,
-            "cmax": args.cmax,
-            "cost": None if probe.cost is None else list(probe.cost),
-            "cover_min": probe.cover_min,
-            "packing_max": probe.packing_max,
-        }
-        payload["note"] = "UNDECIDED means no gap up to cmax; it is not a proof"
     payload["holds"] = holds
     if args.format == "json":
         _emit_json(payload)
@@ -214,7 +196,7 @@ def _cmd_verify(args) -> int:
     else:
         with open(args.report, "r", encoding="utf-8") as fh:
             data = json.load(fh)
-    classify.check_report_caps(data, _caps(args), args.cmax)
+    classify.check_report_caps(data, _caps(args))
     results = classify.verify_report_dict(data)
     for name, ok, msg in results:
         print(f"{name}: {'valid' if ok else 'INVALID'} ({msg})")
@@ -223,24 +205,32 @@ def _cmd_verify(args) -> int:
     return 0 if all(ok for _, ok, _ in results) else 2
 
 
+def _show_warning(message, *_args, **_kwargs) -> None:
+    print(f"warning: {message}", file=sys.stderr)
+
+
 def main(argv: Optional[list[str]] = None) -> int:
     args = build_parser().parse_args(argv)
-    try:
-        handler = {
-            "hypergraph": _cmd_hypergraph,
-            "check": _cmd_check,
-            "decide": _cmd_decide,
-            "classify": _cmd_classify,
-            "survey": _cmd_survey,
-            "verify-certificate": _cmd_verify,
-        }[args.command]
-        return handler(args)
-    except classify.CapExceeded as exc:
-        print(f"resource cap exceeded: {exc}", file=sys.stderr)
-        return 1
-    except (ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    handler = {
+        "hypergraph": _cmd_hypergraph,
+        "check": _cmd_check,
+        "decide": _cmd_decide,
+        "classify": _cmd_classify,
+        "survey": _cmd_survey,
+        "verify-certificate": _cmd_verify,
+    }[args.command]
+    with warnings.catch_warnings():
+        # a library warning, such as a duplicate edge, is one stderr line
+        warnings.simplefilter("always", UserWarning)
+        warnings.showwarning = _show_warning
+        try:
+            return handler(args)
+        except classify.CapExceeded as exc:
+            print(f"resource cap exceeded: {exc}", file=sys.stderr)
+            return 1
+        except (ValueError, OSError) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 1
 
 
 if __name__ == "__main__":

@@ -7,16 +7,15 @@ them against the defining intersection of powers of minimal-cover primes.
 The headline operation decides I^k = I^(k) for k up to ceil(mu/2), which
 settles the normally-torsion-free question, and with it the Mengerian one,
 exactly: powers_equal returns the first generator of I^(k) outside I^k,
-or None, and a refuted NtfResult carries it for k = checked_k[-1]. Read on
-a cost vector, the same two membership tests give the weighted cover
-minimum and the integer packing maximum that the bounded min-max probe
-compares.
+or None, and a refuted NtfResult carries it for k = checked_k[-1]. That
+violation is also a gap in the min-max equation: on the cost vector of its
+exponents, cover_degree (the weighted cover minimum) reaches k, while fewer
+than k edges pack under it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .clutters import Clutter, _row, minimal_covers
@@ -168,14 +167,6 @@ def member_of_power(m: Monomial, I: MonomialIdeal, k: int) -> bool:
     return False
 
 
-def packing_number(a: Monomial, I: MonomialIdeal) -> int:
-    """Largest k with x^a in I^k: the most edges, with repetition, that fit under a."""
-    k = 0
-    while member_of_power(a, I, k + 1):
-        k += 1
-    return k
-
-
 def powers_equal(c: Clutter, k: int) -> Optional[Monomial]:
     """Decide I^k = I^(k): None when equal, else the first violating generator.
 
@@ -215,33 +206,3 @@ def is_normally_torsion_free(c: Clutter) -> NtfResult:
         if violation is not None:
             return NtfResult(False, mu, bound, tuple(range(2, k + 1)), violation)
     return NtfResult(True, mu, bound, tuple(range(2, bound + 1)))
-
-
-@dataclass(frozen=True)
-class MengerianProbe:
-    """Outcome of the bounded min-max scan: the first gap, if it found one.
-
-    refuted=False means only that no cost up to cmax has a gap; the exact
-    decision lives with the normally-torsion-free test.
-    """
-
-    refuted: bool
-    cost: Optional[tuple[int, ...]] = None
-    cover_min: Optional[int] = None
-    packing_max: Optional[int] = None
-
-
-def mengerian_bounded(c: Clutter, cmax: int) -> MengerianProbe:
-    """Scan all cost vectors in {0..cmax}^n for a min-max gap.
-
-    Cost a has a gap when x^a is in I^(k) but not in I^k, k = cover_degree(a) > 0.
-    """
-    if cmax < 1:
-        raise ValueError("cmax must be positive")
-    covers = minimal_covers(c)
-    I = edge_ideal(c)
-    for cost in product(range(cmax + 1), repeat=c.n):
-        k = cover_degree(cost, covers)
-        if k and not member_of_power(cost, I, k):
-            return MengerianProbe(True, cost, k, packing_number(cost, I))
-    return MengerianProbe(False)

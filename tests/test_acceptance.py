@@ -19,7 +19,7 @@ from mengerian.ideals import (
     cover_degree,
     edge_ideal,
     is_normally_torsion_free,
-    packing_number,
+    member_of_power,
     powers_equal,
     symbolic_power,
 )
@@ -227,15 +227,18 @@ def test_criterion_8_property_suites(survey6):
     start = time.time()
     rng = random.Random(20260808)
 
-    # weak duality on 500 random (clutter, cost) pairs
+    # weak duality on 500 random (clutter, cost) pairs: the oracle's packing
+    # maximum, and no k above the weighted cover minimum with x^cost in I^k
     pairs = 0
     while pairs < 500:
         n = rng.randint(2, 7)
         c = Clutter(n, oracles.random_clutter(rng, n))
         cost = tuple(rng.randint(0, 3) for _ in range(n))
-        mp = packing_number(cost, edge_ideal(c))
+        mp = oracles.packing_scan(c.edges, cost)
         wc = cover_degree(cost, minimal_covers(c))
         assert mp <= wc
+        if wc:
+            assert not member_of_power(cost, edge_ideal(c), wc + 1)
         if c.edges:
             assert clutters.nu(c) <= clutters.tau(c)
         pairs += 1

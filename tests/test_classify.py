@@ -270,6 +270,12 @@ def failed(results):
     return {name for name, ok, _ in results if not ok}
 
 
+def c5_ntf_dict():
+    c = build_path_hypergraph(make_family("cycle", [5]))
+    return {"hypergraph": clutters.to_json_dict(c),
+            "ntf": ntf_json(ideals.is_normally_torsion_free(c), certificates=True)}
+
+
 def test_verify_report_checks_graph():
     d = c5_report()
     assert verify_report_dict(d)[0] == ("hypergraph", True, "equals H_3 of the report's graph")
@@ -311,9 +317,7 @@ def test_verify_report_flipped_verdict(flip, refuted):
     lambda d: d.update(mengerian=True),
 ])
 def test_verify_report_flipped_ntf_verdict(flip):
-    c = build_path_hypergraph(make_family("cycle", [5]))
-    d = {"hypergraph": clutters.to_json_dict(c),
-         "ntf": ntf_json(ideals.is_normally_torsion_free(c), certificates=True)}
+    d = c5_ntf_dict()
     assert failed(verify_report_dict(d)) == set()
     flip(d)
     assert failed(verify_report_dict(d)) == {"power_violation"}
@@ -346,13 +350,6 @@ def test_verify_report_tight_rows_compared():
     assert not failed(verify_report_dict(d))
 
 
-def c5_probe_dict():
-    c = build_path_hypergraph(make_family("cycle", [5]))
-    return {"hypergraph": clutters.to_json_dict(c), "holds": False,
-            "mfmc_probe": {"refuted": True, "cost": [1] * 5,
-                           "cover_min": 2, "packing_max": 1}}
-
-
 def det_text(d):
     return d["checks"]["tu"]["witness"]["det"]
 
@@ -368,11 +365,11 @@ def det_text(d):
      "tu_witness"),
     (lambda d: d["checks"]["tu"]["witness"].update(det=f" {det_text(d)} "), "tu_witness"),
     (lambda d: d["checks"]["tu"]["witness"].update(det=int(det_text(d))), "tu_witness"),
-    (lambda d: d["mfmc_probe"].update(cover_min=2.0), "mfmc_gap"),
-    (lambda d: d["mfmc_probe"].update(packing_max=True), "mfmc_gap"),
+    (lambda d: d["ntf"]["violation"].update(k=2.0), "power_violation"),
+    (lambda d: d["ntf"]["violation"].update(k=True), "power_violation"),
 ])
 def test_verify_report_loose_number_types(edit, refuted):
-    d = c5_probe_dict() if refuted == "mfmc_gap" else c5_report()
+    d = c5_ntf_dict() if refuted == "power_violation" else c5_report()
     assert failed(verify_report_dict(d)) == set()
     edit(d)
     assert failed(verify_report_dict(d)) == {refuted}

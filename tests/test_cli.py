@@ -1,15 +1,16 @@
 import io
 import json
 import os
+import shlex
 import subprocess
 import sys
-import time
 
 import pytest
 
 from mengerian import classify, graphs
-from mengerian.cli import main
-from mengerian.clutters import Clutter
+from mengerian.cli import build_parser, main
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
 def run_cli(argv, stdin_text=None):
@@ -52,13 +53,14 @@ def test_check_konig_text():
     assert code == 0 and "holds" in out
 
 
-def test_check_mfmc_probe():
-    code, out, _ = run_cli(["check", "mfmc-probe", "--family", "cycle:5",
-                            "--cmax", "1", "--assert"])
-    assert code == 2
-    d = json.loads(out)
-    assert d["mfmc_probe"]["refuted"] is True
-    assert d["mfmc_probe"]["cost"] == [1, 1, 1, 1, 1]
+def test_check_mfmc_probe(capsys):
+    # the bounded probe and both its --cmax options are gone: argparse usage errors
+    for argv in (["check", "mfmc-probe", "--family", "cycle:5"],
+                 ["check", "ntf", "--family", "cycle:5", "--cmax", "1"],
+                 ["verify-certificate", "--cmax", "1", "-"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2 and capsys.readouterr().err.startswith("usage: mengerian")
 
 
 def test_classify_text():
@@ -183,8 +185,16 @@ def test_verify_certificate_without_hypergraph(report):
 
 
 def test_input_source_required():
-    with pytest.raises(SystemExit):
-        run_cli(["decide"])
+    # no input source, or two of them, is one error line like every other bad input
+    for argv in (["check", "konig"], ["decide", "--family", "cycle:5", "--graph6", "Dhc"]):
+        assert run_cli(argv) == (
+            1, "", "error: exactly one of --family/--file/--edges/--graph6 is required\n")
+
+
+def test_duplicate_edge_is_one_warning_line():
+    code, out, err = run_cli(["check", "konig", "--edges", "1 2\\n1 2\\n2 3\\n3 4"])
+    assert code == 0 and json.loads(out)["holds"] is True
+    assert err == "warning: line 2: duplicate edge 1 2 ignored\n"
 
 
 BAD_FAMILIES = [
@@ -192,6 +202,7 @@ BAD_FAMILIES = [
     ("cycle:5,6", "cycle takes 1 parameter, got 2"),
     ("double_star:1", "double_star takes 2 parameters, got 1"),
     ("cycle:abc", "cycle parameters must be integers, got 'abc'"),
+    ("cycle", "family descriptor must look like name:params, e.g. cycle:8"),
 ]
 
 
@@ -244,7 +255,7 @@ def test_check_ntf_respects_power_cap():
     assert code == 0 and json.loads(out)["ntf"]["checked_k"] == [2, 3, 4]
 
 
-@pytest.mark.parametrize("prop", ["tu", "ideal", "konig", "packing", "ntf", "mfmc-probe"])
+@pytest.mark.parametrize("prop", ["tu", "ideal", "konig", "packing", "ntf"])
 def test_check_respects_size_caps(prop):
     for caps in (["--max-n", "3"], ["--max-edges", "4"]):
         code, out, err = run_cli(caps + ["check", prop, "--family", "cycle:5"])
@@ -274,23 +285,6 @@ def test_verify_certificate_respects_power_cap():
     assert code == 1 and err == "resource cap exceeded: power violation k=3 exceeds the cap 2\n"
 
 
-def test_verify_certificate_respects_cost_bound():
-    _, report, _ = run_cli(["check", "mfmc-probe", "--family", "cycle:5", "--cmax", "1"])
-    code, out, err = run_cli(["verify-certificate", "-"], stdin_text=report)
-    assert code == 0 and err == ""
-    assert out.startswith("mfmc_gap: valid")
-    d = json.loads(report)
-    d["mfmc_probe"]["cost"] = [1000000] * 5
-    start = time.perf_counter()
-    code, out, err = run_cli(["verify-certificate", "-"], stdin_text=json.dumps(d))
-    assert time.perf_counter() - start < 5
-    assert code == 1 and out == ""
-    assert err == "resource cap exceeded: mfmc cost entry 1000000 exceeds the cost bound 2\n"
-    code, out, err = run_cli(["verify-certificate", "--cmax", "0", "-"], stdin_text=report)
-    assert code == 1 and out == ""
-    assert err == "resource cap exceeded: mfmc cost entry 1 exceeds the cost bound 0\n"
-
-
 def test_verify_certificate_deep_power_violation():
     # k = 2000 factors: the membership search must not recurse once per factor
     _, report, _ = run_cli(["check", "ntf", "--family", "cycle:5"])
@@ -302,50 +296,28 @@ def test_verify_certificate_deep_power_violation():
     assert out == "power_violation: INVALID (symbolic=True ordinary=True)\n"
 
 
-def c5_probe_report():
-    _, out, _ = run_cli(["check", "mfmc-probe", "--family", "cycle:5", "--cmax", "1"])
-    return json.loads(out)
-
-
-def test_verify_mfmc_gap_needs_refuted_verdict():
-    d = c5_probe_report()
-    d["holds"] = True
+def test_verify_certificate_refuses_retired_probe_report():
+    # a report of the retired check mfmc-probe ends in one error line, not "no certificates"
+    _, report, _ = run_cli(["check", "ntf", "--family", "cycle:5"])
+    d = json.loads(report)
+    d["mfmc_probe"] = {"refuted": True, "cmax": 1, "cost": [1] * 5,
+                       "cover_min": 2, "packing_max": 1}
     code, out, err = run_cli(["verify-certificate", "-"], stdin_text=json.dumps(d))
-    assert code == 2 and err == ""
-    assert out == ("mfmc_gap: INVALID (cover_min=2 packing_max=1; "
-                   "the report does not set holds false)\n")
+    assert (code, out) == (1, "")
+    assert err == ("error: report key 'mfmc_probe' is retired; "
+                   "check ntf gives the exact verdict\n")
 
 
-def test_verify_mfmc_cost_validation():
-    # booleans, negatives, floats, short and non-list costs are malformed certificates
-    for cost in ([True] * 5, [1, -1, 1, 1, 1], [1.0] * 5, [1, 1, 1], "11111"):
-        d = c5_probe_report()
-        d["mfmc_probe"]["cost"] = cost
+def test_verify_power_violation_exponent_validation():
+    # booleans, negatives, floats, short and non-list exponents are malformed certificates
+    _, report, _ = run_cli(["check", "ntf", "--family", "cycle:5"])
+    for exponents in ([True] * 5, [1, -1, 1, 1, 1], [1.0] * 5, [1, 1, 1], "11111"):
+        d = json.loads(report)
+        d["ntf"]["violation"]["exponents"] = exponents
         code, out, err = run_cli(["verify-certificate", "-"], stdin_text=json.dumps(d))
         assert code == 2 and err == ""
-        assert out == "mfmc_gap: INVALID (cost must be 5 nonnegative integers)\n"
-
-
-def test_verify_mfmc_gap_number_types():
-    # 2.0 == 2 and True == 1 in Python; the claimed numbers must be ints
-    d = c5_probe_report()
-    d["mfmc_probe"].update(cover_min=2.0, packing_max=True)
-    code, out, err = run_cli(["verify-certificate", "-"], stdin_text=json.dumps(d))
-    assert code == 2 and err == ""
-    assert out == "mfmc_gap: INVALID (cover_min=2 packing_max=1)\n"
-
-
-def test_check_mfmc_probe_respects_scan_cap():
-    start = time.perf_counter()
-    code, out, err = run_cli(["check", "mfmc-probe", "--family", "cycle:8", "--cmax", "20"])
-    assert time.perf_counter() - start < 5
-    assert code == 1 and out == ""
-    assert err == ("resource cap exceeded: mfmc scan of 21^8 cost vectors exceeds "
-                   "the cap 3^12 = 531441\n")
-    # the defaults' largest scan, --cmax 2 at n = 12, stays allowed
-    classify.check_mfmc_cap(Clutter(12, ()), 2)
-    with pytest.raises(classify.CapExceeded):
-        classify.check_mfmc_cap(Clutter(13, ()), 2)
+        assert out == ("power_violation: INVALID (k must be a positive integer "
+                       "and exponents 5 nonnegative integers)\n")
 
 
 def c5_report():
@@ -392,7 +364,7 @@ def test_verify_certificate_malformed_report(edit):
 
 def test_python_m_mengerian_pipes_decide_into_verify():
     # `python -m mengerian` runs the CLI from a checkout, with src on PYTHONPATH
-    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    src = os.path.join(ROOT, "src")
     env = dict(os.environ, PYTHONPATH=src)
     cmd = [sys.executable, "-m", "mengerian"]
     decide = subprocess.run(cmd + ["decide", "--family", "cycle:5"], env=env,
@@ -404,3 +376,24 @@ def test_python_m_mengerian_pipes_decide_into_verify():
     assert verify.returncode == 0 and verify.stderr == ""
     assert "tu_witness: valid" in verify.stdout
     assert "fractional_vertex: valid" in verify.stdout
+
+
+def test_readme_commands_parse():
+    # every `mengerian ...` command in README's command-line block is one the parser takes
+    with open(os.path.join(ROOT, "README.md"), encoding="utf-8") as fh:
+        text = fh.read()
+    block = text.split("## Command line", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    commands = []
+    for line in block.splitlines():
+        for part in line.split("&&"):
+            words = shlex.split(part, comments=True)
+            if ">" in words:
+                words = words[:words.index(">")]
+            if words[:1] == ["mengerian"]:
+                commands.append(words[1:])
+    assert commands
+    for argv in commands:
+        try:
+            build_parser().parse_args(argv)
+        except SystemExit:
+            pytest.fail(f"README command does not parse: mengerian {shlex.join(argv)}")

@@ -15,7 +15,7 @@ from mengerian.clutters import (
     tau,
 )
 from mengerian.graphs import build_path_hypergraph, make_family
-from mengerian.ideals import cover_degree, edge_ideal, mengerian_bounded, packing_number
+from mengerian.ideals import cover_degree, edge_ideal, is_normally_torsion_free, member_of_power
 from mengerian.survey import enumerate_connected
 
 import oracles
@@ -202,14 +202,15 @@ def test_packing_against_minor_scan():
 
 
 # --- weighted covers and packings ---------------------------------------------------
-# the two sides of the min-max equation, through the monomial-ideal membership tests
+# the two sides of the min-max equation: the cover side through the package, the
+# packing side from the oracle scan, and power membership between them
 
 def cover_min(c, cost):
     return cover_degree(cost, minimal_covers(c))
 
 
 def packing_max(c, cost):
-    return packing_number(cost, edge_ideal(c))
+    return oracles.packing_scan(c.edges, cost)
 
 
 def test_weighted_cover_fixtures(h3c8, h3c5):
@@ -233,25 +234,40 @@ def test_weighted_sides_against_scan_and_duality():
         wc = cover_min(c, cost)
         mp = packing_max(c, cost)
         assert wc == oracles.weighted_cover_scan(n, c.edges, cost)
-        assert mp == oracles.packing_scan(c.edges, cost)
+        # x^cost is in I^k exactly when k edges pack under cost
+        I = edge_ideal(c)
+        assert (mp == 0 or member_of_power(cost, I, mp)) and not member_of_power(cost, I, mp + 1)
         assert mp <= wc
 
 
-# --- bounded min-max probe ------------------------------------------------------------
+# --- bounded min-max probe against the exact verdict --------------------------------
+# oracles.mfmc_probe_scan holds the probe's definition: the first cost in {0..cmax}^n
+# whose weighted cover minimum exceeds its packing maximum. A gap refutes NTF; a scan
+# without one proves nothing, and NTF decides.
+
+def assert_gap_replays(c, gap):
+    # the cover side reaches k at the gap's cost while k edges do not pack under it
+    cost, wc, _ = gap
+    assert cover_min(c, cost) == wc and not member_of_power(cost, edge_ideal(c), wc)
+
 
 def test_probe_c5_refuted_at_all_ones(h3c5):
-    probe = mengerian_bounded(h3c5, 1)
-    assert probe.refuted
-    assert probe.cost == (1, 1, 1, 1, 1)
-    assert (probe.cover_min, probe.packing_max) == (2, 1)
+    gap = oracles.mfmc_probe_scan(h3c5.n, h3c5.edges, 1)
+    assert gap == ((1,) * 5, 2, 1)
+    assert_gap_replays(h3c5, gap)
+    ntf = is_normally_torsion_free(h3c5)
+    assert not ntf.normally_torsion_free and (ntf.checked_k[-1], ntf.violation) == (2, gap[0])
 
 
 def test_probe_c8_undecided(h3c8):
-    assert not mengerian_bounded(h3c8, 1).refuted
+    # ideal, not TU, Mengerian: no gap up to cmax 1, and NTF holds
+    assert oracles.mfmc_probe_scan(h3c8.n, h3c8.edges, 1) is None
+    assert is_normally_torsion_free(h3c8).normally_torsion_free
 
 
 def test_probe_empty_undecided():
-    assert not mengerian_bounded(Clutter(3, ()), 2).refuted
+    assert oracles.mfmc_probe_scan(3, (), 2) is None
+    assert is_normally_torsion_free(Clutter(3, ())).normally_torsion_free
 
 
 def test_probe_matches_oracle_scan():
@@ -259,14 +275,15 @@ def test_probe_matches_oracle_scan():
     instances = [(build_path_hypergraph(g), 1) for n in range(1, 7) for g in enumerate_connected(n)]
     rng = random.Random(47)
     instances += [(random_clutter(rng, rng.randint(2, 5)), 2) for _ in range(40)]
-    refuted = [0, 0]
+    gaps = [0, 0]
     for c, cmax in instances:
-        probe = mengerian_bounded(c, cmax)
-        got = (probe.cost, probe.cover_min, probe.packing_max) if probe.refuted else None
-        assert got == oracles.mfmc_probe_scan(c.n, c.edges, cmax)
-        refuted[cmax - 1] += probe.refuted
+        gap = oracles.mfmc_probe_scan(c.n, c.edges, cmax)
+        if gap is not None:
+            gaps[cmax - 1] += 1
+            assert_gap_replays(c, gap)
+            assert not is_normally_torsion_free(c).normally_torsion_free
     # both halves see gaps and gap-free scans
-    assert 0 < refuted[0] < 143 and 0 < refuted[1] < 40
+    assert 0 < gaps[0] < 143 and 0 < gaps[1] < 40
 
 
 # --- serialization ---------------------------------------------------------------------

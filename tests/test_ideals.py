@@ -11,7 +11,6 @@ from mengerian.ideals import (
     format_monomial,
     is_normally_torsion_free,
     member_of_power,
-    mengerian_bounded,
     powers_equal,
     symbolic_power,
 )
@@ -246,7 +245,8 @@ def test_ntf_degenerate():
 
 def test_ntf_never_contradicts_bounded_probe(h3c5):
     # the triangle as a 2-uniform clutter and the 5-cycle hypergraph are
-    # classic refutable instances; random antichains join for coverage
+    # classic refutable instances; random antichains join for coverage.
+    # oracles.mfmc_probe_scan is the bounded probe: a gap it finds refutes NTF
     triangle = Clutter(3, ((0, 1), (0, 2), (1, 2)))
     instances = [triangle, h3c5]
     rng = random.Random(61)
@@ -257,8 +257,7 @@ def test_ntf_never_contradicts_bounded_probe(h3c5):
             instances.append(c)
     refuted = 0
     for c in instances:
-        probe = mengerian_bounded(c, 2)
-        if probe.refuted:
+        if oracles.mfmc_probe_scan(c.n, c.edges, 2) is not None:
             refuted += 1
             assert not is_normally_torsion_free(c).normally_torsion_free
     assert refuted >= 2

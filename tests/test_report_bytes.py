@@ -38,8 +38,6 @@ PINNED = [
      "91e660f59fa40d10f4f213933f77abf39f1f534a7fc725f9dfcaf4e55e291059"),
     (["check", "ntf", "--family", "cycle:8"],
      "75fd473a1cad4846e8b57ec8a31ac1302e23cac25ead68af6388e2e1ccf56577"),
-    (["check", "mfmc-probe", "--family", "cycle:5", "--cmax", "1"],
-     "d2c7b95dbb04217097c2db3a8aee7113cea23cef00ee2f26289bc733f5e2bc26"),
     (["survey", "--max-n", "5"],
      "dc4b10fd579a3ba0d2ba0fe6daef8c2563a36c2363fcfb2aa0549f768c0a903e"),
     (["survey", "--max-n", "5", "--csv"],
