@@ -29,10 +29,10 @@ def _add_input_args(p: argparse.ArgumentParser) -> None:
 
 
 def _load_graph(args) -> graphs.Graph:
-    sources = [s for s in ("family", "file", "edges", "graph6") if getattr(args, s, None)]
+    sources = [s for s in ("family", "file", "edges", "graph6") if getattr(args, s, None) is not None]
     if len(sources) != 1:
         raise ValueError("exactly one of --family/--file/--edges/--graph6 is required")
-    if args.family:
+    if args.family is not None:
         name, _, rest = args.family.partition(":")
         if not rest:
             raise ValueError("family descriptor must look like name:params, e.g. cycle:8")
@@ -43,10 +43,10 @@ def _load_graph(args) -> graphs.Graph:
         # the vertex cap is applied before the family member is built
         classify.check_caps(_caps(args), graphs.family_order(name, params))
         return graphs.make_family(name, params)
-    if args.file:
+    if args.file is not None:
         with open(args.file, "r", encoding="utf-8") as fh:
             g = graphs.parse_edge_list(fh.read())
-    elif args.edges:
+    elif args.edges is not None:
         g = graphs.parse_edge_list(args.edges.replace("\\n", "\n"))
     else:
         g = graphs.parse_graph6(args.graph6)

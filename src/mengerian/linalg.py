@@ -268,24 +268,67 @@ def _pattern_vertices(c: Clutter) -> Optional[PolyhedronVertex]:
     Points of the form (1/q on S, 0 elsewhere) cover every fractional
     certificate arising from odd cover structures. Purely an accelerator:
     hits are verified exactly and misses fall back to full enumeration.
+
+    The vertex returned is the first in the order: support size s from 2,
+    then q from 2 to s, then S in ``combinations`` order. One pass over
+    the supports of each size finds it, because S can certify only at
+    q = min over edges of |e & S|, its weight. For a smaller q no row is
+    tight, so the tight rank is 0 < s; for a larger q some row falls below
+    q. So the pass returns at the first q=2 hit, and otherwise keeps the
+    first hit of least q and returns it once the supports of size s run
+    out.
+
+    The weights are read bit-parallel. ``cols[j]`` is the set of edges
+    containing vertex j, as an edge-index bitmask, and folding the columns
+    of S keeps ``once``, ``twice`` and ``thrice`` as the sets of edges
+    meeting S at least once, twice and three times. An S with ``twice``
+    short of every edge has weight below 2; with ``thrice`` short it has
+    weight 2 and tight rows ``twice & ~thrice``. Only an S that every edge
+    meets three times needs its weights counted row by row, and that is
+    skipped once a hit with q <= 3 is kept. The tight rows are the covering
+    rows of weight q ascending, then the zero coordinates off S.
     """
     masks = c.masks
-    n = c.n
+    n, m = c.n, c.m
+    if not m:
+        return None
+    cols = [0] * n
+    for i, e in enumerate(c.edges):
+        for j in e:
+            cols[j] |= 1 << i
+    full = (1 << m) - 1
     for s in range(2, n + 1):
-        for q in range(2, s + 1):
-            for S in combinations(range(n), s):
+        best = None
+        for S in combinations(range(n), s):
+            once = twice = thrice = 0
+            for j in S:
+                col = cols[j]
+                thrice |= twice & col
+                twice |= once & col
+                once |= col
+            if twice != full:
+                continue
+            if thrice != full:
+                q, tight = 2, list(_bits(twice & ~thrice))
+            elif best is not None and best[0] <= 3:
+                continue
+            else:
                 smask = _mask(S)
                 weights = [_popcount(e & smask) for e in masks]
-                if any(w < q for w in weights):
+                q = min(weights)
+                if best is not None and q >= best[0]:
                     continue
-                # tight: the rows with weight q, then the zero coordinates off S
                 tight = [i for i, w in enumerate(weights) if w == q]
-                if _echelon([_row(masks[i], S) for i in tight], s)[0] != s:
-                    continue
-                coords = tuple(Fraction(1, q) if smask >> j & 1 else Fraction(0)
-                               for j in range(n))
-                tight += [c.m + j for j in range(n) if not smask >> j & 1]
-                return PolyhedronVertex(coords, tuple(tight))
+            if len(tight) < s or _echelon([_row(masks[i], S) for i in tight], s)[0] != s:
+                continue
+            best = q, S, tight
+            if q == 2:
+                break
+        if best is not None:
+            q, S, tight = best
+            coords = tuple(Fraction(1, q) if j in S else Fraction(0) for j in range(n))
+            tight += [m + j for j in range(n) if j not in S]
+            return PolyhedronVertex(coords, tuple(tight))
     return None
 
 

@@ -263,10 +263,14 @@ def antichain(edges):
     return tuple(sorted(tuple(sorted(e)) for e in sets if not any(f < e for f in sets)))
 
 
-def random_clutter(rng, n):
-    """The edges of a random clutter on n vertices (possibly none, never empty)."""
+def random_clutter(rng, n, sizes=None):
+    """The edges of a random clutter on n vertices (possibly none, never empty).
+
+    Each drawn edge has a size chosen from ``sizes``, by default 1..n-1.
+    """
     m = rng.randint(0, 2 * n)
-    return antichain(rng.sample(range(n), rng.randint(1, max(1, n - 1))) for _ in range(m))
+    sizes = sizes or range(1, max(1, n - 1) + 1)
+    return antichain(rng.sample(range(n), rng.choice(sizes)) for _ in range(m))
 
 
 def ghouila_houri_check(rows):
@@ -313,3 +317,59 @@ def tu_witness_scan(rows):
                 if d not in (-1, 0, 1):
                     return rset, cset, d
     return None
+
+
+def gauss_rank(rows):
+    """Rank by Gaussian elimination over exact Fractions."""
+    rows = [[Fraction(x) for x in row] for row in rows]
+    rank = 0
+    for col in range(len(rows[0]) if rows else 0):
+        pivot = next((i for i in range(rank, len(rows)) if rows[i][col]), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        for i in range(rank + 1, len(rows)):
+            f = rows[i][col] / rows[rank][col]
+            if f:
+                rows[i] = [a - f * b for a, b in zip(rows[i], rows[rank])]
+        rank += 1
+    return rank
+
+
+def pattern_vertex_hits(n, edge_sets):
+    """Every (q, S) at which 1/q on S and 0 off it is a vertex of Q(A).
+
+    Search order: |S| from 2, then q from 2 to |S|, then S in combinations
+    order, with one weight list per S. S is a hit at q when every edge
+    meets S at least q times and the edges meeting it exactly q times have
+    rank |S| on S.
+    """
+    es = [set(e) for e in edge_sets]
+    for s in range(2, n + 1):
+        supports = []
+        for S in combinations(range(n), s):
+            ss = set(S)
+            supports.append((S, [len(e & ss) for e in es]))
+        for q in range(2, s + 1):
+            for S, weights in supports:
+                if any(w < q for w in weights):
+                    continue
+                tight = [e for e, w in zip(es, weights) if w == q]
+                if gauss_rank([[int(j in e) for j in S] for e in tight]) == s:
+                    yield q, S
+
+
+def pattern_vertex_scan(n, edge_sets):
+    """The first pattern vertex as (coords, tight_rows), or None.
+
+    The tight rows are the edges meeting S exactly q times, ascending, then
+    m + j for each coordinate j off S.
+    """
+    hit = next(pattern_vertex_hits(n, edge_sets), None)
+    if hit is None:
+        return None
+    q, S = hit
+    coords = tuple(Fraction(1, q) if j in S else Fraction(0) for j in range(n))
+    tight = [i for i, e in enumerate(edge_sets) if len(set(e).intersection(S)) == q]
+    tight += [len(edge_sets) + j for j in range(n) if j not in S]
+    return coords, tuple(tight)

@@ -212,6 +212,20 @@ def test_bad_family_is_error(family, message):
     assert (code, out, err) == (1, "", f"error: {message}\n")
 
 
+EMPTY_SOURCES = [
+    ("--edges", "empty edge list and no header"),
+    ("--graph6", "empty graph6 string"),
+    ("--family", "family descriptor must look like name:params, e.g. cycle:8"),
+]
+
+
+@pytest.mark.parametrize("flag,message", EMPTY_SOURCES, ids=[f for f, _ in EMPTY_SOURCES])
+def test_empty_source_reaches_its_parser(flag, message):
+    # a source given with an empty value is still the one source given
+    code, out, err = run_cli(["check", "konig", flag, ""])
+    assert (code, out, err) == (1, "", f"error: {message}\n")
+
+
 def test_parse_error_exit_code():
     code, _, err = run_cli(["decide", "--edges", "1 1"])
     assert code == 1 and "loop" in err

@@ -1,5 +1,8 @@
+import os
 import random
+from collections import Counter
 from fractions import Fraction
+from itertools import takewhile
 
 import pytest
 
@@ -7,7 +10,9 @@ from mengerian import linalg
 from mengerian.clutters import Clutter, incidence_matrix
 from mengerian.graphs import build_path_hypergraph, make_family
 from mengerian.linalg import (
+    PolyhedronVertex,
     _echelon,
+    _pattern_vertices,
     _solve_unit_rhs,
     bareiss_det,
     enumerate_covering_vertices,
@@ -22,6 +27,8 @@ from mengerian.survey import enumerate_connected
 from oracles import (
     cofactor_det,
     ghouila_houri_check,
+    pattern_vertex_hits,
+    pattern_vertex_scan,
     random_clutter,
     rank_scan,
     tu_witness_scan,
@@ -29,6 +36,9 @@ from oracles import (
 
 H = Fraction(1, 2)
 Q = Fraction(1, 4)
+
+extended = pytest.mark.skipif(not os.environ.get("MENGERIAN_EXTENDED"),
+                              reason="extended run; set MENGERIAN_EXTENDED=1")
 
 
 def h3(name, *params):
@@ -292,6 +302,51 @@ def test_ideal_pattern_prepass_agrees_with_enumeration():
         assert res.ideal == (not fractional)
         if res.certificate is not None:
             assert verify_vertex(c, res.certificate.coords).is_vertex
+
+
+def prepass(c):
+    v = _pattern_vertices(c)
+    return None if v is None else (v.coords, v.tight_rows)
+
+
+@pytest.mark.parametrize("ns", [range(2, 8), pytest.param(range(8, 9), marks=extended)],
+                         ids=["n<=7", "n=8"])
+def test_pattern_prepass_matches_scan_on_every_class(ns):
+    checked = 0
+    for n in ns:
+        for g in enumerate_connected(n):
+            c = build_path_hypergraph(g)
+            if not c.is_empty:
+                assert prepass(c) == pattern_vertex_scan(c.n, c.edges), g.edges
+                checked += 1
+    assert checked == {7: 988, 8: 11116}[ns[-1]]
+
+
+def test_pattern_prepass_matches_scan_on_random_clutters():
+    # The default draws give misses and ties (a later support of the same
+    # size and q is a hit too); 3-uniform clutters on six vertices give the
+    # hits at q >= 3 that the one-pass search keeps until the size runs out.
+    rng = random.Random(97)
+    cases = [Clutter(n, random_clutter(rng, n)) for n in (rng.randint(2, 7) for _ in range(300))]
+    cases += [Clutter(6, random_clutter(rng, 6, sizes=(3,))) for _ in range(400)]
+    seen = Counter()
+    for c in cases:
+        assert prepass(c) == pattern_vertex_scan(c.n, c.edges), c.edges
+        hits = pattern_vertex_hits(c.n, c.edges)
+        first = next(hits, None)
+        if first is None:
+            seen["miss"] += 1
+            continue
+        q, S = first
+        seen["q>=3"] += q >= 3
+        seen["tie"] += any(h[0] == q for h in takewhile(lambda h: len(h[1]) == len(S), hits))
+    assert min(seen[k] for k in ("miss", "tie", "q>=3")) >= 1, seen
+
+
+def test_pattern_prepass_c7_counts_weights_row_by_row():
+    # every edge of H_3(C7) meets the whole vertex set four times, so
+    # thrice == full and the all-1/4 vertex comes from the per-row count
+    assert _pattern_vertices(h3("cycle", 7)) == PolyhedronVertex((Q,) * 7, tuple(range(7)))
 
 
 def test_ideal_tu_branch_agrees_with_enumeration():
