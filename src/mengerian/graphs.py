@@ -70,8 +70,10 @@ def masks_connected(adj: list[int]) -> bool:
     seen = frontier = 1
     while frontier:
         reach = 0
-        for v in _bits(frontier):
-            reach |= adj[v]
+        while frontier:
+            low = frontier & -frontier
+            frontier ^= low
+            reach |= adj[low.bit_length() - 1]
         frontier = reach & ~seen
         seen |= frontier
     return seen == (1 << len(adj)) - 1
@@ -280,6 +282,8 @@ def path_vertex_sets(g: Graph, t: int) -> set[int]:
 
     Depth-first on an explicit stack of (used vertices, end vertex, edges
     left) states, extending each path at its end by an unused neighbour.
+    The last edge is closed in place: a state with one edge left adds its
+    completed paths to the result rather than pushing them.
     """
     if t < 1:
         raise ValueError("path length t must be >= 1")
@@ -288,10 +292,14 @@ def path_vertex_sets(g: Graph, t: int) -> set[int]:
     stack = [(1 << v, v, t) for v in range(g.n)]
     while stack:
         used, v, left = stack.pop()
-        if left:
-            stack.extend((used | 1 << w, w, left - 1) for w in _bits(adj[v] & ~used))
-        else:
-            found.add(used)
+        nbrs = adj[v] & ~used
+        while nbrs:
+            low = nbrs & -nbrs
+            nbrs ^= low
+            if left == 1:
+                found.add(used | low)
+            else:
+                stack.append((used | low, low.bit_length() - 1, left - 1))
     return found
 
 

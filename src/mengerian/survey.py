@@ -74,6 +74,14 @@ def _is_least(mask: int, adj: list[int]) -> bool:
     next block of the mask from the top, as its adjacency to the vertices
     already placed. A branch whose block exceeds the mask's is dropped; one
     below it proves a smaller mask in the orbit.
+
+    Twins are explored once per level. Every explored candidate's block is
+    the mask's, so a candidate v with that block and the same unplaced
+    neighbours as an explored u (open neighbourhoods if the two are apart,
+    closed if adjacent) has u's neighbours apart from u and v. Swapping u
+    and v is then an automorphism that fixes every placed vertex, so v's
+    branch would give u's verdict. This keeps stars and complete graphs
+    polynomial.
     """
     n = len(adj)
 
@@ -81,15 +89,31 @@ def _is_least(mask: int, adj: list[int]) -> bool:
         # rows[v] has bit p set when v is adjacent to the vertex at position p;
         # bit a*(n-1) - a*(a-1)/2 of the mask is the pair (a, a+1)
         want = (mask >> (a * (n - 1) - a * (a - 1) // 2)) & ((1 << (n - 1 - a)) - 1)
-        for v in clutters._bits(free):
+        # open and closed unplaced neighbourhoods of the candidates explored
+        # here; N(u) never equals N[v], since it would hold v, so u ~ v, and
+        # then u itself
+        explored = set()
+        f = free
+        while f:
+            low = f & -f
+            f ^= low
+            v = low.bit_length() - 1
             got = rows[v] >> (a + 1)
             if got < want:
                 return False
             if got == want and a:
+                nbrs = adj[v] & free
+                if nbrs in explored or nbrs | low in explored:
+                    continue
+                explored.add(nbrs)
+                explored.add(nbrs | low)
                 nxt = rows[:]
-                for u in clutters._bits(adj[v] & free):
-                    nxt[u] |= 1 << a
-                if not place(a - 1, free ^ (1 << v), nxt):
+                bit = 1 << a
+                while nbrs:
+                    w = nbrs & -nbrs
+                    nbrs ^= w
+                    nxt[w.bit_length() - 1] |= bit
+                if not place(a - 1, free ^ low, nxt):
                     return False
         return True
 

@@ -196,6 +196,35 @@ def connected_classes_scan(n):
     return out
 
 
+def is_least_scan(mask, adj):
+    """Is mask least in its orbit? The relabelling backtrack without pruning.
+
+    Positions n-1 down to 0 are filled one vertex at a time; placing a vertex
+    at position a fixes the mask block of pairs (a, a+1) .. (a, n-1) as its
+    adjacency to the vertices already placed. A block above the mask's ends
+    the branch, one below it refutes. Every candidate is tried, so the cost
+    grows with the automorphism group.
+    """
+    n = len(adj)
+
+    def place(a, free, rows):
+        want = (mask >> (a * (n - 1) - a * (a - 1) // 2)) & ((1 << (n - 1 - a)) - 1)
+        for v in [v for v in range(n) if free >> v & 1]:
+            got = rows[v] >> (a + 1)
+            if got < want:
+                return False
+            if got == want and a:
+                nxt = rows[:]
+                for u in range(n):
+                    if (adj[v] & free) >> u & 1:
+                        nxt[u] |= 1 << a
+                if not place(a - 1, free ^ (1 << v), nxt):
+                    return False
+        return True
+
+    return place(n - 1, (1 << n) - 1, [0] * n)
+
+
 def symbolic_member_scan(mono, covers, k):
     """Membership in the k-th symbolic power via per-cover degree sums."""
     return all(sum(mono[v] for v in cov) >= k for cov in covers)

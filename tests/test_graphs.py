@@ -13,6 +13,7 @@ from mengerian.graphs import (
     parse_graph6,
     to_graph6,
 )
+from mengerian.survey import enumerate_connected
 
 from oracles import isomorphic_scan, path_hypergraph_edges
 
@@ -171,6 +172,16 @@ def test_h3_matches_ordering_oracle_random(t):
         g = graphs.graph(n, [p for p in pairs if rng.random() < 0.5])
         H = build_path_hypergraph(g, t)
         assert list(H.edges) == path_hypergraph_edges(n, g.edges, t)
+
+
+@pytest.mark.parametrize("t", [1, 2, 3, 4])
+def test_h_t_matches_ordering_oracle_on_every_class(t):
+    # all 143 connected classes with n <= 6; the random test above adds
+    # disconnected graphs and n = 7
+    classes = [g for n in range(1, 7) for g in enumerate_connected(n)]
+    assert len(classes) == 143
+    for g in classes:
+        assert list(build_path_hypergraph(g, t).edges) == path_hypergraph_edges(g.n, g.edges, t)
 
 
 def test_h_t_uniformity_and_small_cases():

@@ -1,10 +1,11 @@
 import json
 import os
+import time
 from itertools import combinations
 
 import pytest
 
-from mengerian import classify
+from mengerian import classify, survey
 from mengerian.classify import Caps
 from mengerian.graphs import is_connected
 from mengerian.survey import cross_check, enumerate_connected
@@ -38,6 +39,61 @@ def test_enumerate_n8_count():
     masks = {sum(1 << index[e] for e in g.edges) for g in gs}
     assert len(masks) == len(gs)
     assert all(is_connected(g) for g in gs)
+
+
+def mask_adjacency(n, mask):
+    """Neighbour bitmasks of the graph whose bit i is combinations(range(n), 2)[i]."""
+    adj = [0] * n
+    for i, (u, v) in enumerate(combinations(range(n), 2)):
+        if mask >> i & 1:
+            adj[u] |= 1 << v
+            adj[v] |= 1 << u
+    return adj
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7, pytest.param(8, marks=extended)])
+def test_is_least_matches_scan_on_enumeration_checks(monkeypatch, n):
+    # every canonicity test the orderly generation makes, against the
+    # unpruned backtrack
+    checks = []
+    is_least = survey._is_least
+
+    def record(mask, adj):
+        checks.append((mask, adj[:]))
+        return is_least(mask, adj)
+
+    monkeypatch.setattr(survey, "_is_least", record)
+    enumerate_connected(n)
+    if n >= 7:
+        assert len(checks) == {7: 1965, 8: 19835}[n]
+    for mask, adj in checks:
+        assert is_least(mask, adj) == oracles.is_least_scan(mask, adj), (n, mask)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_is_least_matches_scan_on_every_labelled_graph(n):
+    for mask in range(1 << (n * (n - 1) // 2)):
+        adj = mask_adjacency(n, mask)
+        assert survey._is_least(mask, adj) == oracles.is_least_scan(mask, adj), mask
+
+
+def test_is_least_polynomial_on_stars_and_cliques():
+    # star:10 has 10! automorphisms and K9 has 9!; the unpruned backtrack,
+    # oracles.is_least_scan, walks them all (tens of seconds on star:10);
+    # twin pruning answers each in milliseconds
+    start = time.process_time()
+    n = 11
+    star = (1 << (n - 1)) - 1  # centre 0: pairs (0, 1) .. (0, 10)
+    assert survey._is_least(star, mask_adjacency(n, star))
+    pairs = list(combinations(range(n), 2))
+    top = sum(1 << i for i, p in enumerate(pairs) if p[1] == n - 1)  # centre 10
+    assert not survey._is_least(top, mask_adjacency(n, top))
+    n = 9
+    full = (1 << (n * (n - 1) // 2)) - 1
+    assert survey._is_least(full, mask_adjacency(n, full))
+    # K9 has one labelling, so the refutation is on K9 minus the pair (0, 1)
+    assert not survey._is_least(full ^ 1, mask_adjacency(n, full ^ 1))
+    assert time.process_time() - start < 1.0
 
 
 def test_enumerate_cap():
