@@ -109,7 +109,7 @@ def capped_hypergraph(g: Graph, t: int, caps: Caps) -> Clutter:
 
 def check_power_cap(c: Clutter, caps: Caps) -> None:
     """Refuse a power-equality run whose bound ceil(mu/2) exceeds the cap."""
-    bound = (c.m + 1) // 2
+    bound = ideals.power_bound(c.m)
     if bound > caps.max_power_k:
         raise CapExceeded(
             f"power-equality bound {bound} exceeds the cap {caps.max_power_k}")

@@ -1,10 +1,11 @@
 """Command-line interface.
 
 Commands: hypergraph, check, decide, classify, survey, verify-certificate.
-Identical invocations produce byte-identical output; every refutation is
-emitted together with a certificate that verify-certificate re-validates
-independently. Exit status: 0 completed, 2 property refuted under
---assert (or an invalid certificate), 1 error.
+Identical invocations produce byte-identical output. Every refutation
+except a packing one is emitted together with a certificate that
+verify-certificate re-validates independently; a packing refutation
+names no failing minor, so it carries none. Exit status: 0 completed,
+2 property refuted under --assert (or an invalid certificate), 1 error.
 """
 
 from __future__ import annotations

@@ -39,10 +39,12 @@ class Clutter:
             if e[0] < 0 or e[-1] >= self.n:
                 raise ValueError(f"edge {e} out of range for n={self.n}")
         masks = tuple(_mask(e) for e in norm)
-        for e, me in zip(norm, masks):
-            for f, mf in zip(norm, masks):
-                if mf != me and mf & me == mf:
-                    raise ValueError(f"not an antichain: {f} is contained in {e}")
+        # distinct edges of one size already form an antichain
+        if len({len(e) for e in norm}) > 1:
+            for e, me in zip(norm, masks):
+                for f, mf in zip(norm, masks):
+                    if mf != me and mf & me == mf:
+                        raise ValueError(f"not an antichain: {f} is contained in {e}")
         object.__setattr__(self, "masks", masks)
 
     @property

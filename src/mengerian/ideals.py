@@ -197,10 +197,15 @@ class NtfResult:
     violation: Optional[Monomial] = None
 
 
+def power_bound(mu: int) -> int:
+    """ceil(mu/2): power equality up to this k decides normal torsion-freeness."""
+    return (mu + 1) // 2
+
+
 def is_normally_torsion_free(c: Clutter) -> NtfResult:
     """Exact decision via power equality for k = 2 .. ceil(mu/2)."""
     mu = c.m
-    bound = (mu + 1) // 2
+    bound = power_bound(mu)
     for k in range(2, bound + 1):
         violation = powers_equal(c, k)
         if violation is not None:

@@ -7,13 +7,13 @@ and read its edges and edge bitmasks. Points of a polyhedron are
 determinant, rank and solve goes through one fraction-free (Bareiss)
 row-echelon kernel over integer rows, total unimodularity is decided by
 an exhaustive subdeterminant scan with an explicit witness on failure,
-and the vertices of a covering polyhedron Q(A) = {x >= 0, Ax >= 1} are
-enumerated exactly from tight full-rank subsystems.
+and a fractional vertex of a covering polyhedron Q(A) = {x >= 0, Ax >= 1}
+is searched for exactly among its tight full-rank subsystems.
 
 The two questions share their work, and ``is_ideal`` settles both. A
 totally unimodular matrix has an integral Q(A) (Hoffman-Kruskal), so
-``is_ideal`` enumerates vertices only when the TU scan refutes TU, and a
-positive answer is backed by the scan or by the enumeration. Conversely a
+``is_ideal`` searches the bases of Q(A) only when the TU scan refutes TU,
+and a positive answer is backed by the scan or by that search. Conversely a
 fractional vertex refutes TU: ``vertex_tu_witness`` reads a square
 submatrix with |det| >= 2 off its tight rows. So every ``IdealityResult``
 carries the TU verdict too, and a caller that asks for idealness needs no
@@ -161,10 +161,6 @@ class PolyhedronVertex:
     coords: tuple[Fraction, ...]
     tight_rows: tuple[int, ...]
 
-    @property
-    def is_integral(self) -> bool:
-        return all(x.denominator == 1 for x in self.coords)
-
 
 @dataclass(frozen=True)
 class IdealityResult:
@@ -173,15 +169,6 @@ class IdealityResult:
     ideal: bool
     certificate: Optional[PolyhedronVertex]
     tu: TUResult
-
-
-def _solve_unit_rhs(mat: list[list[int]]) -> Optional[list[Fraction]]:
-    """Solve the square integer system mat * y = 1, or None if singular."""
-    size = len(mat)
-    aug = [row + [1] for row in mat]
-    if _echelon(aug, size)[0] < size:
-        return None
-    return _back_substitute(aug, size)
 
 
 def _row_sums(c: Clutter, coords: Sequence[Fraction]) -> Iterator[Fraction]:
@@ -195,40 +182,41 @@ def tight_constraints(c: Clutter, coords: Sequence[Fraction]) -> tuple[int, ...]
     return tuple(tight)
 
 
-def enumerate_covering_vertices(c: Clutter) -> Iterator[PolyhedronVertex]:
-    """Yield every vertex of Q(A) exactly once, deterministically.
+def _fractional_vertex(c: Clutter) -> Optional[PolyhedronVertex]:
+    """The first fractional vertex of Q(A) in basis order, or None.
 
-    Bases are all n-subsets of the m + n constraints; each nonsingular
-    tight subsystem is solved exactly and kept when feasible. Bases that
-    pin more coordinates to zero are visited first, so sparse vertices
-    surface early.
+    A basis is n of the m + n constraints: a set of zero coordinates and as
+    many covering rows as there are live ones. Bases with more zeros come
+    first, then the zero set and the row set each in ``combinations``
+    order. The rows restricted to the live columns form a square block,
+    eliminated once with the unit right-hand side carried along. Its last
+    pivot is +-det, and by Cramer's rule a block with |det| = 1 has an
+    integral solution, so only the other nonsingular blocks are solved.
+    The first solution that is fractional, nonnegative and feasible is the
+    vertex; tight rows are computed for it alone.
     """
     m, n = c.m, c.n
-    seen: set[tuple[Fraction, ...]] = set()
-    for zeros in range(n, -1, -1):
+    for zeros in range(n - 1, -1, -1):
         size = n - zeros
         if size > m:
             continue
         for zset in combinations(range(n), zeros):
-            zs = set(zset)
-            live = [j for j in range(n) if j not in zs]
-            reduced = [_row(e, live) for e in c.masks]
+            live = [j for j in range(n) if j not in zset]
+            reduced = [_row(e, live) + [1] for e in c.masks]
             for tset in combinations(range(m), size):
-                sol = _solve_unit_rhs([reduced[i] for i in tset]) if size else []
-                if sol is None:
+                block = [reduced[i][:] for i in tset]
+                if _echelon(block, size)[0] < size or abs(block[-1][size - 1]) == 1:
+                    continue
+                sol = _back_substitute(block, size)
+                if all(v.denominator == 1 for v in sol) or any(v < 0 for v in sol):
                     continue
                 coords = [Fraction(0)] * n
                 for j, v in zip(live, sol):
                     coords[j] = v
-                key = tuple(coords)
-                if key in seen:
-                    continue
-                if any(v < 0 for v in sol):
-                    continue
                 if any(s < 1 for s in _row_sums(c, coords)):
                     continue
-                seen.add(key)
-                yield PolyhedronVertex(key, tight_constraints(c, coords))
+                return PolyhedronVertex(tuple(coords), tight_constraints(c, coords))
+    return None
 
 
 @dataclass(frozen=True)
@@ -267,7 +255,7 @@ def _pattern_vertices(c: Clutter) -> Optional[PolyhedronVertex]:
 
     Points of the form (1/q on S, 0 elsewhere) cover every fractional
     certificate arising from odd cover structures. Purely an accelerator:
-    hits are verified exactly and misses fall back to full enumeration.
+    hits are verified exactly and misses fall back to the basis search.
 
     The vertex returned is the first in the order: support size s from 2,
     then q from 2 to s, then S in ``combinations`` order. One pass over
@@ -340,9 +328,9 @@ def is_ideal(c: Clutter) -> IdealityResult:
     pre-pass only accelerates refutations. A positive answer is backed
     either by the TU scan (a totally unimodular matrix has an integral
     Q(A), by Hoffman-Kruskal), whose result is returned as the TU verdict,
-    or by the full exhaustive enumeration, which runs only when the scan
-    refutes TU. The scan is called through the module global, so
-    ``perfbench/spans.py`` sees it.
+    or by a search of every basis that finds no fractional vertex, which
+    runs only when the scan refutes TU. The scan is called through the
+    module global, so ``perfbench/spans.py`` sees it.
     """
     if c.is_empty:
         return IdealityResult(True, None, TUResult(True, None))
@@ -350,7 +338,7 @@ def is_ideal(c: Clutter) -> IdealityResult:
     if vertex is None:
         tu = is_totally_unimodular(c)
         if not tu.totally_unimodular:
-            vertex = next((v for v in enumerate_covering_vertices(c) if not v.is_integral), None)
+            vertex = _fractional_vertex(c)
         if vertex is None:
             return IdealityResult(True, None, tu)
     return IdealityResult(False, vertex, vertex_tu_witness(c, vertex))

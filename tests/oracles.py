@@ -402,3 +402,61 @@ def pattern_vertex_scan(n, edge_sets):
     tight = [i for i, e in enumerate(edge_sets) if len(set(e).intersection(S)) == q]
     tight += [len(edge_sets) + j for j in range(n) if j not in S]
     return coords, tuple(tight)
+
+
+def exact_solve(rows, rhs):
+    """The unique solution of a square integer system, as exact Fractions,
+    or None when the system is singular.
+
+    Gauss-Jordan elimination by integer cross-multiplication: no division
+    until each diagonal entry divides its right-hand side at the end.
+    """
+    size = len(rows)
+    aug = [list(row) + [b] for row, b in zip(rows, rhs)]
+    for col in range(size):
+        pivot = next((i for i in range(col, size) if aug[i][col]), None)
+        if pivot is None:
+            return None
+        aug[col], aug[pivot] = aug[pivot], aug[col]
+        prow = aug[col]
+        lead = prow[col]
+        for i in range(size):
+            f = aug[i][col]
+            if i != col and f:
+                aug[i] = [a * lead - f * b for a, b in zip(aug[i], prow)]
+    return [Fraction(row[size], row[i]) for i, row in enumerate(aug)]
+
+
+def covering_vertices_scan(n, edge_sets):
+    """Every vertex of Q(A) = {x >= 0, Ax >= 1} once, as (coords, tight_rows).
+
+    Bases are visited with the most zero coordinates first, then the zero
+    set and the covering-row set each in combinations order; a vertex is
+    yielded at the first basis whose system solves to it. The tight rows
+    are the covering rows with <A_i, x> = 1, ascending, then m + j for each
+    zero coordinate j.
+    """
+    es = [set(e) for e in edge_sets]
+    m = len(es)
+    seen = set()
+    for zeros in range(n, -1, -1):
+        size = n - zeros
+        if size > m:
+            continue
+        for zset in combinations(range(n), zeros):
+            live = [j for j in range(n) if j not in zset]
+            for tset in combinations(range(m), size):
+                sol = exact_solve([[int(j in es[i]) for j in live] for i in tset], [1] * size)
+                if sol is None or any(v < 0 for v in sol):
+                    continue
+                coords = [Fraction(0)] * n
+                for j, v in zip(live, sol):
+                    coords[j] = v
+                coords = tuple(coords)
+                sums = [sum(coords[j] for j in e) for e in es]
+                if coords in seen or any(s < 1 for s in sums):
+                    continue
+                seen.add(coords)
+                tight = [i for i, s in enumerate(sums) if s == 1]
+                tight += [m + j for j in range(n) if coords[j] == 0]
+                yield coords, tuple(tight)

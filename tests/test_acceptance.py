@@ -25,7 +25,6 @@ from mengerian.ideals import (
 )
 from mengerian.linalg import (
     bareiss_det,
-    enumerate_covering_vertices,
     is_ideal,
     is_totally_unimodular,
     verify_vertex,
@@ -44,7 +43,7 @@ def H3(name, *params):
 
 
 def covering_vertices(c):
-    return sorted(enumerate_covering_vertices(c), key=lambda v: v.coords)
+    return sorted(coords for coords, _ in oracles.covering_vertices_scan(c.n, c.edges))
 
 
 def alternating_halves(k):
@@ -108,7 +107,7 @@ def test_criterion_3_negative_certificates():
         assert verify_vertex(c, res.certificate.coords).is_vertex
         quarter = (Q,) * k
         assert verify_vertex(c, quarter).is_vertex
-        assert quarter in {v.coords for v in covering_vertices(c)}
+        assert quarter in covering_vertices(c)
 
     # k = 2 mod 4: alternating halves; verify_vertex certifies them exactly,
     # and C6's vertex list is checked to contain them (C10's, which takes
@@ -120,7 +119,7 @@ def test_criterion_3_negative_certificates():
         assert verify_vertex(c, res.certificate.coords).is_vertex
         chk = verify_vertex(c, alternating_halves(k))
         assert chk.is_vertex and chk.tight_rank == k
-    assert alternating_halves(6) in {v.coords for v in covering_vertices(H3("cycle", 6))}
+    assert alternating_halves(6) in covering_vertices(H3("cycle", 6))
 
     # k = 0 mod 4, k >= 12: the sparser half pattern, at least 12 tight rows
     c12 = H3("cycle", 12)
@@ -150,7 +149,7 @@ def test_criterion_3_negative_certificates():
     mirrored = (H, Fraction(0), H, Fraction(0), H, Fraction(0))
     mchk = verify_vertex(c, mirrored)
     assert mchk.feasible and not mchk.is_vertex and mchk.tight_rank == 5
-    assert vertex in {v.coords for v in covering_vertices(c)}
+    assert vertex in covering_vertices(c)
 
     print(f"ACCEPTANCE 3 PASS: fractional certificates for C5 C7 C6 C10 C12 and "
           f"the pendant tree verified exactly in {time.time() - start:.1f}s "
@@ -160,7 +159,7 @@ def test_criterion_3_negative_certificates():
 @extended
 def test_criterion_3_c10_alternating_halves_enumerated():
     c10 = H3("cycle", 10)
-    assert alternating_halves(10) in {v.coords for v in covering_vertices(c10)}
+    assert alternating_halves(10) in covering_vertices(c10)
 
 
 def test_criterion_4_determinants():
@@ -268,7 +267,9 @@ def test_criterion_8_property_suites(survey6):
     for row in survey6.rows:
         rep = row.report
         if rep.tu.totally_unimodular and not rep.hypergraph.is_empty:
-            assert all(v.is_integral for v in enumerate_covering_vertices(rep.hypergraph))
+            c = rep.hypergraph
+            for coords, _ in oracles.covering_vertices_scan(c.n, c.edges):
+                assert all(x.denominator == 1 for x in coords), coords
             tu_instances += 1
     assert tu_instances > 0
 

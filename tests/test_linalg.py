@@ -11,11 +11,11 @@ from mengerian.clutters import Clutter, incidence_matrix
 from mengerian.graphs import build_path_hypergraph, make_family
 from mengerian.linalg import (
     PolyhedronVertex,
+    _back_substitute,
     _echelon,
+    _fractional_vertex,
     _pattern_vertices,
-    _solve_unit_rhs,
     bareiss_det,
-    enumerate_covering_vertices,
     is_ideal,
     is_totally_unimodular,
     verify_vertex,
@@ -26,6 +26,7 @@ from mengerian.survey import enumerate_connected
 
 from oracles import (
     cofactor_det,
+    covering_vertices_scan,
     ghouila_houri_check,
     pattern_vertex_hits,
     pattern_vertex_scan,
@@ -49,8 +50,26 @@ def det(rows):
     return bareiss_det([list(r) for r in rows])
 
 
+def vertices(c):
+    """Every vertex of Q(A), lazily, in the oracle's basis order."""
+    return (PolyhedronVertex(*v) for v in covering_vertices_scan(c.n, c.edges))
+
+
 def covering_vertices(c):
-    return sorted(enumerate_covering_vertices(c), key=lambda v: v.coords)
+    return sorted(vertices(c), key=lambda v: v.coords)
+
+
+def integral(v):
+    return all(x.denominator == 1 for x in v.coords)
+
+
+def solve_unit_rhs(rows):
+    """Solve rows * y = 1 the way the basis search does, or None if singular."""
+    size = len(rows)
+    aug = [list(r) + [1] for r in rows]
+    if _echelon(aug, size)[0] < size:
+        return None
+    return _back_substitute(aug, size)
 
 
 def rank(rows, n):
@@ -111,17 +130,17 @@ def test_rank_permutation_invariant():
 
 
 def test_solve_identity():
-    assert _solve_unit_rhs([[1, 0], [0, 2]]) == [1, H]
+    assert solve_unit_rhs([[1, 0], [0, 2]]) == [1, H]
 
 
 def test_solve_five_vertex_tight_system():
-    # x4 = x5 = 0 pinned and dropped, as the vertex enumeration does;
+    # x4 = x5 = 0 pinned and dropped, as the basis search does;
     # left: x1+x2 = 1, x1+x3 = 1, x2+x3 = 1
-    assert _solve_unit_rhs([[1, 1, 0], [1, 0, 1], [0, 1, 1]]) == [H, H, H]
+    assert solve_unit_rhs([[1, 1, 0], [1, 0, 1], [0, 1, 1]]) == [H, H, H]
 
 
 def test_solve_inconsistent_is_none():
-    assert _solve_unit_rhs([[1, 1], [2, 2]]) is None
+    assert solve_unit_rhs([[1, 1], [2, 2]]) is None
 
 
 def random_entries(rng, m, n):
@@ -150,7 +169,7 @@ def test_rank_and_solve_against_oracles():
         # the leading square block against the unit right-hand side
         k = min(m, n)
         square = [row[:k] for row in rows[:k]]
-        y = _solve_unit_rhs(square)
+        y = solve_unit_rhs(square)
         if cofactor_det(square) == 0:
             assert y is None
             singular += 1
@@ -254,7 +273,7 @@ def test_vertices_c6_contains_alternating_halves():
 def test_every_vertex_is_certified():
     for name, k in [("cycle", 5), ("cycle", 6), ("path", 6)]:
         c = h3(name, k)
-        for v in enumerate_covering_vertices(c):
+        for v in vertices(c):
             chk = verify_vertex(c, v.coords)
             assert chk.is_vertex
             assert chk.tight_rows == v.tight_rows
@@ -274,7 +293,8 @@ def test_verify_vertex_rejects_interior_point():
 # --- idealness -------------------------------------------------------------------------
 
 def test_ideal_c8_true():
-    assert is_ideal(h3("cycle", 8)).ideal
+    res = is_ideal(h3("cycle", 8))
+    assert res.ideal and res.certificate is None
 
 
 def test_ideal_c5_false_with_fractional_certificate():
@@ -298,10 +318,27 @@ def test_ideal_pattern_prepass_agrees_with_enumeration():
     for name, k in [("cycle", 5), ("cycle", 6), ("cycle", 7), ("path", 6), ("cycle", 8)]:
         c = h3(name, k)
         res = is_ideal(c)
-        fractional = [v for v in enumerate_covering_vertices(c) if not v.is_integral]
+        fractional = [v for v in vertices(c) if not integral(v)]
         assert res.ideal == (not fractional)
         if res.certificate is not None:
             assert verify_vertex(c, res.certificate.coords).is_vertex
+
+
+def test_fractional_vertex_matches_scan():
+    # The basis search returns the oracle's first fractional vertex, tight
+    # rows included. The random draws are kept where is_ideal reaches the
+    # search: the pattern pre-pass misses them and the TU scan refutes them.
+    rng = random.Random(7)
+    drawn = [Clutter(n, random_clutter(rng, n)) for n in (rng.randint(3, 7) for _ in range(3000))]
+    cases = [c for c in drawn if not c.is_empty and _pattern_vertices(c) is None
+             and not is_totally_unimodular(c).totally_unimodular]
+    cases += [h3("cycle", k) for k in (5, 6, 7)]
+    fractional = 0
+    for c in cases:
+        v = _fractional_vertex(c)
+        assert v == next((u for u in vertices(c) if not integral(u)), None), c.edges
+        fractional += v is not None
+    assert (sum(not c.is_empty for c in drawn), len(cases), fractional) == (2683, 89, 85)
 
 
 def prepass(c):
@@ -364,10 +401,10 @@ def test_ideal_tu_branch_agrees_with_enumeration():
     for c in cases:
         res = is_ideal(c)
         if res.ideal:
-            assert all(v.is_integral for v in enumerate_covering_vertices(c))
+            assert all(integral(v) for v in vertices(c))
         else:
             assert verify_vertex(c, res.certificate.coords).is_vertex
-            assert not res.certificate.is_integral
+            assert not integral(res.certificate)
             assert res.tu == vertex_tu_witness(c, res.certificate)
         tu = is_totally_unimodular(c).totally_unimodular
         assert res.tu.totally_unimodular == tu
@@ -384,8 +421,8 @@ def test_vertex_witness_on_every_fractional_vertex():
         n = rng.randint(3, 7)
         c = Clutter(n, random_clutter(rng, n))
         A = incidence_matrix(c)
-        for v in enumerate_covering_vertices(c):
-            if v.is_integral:
+        for v in vertices(c):
+            if integral(v):
                 continue
             w = vertex_tu_witness(c, v).witness
             assert len(w.rows) == len(w.cols)
@@ -400,9 +437,9 @@ def test_vertex_witness_on_every_fractional_vertex():
 
 def test_vertex_witness_refuses_integral_vertex():
     c = h3("cycle", 5)
-    integral = next(v for v in enumerate_covering_vertices(c) if v.is_integral)
+    first = next(v for v in vertices(c) if integral(v))
     with pytest.raises(ArithmeticError):
-        vertex_tu_witness(c, integral)
+        vertex_tu_witness(c, first)
 
 
 def test_decide_witnesses_of_non_ideal_classes_verify():
