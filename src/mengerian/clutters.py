@@ -3,7 +3,9 @@
 A clutter stores an antichain of nonempty hyperedges over the vertices
 0..n-1. Contracting a whole edge away gives the unit clutter (an empty
 edge, the unit ideal); it is no Clutter value, and the packing walk skips
-it.
+it. The walk visits the minors with the most edges first, leaves out
+those that trivially pack (at most two edges, or pairwise disjoint
+ones), and contracts a vertex in one pass over an antichain.
 
 All solvers here are exact. Branch and bound is used for tau and nu; the
 weighted sides of the min-max equation live with the monomial ideals.
@@ -12,6 +14,7 @@ Brute subset scans survive in the test suite as independent oracles.
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator
 
@@ -166,19 +169,50 @@ def has_konig(c: Clutter) -> bool:
     return tau(c) == nu(c)
 
 
+def _disjoint(masks: Iterable[int]) -> bool:
+    """Whether the edges are pairwise disjoint."""
+    used = 0
+    for e in masks:
+        if e & used:
+            return False
+        used |= e
+    return True
+
+
+def _contract(masks: tuple[int, ...], bit: int) -> tuple[int, ...] | None:
+    """The sorted contraction of one vertex, or None for the unit clutter.
+
+    ``masks`` is an antichain, so the edges through the vertex still form
+    one once shrunk, and no edge without the vertex can sit inside or
+    equal a shrunk one: only shrunk edges can dominate. The result is exactly
+    ``_minimal_masks(e & ~bit for e in masks)``.
+    """
+    shrunk = [e ^ bit for e in masks if e & bit]
+    if 0 in shrunk:
+        return None
+    kept = [e for e in masks if not e & bit and not any(s & e == s for s in shrunk)]
+    return tuple(sorted(shrunk + kept))
+
+
 def has_packing(c: Clutter) -> bool:
     """Konig for the clutter and every non-unit deletion/contraction minor.
 
-    Depth-first walk that deletes or contracts one vertex per step. A
-    minor is its edge set, a sorted tuple of bitmasks over the original
-    vertex ids, and each distinct one is checked once. Unit minors are
-    skipped, since every minor of a unit clutter is unit again.
+    Walk that deletes or contracts one vertex per step. A minor is its
+    edge set, a sorted tuple of bitmasks over the original vertex ids, and
+    each distinct one is checked once. Minors come off a heap with the
+    most edges first, so contractions (which keep every edge) are explored
+    before deletions and a failing minor is met early. A minor with at
+    most two edges, or with pairwise disjoint edges, is marked seen but
+    not checked: its minors are of the same kind or unit, and each such
+    clutter has tau == nu (1 = 1 for two meeting edges, m = m for
+    disjoint ones). Unit minors are skipped, since every minor of a unit
+    clutter is unit again.
     """
     start = tuple(sorted(c.masks))
     seen = {start}
-    stack = [start]
-    while stack:
-        masks = stack.pop()
+    heap = [(-len(start), start)]
+    while heap:
+        _, masks = heapq.heappop(heap)
         edges = tuple(tuple(_bits(e)) for e in masks)
         if not has_konig(Clutter(c.n, edges)):
             return False
@@ -188,12 +222,12 @@ def has_packing(c: Clutter) -> bool:
         for v in _bits(support):
             bit = 1 << v
             deleted = tuple(e for e in masks if not e & bit)
-            contracted = tuple(sorted(_minimal_masks(e & ~bit for e in masks)))
-            for child in (deleted, contracted):
-                # an empty edge (mask 0) makes the unit clutter
-                if 0 not in child and child not in seen:
-                    seen.add(child)
-                    stack.append(child)
+            for child in (_contract(masks, bit), deleted):
+                if child is None or child in seen:
+                    continue
+                seen.add(child)
+                if len(child) > 2 and not _disjoint(child):
+                    heapq.heappush(heap, (-len(child), child))
     return True
 
 

@@ -73,3 +73,8 @@ def test_traced_pass_covers_gated_metrics(workload, tmp_path, monkeypatch):
     tracer.dump(str(path))
     metrics = spans.layer_metrics(json.loads(path.read_text()))
     assert [name for name in run.COVERAGE[workload] if not metrics[name]] == []
+    if workload == "decide-fixtures":
+        # the packing walk Konig-checks each minor it visits once, and its
+        # order and pruning keep the visits few (11776 before both)
+        assert metrics["clutters.has_packing.distinct_ratio"] == 1.0
+        assert metrics["clutters.has_packing.konig_calls"] < 2000

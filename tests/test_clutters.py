@@ -6,6 +6,7 @@ import pytest
 from mengerian import clutters
 from mengerian.clutters import (
     Clutter,
+    _contract,
     _minimal_masks,
     has_konig,
     has_packing,
@@ -14,7 +15,7 @@ from mengerian.clutters import (
     nu,
     tau,
 )
-from mengerian.graphs import build_path_hypergraph, make_family
+from mengerian.graphs import build_path_hypergraph, make_family, relabel
 from mengerian.ideals import cover_degree, edge_ideal, is_normally_torsion_free, member_of_power
 from mengerian.survey import enumerate_connected
 
@@ -67,7 +68,7 @@ def test_masks_are_the_edge_bitmasks():
     assert "masks" not in repr(a)
 
 
-# _minimal_masks is the antichain step of contraction in the packing walk
+# _minimal_masks is the antichain step of each transversal round in minimal_covers
 
 def test_minimalize_superset_removal():
     assert _minimal_masks([0b011, 0b111, 0b011]) == [0b011]
@@ -80,6 +81,24 @@ def test_minimalize_empty_edge_gives_unit():
 
 def test_minimalize_h3c8_unchanged(h3c8):
     assert sorted(_minimal_masks(h3c8.masks)) == sorted(h3c8.masks)
+
+
+def test_contract_is_minimalised_contraction(h3c8):
+    # the one-pass contraction of the packing walk against the generic step
+    rng = random.Random(41)
+    cases = [h3c8.masks] + [random_clutter(rng, rng.randint(1, 8)).masks for _ in range(300)]
+    for masks in cases:
+        masks = tuple(sorted(masks))
+        for v in range(8):
+            expected = sorted(_minimal_masks(e & ~(1 << v) for e in masks))
+            got = _contract(masks, 1 << v)
+            if expected == [0]:
+                assert got is None
+            else:
+                assert got == tuple(expected)
+    # an edge that is the vertex alone contracts to the unit clutter
+    assert _contract((0b001, 0b110), 0b001) is None
+    assert _contract((0b011, 0b110), 0b010) == (0b001, 0b100)
 
 
 def test_unit_clutter_rejected_by_most_ops():
@@ -199,6 +218,73 @@ def test_packing_against_minor_scan():
             konig_but_not_packing += 1
     # the walk must look below the clutter itself to find these
     assert konig_but_not_packing > 0
+
+
+def disjoint_edges(rng, n):
+    """Pairwise disjoint edges covering a random subset of range(n)."""
+    vertices = rng.sample(range(n), rng.randint(1, n))
+    edges, start = [], 0
+    while start < len(vertices):
+        size = rng.randint(1, 3)
+        edges.append(vertices[start:start + size])
+        start += size
+    return edges
+
+
+def test_packing_against_minor_scan_exhaustive():
+    # every nonempty H_3 with n <= 6, and random clutters with n <= 6, some
+    # of them of the kinds the walk prunes (at most two edges, or disjoint
+    # edges) and some one edge away from them
+    cases = [build_path_hypergraph(g) for n in range(1, 7) for g in enumerate_connected(n)]
+    cases = [c for c in cases if c.edges]
+    rng = random.Random(37)
+    for i in range(300):
+        n = rng.randint(1, 6)
+        if i % 3 == 0:
+            edges = oracles.random_clutter(rng, n)
+        elif i % 3 == 1:
+            edges = oracles.antichain(rng.sample(range(n), rng.randint(1, n))
+                                      for _ in range(rng.randint(1, 2)))
+        else:
+            edges = disjoint_edges(rng, n)
+            if rng.random() < 0.5:
+                edges.append(rng.sample(range(n), rng.randint(1, n)))
+            edges = oracles.antichain(edges)
+        cases.append(Clutter(n, edges))
+    refuted = 0
+    for c in cases:
+        expected = oracles.has_packing_scan(c.n, c.edges)
+        assert has_packing(c) == expected, c
+        refuted += not expected
+    assert refuted > 0
+
+
+def konig_checks(monkeypatch, c):
+    """has_packing(c) and the number of Konig checks it made."""
+    calls = 0
+
+    def counting(minor):
+        nonlocal calls
+        calls += 1
+        return has_konig(minor)
+
+    monkeypatch.setattr(clutters, "has_konig", counting)
+    return has_packing(c), calls
+
+
+def test_packing_walk_work(monkeypatch):
+    # the largest minors come first, so a failing one is met early, and
+    # minors that trivially pack are never checked
+    c12 = make_family("cycle", [12])
+    rng = random.Random(5)
+    perms = [list(range(12))] + [rng.sample(range(12), 12) for _ in range(7)]
+    for perm in perms:
+        holds, checks = konig_checks(monkeypatch, build_path_hypergraph(relabel(c12, perm)))
+        assert not holds and checks <= 200, (perm, checks)
+    holds, checks = konig_checks(monkeypatch, H3("cycle", 8))
+    assert holds and checks <= 300
+    holds, checks = konig_checks(monkeypatch, H3("path", 9))
+    assert holds and checks <= 350
 
 
 # --- weighted covers and packings ---------------------------------------------------

@@ -61,6 +61,11 @@ PINNED = [
      "1afa7ca5b7bbd994e834e39edad2ffe0a6fa65c2ac683f72c96cde61ef2d9326"),
     (["check", "ideal", "--family", "complete:5"],
      "d011ddddd72eba5668ac691213c03e5b119a60dcc4655e66adefbba5d9a42ea6"),
+    # the packing walk: refuted on C12, holds on P12
+    (["check", "packing", "--family", "cycle:12"],
+     "f46a65d64ccb1f114ba7332e4a20046271da81b273a6080bfb7852e98a8d3119"),
+    (["check", "packing", "--family", "path:12"],
+     "f044b3c3dedf13a4fc440f0afe384bd3c0abbf2b3074fd314796c5ca3d9acf64"),
     (["classify", "--format", "json", "--family", "cycle:8"],
      "14ef1897785e45a0f94a75ca817055ec55627c803c4e684c5a384df905b2e89c"),
 ]
