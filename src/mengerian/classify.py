@@ -127,8 +127,8 @@ class DecisionReport:
     tu: linalg.TUResult
     tau: int
     nu: int
+    packing: bool
     ideal: Optional[linalg.IdealityResult] = None
-    packing: Optional[bool] = None
     ntf: Optional[ideals.NtfResult] = None
     classifier: Optional[ClassVerdict] = None
 
@@ -210,12 +210,7 @@ def ntf_json(res: Optional[ideals.NtfResult], certificates: bool) -> Optional[di
     return d
 
 
-def decide_mengerian_exact(
-    g: Graph,
-    t: int = 3,
-    caps: Caps = Caps(),
-    compute_packing: bool = False,
-) -> DecisionReport:
+def decide_mengerian_exact(g: Graph, t: int = 3, caps: Caps = Caps()) -> DecisionReport:
     """Exact Mengerian decision with a method trace.
 
     Routes, in order. Idealness comes first, and ``linalg.is_ideal`` also
@@ -227,6 +222,11 @@ def decide_mengerian_exact(
     reported with ``ideal`` unset), and the rest, ideal and not TU, are
     settled by power equality up to ceil(mu/2), which is always conclusive
     (POWER_EQUALITY).
+
+    Packing is always reported: tau != nu refutes it, backed by the Konig
+    values; a Mengerian clutter packs (Konig on every minor is the min-max
+    equation for weights in {0, 1, infinity}); the rest take the walk
+    ``clutters.has_packing``, whose refutation carries no certificate.
     """
     c = capped_hypergraph(g, t, caps)
 
@@ -235,7 +235,6 @@ def decide_mengerian_exact(
         classifier = classify_mengerian(g)
 
     tau, nu = clutters.tau(c), clutters.nu(c)
-    packing = clutters.has_packing(c) if compute_packing else None
 
     ideality = linalg.is_ideal(c)
     ntf = None
@@ -250,9 +249,10 @@ def decide_mengerian_exact(
         check_power_cap(c, caps)
         ntf = ideals.is_normally_torsion_free(c)
         trace, mengerian = TRACE_POWER, ntf.normally_torsion_free
-    return DecisionReport(g, t, c, trace, mengerian, ideality.tu, tau, nu,
+    packing = tau == nu and (mengerian or clutters.has_packing(c))
+    return DecisionReport(g, t, c, trace, mengerian, ideality.tu, tau, nu, packing,
                           ideal=None if trace == TRACE_TU else ideality,
-                          packing=packing, ntf=ntf, classifier=classifier)
+                          ntf=ntf, classifier=classifier)
 
 
 # ---------------------------------------------------------------------------
@@ -354,8 +354,9 @@ def verify_report_dict(d: dict) -> list[tuple[str, bool, str]]:
     report carried nothing verifiable (positive verdicts have no compact
     witness). A report that names its graph must carry H_t of that graph,
     and a certificate is valid only when the report sets every verdict it
-    refutes to false. Malformed input raises ValueError, as does a report of
-    the retired bounded min-max probe.
+    refutes to false; Konig values with tau != nu refute the packing and
+    Mengerian verdicts a report gives. Malformed input raises ValueError, as
+    does a report of the retired bounded min-max probe.
     """
     c = report_hypergraph(d)
     if "mfmc_probe" in d:
@@ -403,7 +404,10 @@ def verify_report_dict(d: dict) -> list[tuple[str, bool, str]]:
         t_, n_ = clutters.tau(c), clutters.nu(c)
         ok = (_is_int(konig["tau"], t_) and _is_int(konig.get("nu"), n_)
               and konig.get("value") is (t_ == n_))
-        out.append(("konig_values", ok, f"tau={t_} nu={n_}"))
+        # tau > nu refutes packing and the Mengerian property at the clutter itself
+        verdicts = {"packing": checks.get("packing"), "mengerian": d.get("mengerian")}
+        refuted = {} if t_ == n_ else {k: v for k, v in verdicts.items() if v is not None}
+        out.append(_refuting("konig_values", ok, f"tau={t_} nu={n_}", **refuted))
 
     ntf = _section(checks, "ntf")
     v = _section(ntf, "violation")

@@ -1,11 +1,12 @@
 """Command-line interface.
 
 Commands: hypergraph, check, decide, classify, survey, verify-certificate.
-Identical invocations produce byte-identical output. Every refutation
-except a packing one is emitted together with a certificate that
-verify-certificate re-validates independently; a packing refutation
-names no failing minor, so it carries none. Exit status: 0 completed,
-2 property refuted under --assert (or an invalid certificate), 1 error.
+Identical invocations produce byte-identical output. Every decide report
+and survey row gives packing. Every refutation but the packing walk's is
+emitted with a certificate that verify-certificate re-validates; the walk
+names no failing minor, but a decide packing=false with tau != nu is
+backed by the Konig values. Exit status: 0 completed, 2 property refuted
+under --assert (or an invalid certificate), 1 error.
 """
 
 from __future__ import annotations
@@ -91,7 +92,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_input_args(pd)
     pd.add_argument("--no-certificates", dest="certificates", action="store_false",
                     help="leave the certificates out of the report")
-    pd.add_argument("--packing", action="store_true", help="also compute the packing property")
+    pd.add_argument("--packing", action="store_true", help="ignored: every report gives packing")
 
     pk = sub.add_parser("classify", help="closed-form clause for a connected graph")
     _add_input_args(pk)
@@ -100,7 +101,6 @@ def build_parser() -> argparse.ArgumentParser:
     ps = sub.add_parser("survey", help="exhaustive cross-check over small graphs")
     ps.add_argument("--max-n", dest="survey_max_n", type=int, default=6)
     ps.add_argument("--min-n", type=int, default=4)
-    ps.add_argument("--packing-max-n", type=int, default=survey.PACKING_MAX_N)
     ps.add_argument("--csv", action="store_true", help="CSV summary instead of JSON")
 
     pv = sub.add_parser("verify-certificate", help="re-validate certificates in a report")
@@ -164,8 +164,7 @@ def _cmd_check(args) -> int:
 
 def _cmd_decide(args) -> int:
     g = _load_graph(args)
-    rep = classify.decide_mengerian_exact(g, args.t, caps=_caps(args),
-                                          compute_packing=args.packing)
+    rep = classify.decide_mengerian_exact(g, args.t, caps=_caps(args))
     _emit_json(rep.to_json_dict(certificates=args.certificates))
     return 0
 
@@ -182,8 +181,7 @@ def _cmd_classify(args) -> int:
 
 
 def _cmd_survey(args) -> int:
-    rep = survey.cross_check(args.survey_max_n, t=args.t, n_min=args.min_n,
-                             packing_max_n=args.packing_max_n, caps=_caps(args))
+    rep = survey.cross_check(args.survey_max_n, t=args.t, n_min=args.min_n, caps=_caps(args))
     if args.csv:
         sys.stdout.write(rep.to_csv())
     else:

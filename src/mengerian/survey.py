@@ -5,8 +5,8 @@ class, each as the least adjacency bitmask of its orbit under vertex
 permutations, by orderly generation: a search that deletes edges from K_n
 and keeps only least masks, so no orbit is ever scanned. The survey runs
 the exact pipeline on every class, compares it against the closed-form
-classifier, audits the TU-or-non-ideal dichotomy, and checks packing
-against the Mengerian verdict wherever packing is computed.
+classifier, audits the TU-or-non-ideal dichotomy, and checks packing,
+which every instance reports, against the Mengerian verdict.
 """
 
 from __future__ import annotations
@@ -20,7 +20,6 @@ from .classify import Caps, CapExceeded, DecisionReport
 from .graphs import Graph
 
 ENUMERATION_CAP = 8
-PACKING_MAX_N = 6
 CSV_COLUMNS = ("n", "index", "graph6", "clause", "trace", "mengerian", "tu", "ideal",
                "konig", "packing")
 
@@ -202,7 +201,6 @@ def cross_check(
     n_max: int,
     t: int = 3,
     n_min: int = 4,
-    packing_max_n: int = PACKING_MAX_N,
     caps: Optional[Caps] = None,
 ) -> SurveyReport:
     """Survey all connected classes with n_min <= n <= n_max.
@@ -210,10 +208,11 @@ def cross_check(
     At t = 3 every instance is also classified by the closed form and any
     disagreement lands in mismatches (expected empty). Instances that are
     neither totally unimodular nor non-ideal are dichotomy exceptions;
-    packing-versus-Mengerian disagreements are conjecture findings, never
-    assertion failures. Instances over a resource cap are INCOMPLETE and
-    never counted as verified. n_min or n_max outside 1..ENUMERATION_CAP,
-    or n_min > n_max, raises ValueError before any instance is decided.
+    every instance reports packing, and packing-versus-Mengerian
+    disagreements are conjecture findings, never assertion failures.
+    Instances over a resource cap are INCOMPLETE and never counted as
+    verified. n_min or n_max outside 1..ENUMERATION_CAP, or n_min > n_max,
+    raises ValueError before any instance is decided.
     """
     _check_n(n_min)
     _check_n(n_max)
@@ -225,8 +224,7 @@ def cross_check(
         for idx, g in enumerate(enumerate_connected(n)):
             key = {"n": n, "index": idx, "graph6": graphs.to_graph6(g)}
             try:
-                rep = classify.decide_mengerian_exact(
-                    g, t, caps=caps, compute_packing=(n <= packing_max_n))
+                rep = classify.decide_mengerian_exact(g, t, caps=caps)
             except CapExceeded as exc:
                 report.rows.append(SurveyRow(n, idx, None, incomplete=str(exc)))
                 report.incomplete.append({**key, "reason": str(exc)})
@@ -245,7 +243,7 @@ def cross_check(
                 report.dichotomy_exceptions.append({
                     **key, "trace": rep.trace, "mengerian": rep.mengerian,
                 })
-            if rep.packing is not None and rep.packing != rep.mengerian:
+            if rep.packing != rep.mengerian:
                 report.conjecture_violations.append({
                     **key, "packing": rep.packing, "mengerian": rep.mengerian,
                 })

@@ -12,7 +12,7 @@ from fractions import Fraction
 import pytest
 
 from mengerian import clutters
-from mengerian.classify import classify_mengerian, decide_mengerian_exact
+from mengerian.classify import Caps, classify_mengerian, decide_mengerian_exact
 from mengerian.clutters import Clutter, incidence_matrix, minimal_covers
 from mengerian.graphs import build_path_hypergraph, make_family, parse_edge_list, relabel
 from mengerian.ideals import (
@@ -194,10 +194,22 @@ def test_criterion_5_extended_n7():
     assert rep.counters["total"] == 853
     assert rep.mismatches == [] and rep.incomplete == []
     assert rep.dichotomy_exceptions == []
+    assert all(type(row.report.packing) is bool for row in rep.rows)
+    assert rep.conjecture_violations == []
     elapsed = time.time() - start
     assert elapsed < 1800
     print(f"ACCEPTANCE 5 (extended) PASS: 853 classes at n=7, zero mismatches, "
-          f"no dichotomy exception, {elapsed:.1f}s")
+          f"no dichotomy exception, packing equals the Mengerian verdict, {elapsed:.1f}s")
+
+
+@extended
+def test_criterion_5_n8_conjecture_consistency():
+    # 213 classes at n=8 have 65..70 hyperedges, over the default edge cap
+    rep = cross_check(8, n_min=8, caps=Caps(max_edges=70))
+    assert rep.incomplete == []
+    assert rep.conjecture_violations == []
+    print(f"ACCEPTANCE 5 (n=8) PASS: packing equals the Mengerian verdict on all "
+          f"{rep.counters['total']} classes at n=8")
 
 
 def test_criterion_6_dichotomy_audit(survey6):
@@ -213,13 +225,12 @@ def test_criterion_6_dichotomy_audit(survey6):
 
 def test_criterion_7_conjecture_consistency(survey6):
     assert survey6.conjecture_violations == []
-    computed = [row for row in survey6.rows
-                if row.report is not None and row.report.packing is not None]
-    assert len(computed) == 139  # packing computed everywhere at n <= 6
-    for row in computed:
-        assert row.report.packing == row.report.mengerian
+    decided = [row.report for row in survey6.rows if row.report is not None]
+    assert len(decided) == 139
+    for rep in decided:
+        assert rep.packing == rep.mengerian
     print(f"ACCEPTANCE 7 PASS: packing equals the Mengerian verdict on all "
-          f"{len(computed)} instances with packing computed")
+          f"{len(decided)} instances")
 
 
 def test_criterion_8_property_suites(survey6):

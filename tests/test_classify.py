@@ -187,10 +187,35 @@ def test_decide_caps():
 
 
 def test_decide_packing_flag():
-    rep = decide_mengerian_exact(make_family("cycle", [5]), compute_packing=True)
+    rep = decide_mengerian_exact(make_family("cycle", [5]))
     assert rep.packing is False
-    rep2 = decide_mengerian_exact(make_family("path", [5]), compute_packing=True)
+    rep2 = decide_mengerian_exact(make_family("path", [5]))
     assert rep2.packing is True
+
+
+def test_packing_read_off_agrees_with_the_walk():
+    # decide reads packing off tau != nu and the Mengerian verdict where it
+    # can; on every nonempty H_3 with n <= 7 that is the walk's answer
+    checked = 0
+    for n in range(1, 8):
+        for g in enumerate_connected(n):
+            rep = decide_mengerian_exact(g)
+            if not rep.hypergraph.is_empty:
+                assert rep.packing == clutters.has_packing(rep.hypergraph), graphs.to_graph6(g)
+                checked += 1
+    assert checked == 988
+
+
+def test_decide_packing_without_the_walk(monkeypatch):
+    def refuse(c):
+        raise AssertionError("the packing walk ran")
+
+    monkeypatch.setattr(clutters, "has_packing", refuse)
+    c5 = decide_mengerian_exact(make_family("cycle", [5]))
+    assert (c5.tau, c5.nu, c5.mengerian, c5.packing) == (2, 1, False, False)
+    for name, k in (("path", 9), ("cycle", 8)):
+        rep = decide_mengerian_exact(make_family(name, [k]))
+        assert rep.mengerian and rep.packing
 
 
 def test_shortcuts_agree_with_forced_power_equality():
@@ -282,7 +307,7 @@ def test_verify_report_checks_graph():
     # the graph swapped for P5 and the verdict flipped
     d["graph"] = {"n": 5, "edges": [[1, 2], [2, 3], [3, 4], [4, 5]]}
     d["mengerian"] = True
-    assert failed(verify_report_dict(d)) == {"hypergraph", "fractional_vertex"}
+    assert failed(verify_report_dict(d)) == {"hypergraph", "fractional_vertex", "konig_values"}
     d = c5_report()
     d["graph"]["n"] = 6
     assert failed(verify_report_dict(d)) == {"hypergraph"}
@@ -303,12 +328,14 @@ def test_verify_report_malformed_graph(graph):
     (lambda d: d["checks"]["tu"].update(value=True), "tu_witness"),
     (lambda d: d["checks"]["ideal"].update(value=True), "fractional_vertex"),
     (lambda d: d.update(mengerian=True), "fractional_vertex"),
+    (lambda d: d["checks"].update(packing=True), "konig_values"),
 ])
 def test_verify_report_flipped_verdict(flip, refuted):
     d = c5_report()
     flip(d)
     results = verify_report_dict(d)
-    assert failed(results) == {refuted}
+    # tau=2 > nu=1 refutes a true Mengerian verdict, too
+    assert failed(results) == {refuted} | ({"konig_values"} if d["mengerian"] else set())
     assert any("does not set" in msg for _, _, msg in results)
 
 

@@ -54,13 +54,20 @@ def test_check_konig_text():
 
 
 def test_check_mfmc_probe(capsys):
-    # the bounded probe and both its --cmax options are gone: argparse usage errors
+    # the bounded probe, both its --cmax options and the survey's packing
+    # cutoff (every row reports packing) are gone: argparse usage errors
     for argv in (["check", "mfmc-probe", "--family", "cycle:5"],
                  ["check", "ntf", "--family", "cycle:5", "--cmax", "1"],
-                 ["verify-certificate", "--cmax", "1", "-"]):
+                 ["verify-certificate", "--cmax", "1", "-"],
+                 ["survey", "--packing-max-n", "3"]):
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 2 and capsys.readouterr().err.startswith("usage: mengerian")
+
+
+def test_decide_packing_flag_is_a_no_op():
+    assert run_cli(["decide", "--packing", "--family", "cycle:12"]) == \
+        run_cli(["decide", "--family", "cycle:12"])
 
 
 def test_classify_text():
@@ -163,6 +170,16 @@ def test_verify_certificate_stdin_tampered():
     code2, out2, _ = run_cli(["verify-certificate", "-"], stdin_text=json.dumps(d))
     assert code2 == 2
     assert "INVALID" in out2
+
+
+@pytest.mark.parametrize("verdict", ["packing", "mengerian"])
+def test_verify_certificate_konig_refutes_a_true_verdict(verdict):
+    code, out, _ = run_cli(["decide", "--packing", "--family", "cycle:5"])
+    d = json.loads(out)
+    (d["checks"] if verdict == "packing" else d)[verdict] = True
+    code2, out2, _ = run_cli(["verify-certificate", "-"], stdin_text=json.dumps(d))
+    assert code2 == 2
+    assert f"konig_values: INVALID (tau=2 nu=1; the report does not set {verdict} false)" in out2
 
 
 @pytest.mark.parametrize("report", [
