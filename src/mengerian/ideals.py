@@ -2,8 +2,13 @@
 
 Monomials are exponent tuples. Symbolic powers of a square-free monomial
 ideal are computed by direct enumeration of the minimal exponent vectors
-whose degree sum over every minimal cover reaches k; the test suite checks
-them against the defining intersection of powers of minimal-cover primes.
+whose degree sum over every minimal cover reaches k. The search packs each
+state into two integers, the exponent vector and the cover sums with a
+flag bit per cover, so finding the first deficient cover is one addition
+and a mask; one monotone prune drops every state whose extensions are all
+non-minimal, and it doubles as the minimality test. The test suite checks
+the generators against the defining intersection of powers of
+minimal-cover primes and against the plain tuple search it replaced.
 The headline operation decides I^k = I^(k) for k up to ceil(mu/2), which
 settles the normally-torsion-free question, and with it the Mengerian one,
 exactly: powers_equal returns the first generator of I^(k) outside I^k,
@@ -85,37 +90,64 @@ def _minimal_cover_vectors(covers: Sequence[tuple[int, ...]], k: int, n: int) ->
     """Minimal exponent vectors with degree sum >= k on every cover.
 
     Depth-first completion: repair the first deficient cover by single
-    increments, capped at k per coordinate (truncating any exponent to k
-    never leaves the solution set, so minimal vectors stay below the cap).
-    Visited states are memoized; minimality is the local test that every
-    positive coordinate sits on some cover that is tight at k.
+    increments. A state is two packed integers: the exponent vector, with
+    k.bit_length() bits per coordinate, and the cover sums, one field of
+    (n*k).bit_length() + 1 bits per cover whose top bit is a flag. Raising
+    coordinate v adds its precomputed word to each. A field's flag in
+    S + (top - k)*ones is set when that cover reaches k, so the first
+    deficient cover is the lowest clear flag; in S + (top - k - 1)*ones it
+    is set when the cover exceeds k. A coordinate on a deficient cover is
+    below k, so no exponent passes k and no field overflows.
+
+    One monotone prune: a state with a positive coordinate whose covers
+    all exceed k has no minimal extension, since sums only grow, and is
+    dropped. The raised coordinate always keeps its repaired cover at or
+    below k, so the test runs only when a raise lifts some cover past k.
+    At a solution it is the minimality test, so every solution is minimal.
     """
-    start = (0,) * n
-    seen: set[Monomial] = set()
-    sols: list[Monomial] = []
-    stack = [start]
+    b = k.bit_length()
+    w = (n * k).bit_length() + 1
+    top = 1 << (w - 1)
+    ones = sum(1 << i * w for i in range(len(covers)))
+    flags = top * ones
+    reach = (top - k) * ones
+    exceed = reach - ones
+    step = [0] * n
+    for i, cov in enumerate(covers):
+        for v in cov:
+            step[v] |= 1 << i * w
+    through = [word * top for word in step]
+    # the lowest clear flag of cover i has bit_length (i + 1) * w
+    raises = [()] + [tuple((1 << v * b, step[v], 1 << v) for v in cov) for cov in covers]
+    seen = {0}
+    sols = []
+    stack = [(0, 0, 0)]  # exponent word, cover-sum word, mask of positive coordinates
     while stack:
-        e = stack.pop()
-        if e in seen:
-            continue
-        seen.add(e)
-        deficient = next((cov for cov in covers if sum(e[v] for v in cov) < k), None)
-        if deficient is None:
+        e, s, pos = stack.pop()
+        short = ~(s + reach) & flags
+        if not short:
             sols.append(e)
             continue
-        for v in deficient:
-            if e[v] < k:
-                stack.append(e[:v] + (e[v] + 1,) + e[v + 1:])
-    out = []
-    for e in sols:
-        minimal = True
-        for v in range(n):
-            if e[v] and not any(v in cov and sum(e[u] for u in cov) == k for cov in covers):
-                minimal = False
-                break
-        if minimal:
-            out.append(e)
-    return out
+        loose = ~(s + exceed) & flags  # covers at or below k
+        for unit, add, bit in raises[(short & -short).bit_length() // w]:
+            child = e + unit
+            if child in seen:
+                continue
+            seen.add(child)
+            cs = s + add
+            child_loose = ~(cs + exceed) & flags
+            if child_loose != loose:
+                q = pos
+                while q:
+                    u = q & -q
+                    if not through[u.bit_length() - 1] & child_loose:
+                        break
+                    q ^= u
+                if q:
+                    continue
+            stack.append((child, cs, pos | bit))
+    mask = (1 << b) - 1
+    return [tuple(e >> v * b & mask for v in range(n)) for e in sols]
 
 
 def symbolic_power(c: Clutter, k: int) -> MonomialIdeal:

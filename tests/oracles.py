@@ -277,6 +277,43 @@ def intersect(gens_a, gens_b):
     return minimal_gens(mono_lcm(f, g) for f in gens_a for g in gens_b)
 
 
+def minimal_cover_vectors_scan(covers, k, n):
+    """Minimal exponent vectors with degree sum >= k on every cover.
+
+    Depth-first completion: repair the first deficient cover by single
+    increments, capped at k per coordinate (truncating any exponent to k
+    never leaves the solution set, so minimal vectors stay below the cap).
+    Visited states are memoized; minimality is the local test that every
+    positive coordinate sits on some cover that is tight at k.
+    """
+    start = (0,) * n
+    seen = set()
+    sols = []
+    stack = [start]
+    while stack:
+        e = stack.pop()
+        if e in seen:
+            continue
+        seen.add(e)
+        deficient = next((cov for cov in covers if sum(e[v] for v in cov) < k), None)
+        if deficient is None:
+            sols.append(e)
+            continue
+        for v in deficient:
+            if e[v] < k:
+                stack.append(e[:v] + (e[v] + 1,) + e[v + 1:])
+    out = []
+    for e in sols:
+        minimal = True
+        for v in range(n):
+            if e[v] and not any(v in cov and sum(e[u] for u in cov) == k for cov in covers):
+                minimal = False
+                break
+        if minimal:
+            out.append(e)
+    return out
+
+
 def symbolic_power_scan(n, edge_sets, k):
     """k-th symbolic power as the intersection of the minimal-cover prime powers."""
     acc = None

@@ -10,6 +10,8 @@ import pytest
 from mengerian import classify, graphs
 from mengerian.cli import build_parser, main
 
+from test_survey import extended
+
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
@@ -284,6 +286,32 @@ def test_check_ntf_respects_power_cap():
     assert err == "resource cap exceeded: power-equality bound 4 exceeds the cap 2\n"
     code, out, _ = run_cli(["--max-power", "4", "check", "ntf", "--family", "cycle:8"])
     assert code == 0 and json.loads(out)["ntf"]["checked_k"] == [2, 3, 4]
+
+
+def test_check_ntf_path11():
+    # a TU clutter checked the long way, up to its power bound
+    code, out, _ = run_cli(["check", "ntf", "--family", "path:11"])
+    ntf = json.loads(out)["ntf"]
+    assert code == 0 and ntf["value"] is True and ntf["checked_k"] == [2, 3, 4]
+
+
+@extended
+def test_check_ntf_cycle12_refuted_and_verified():
+    code, out, _ = run_cli(["check", "ntf", "--family", "cycle:12"])
+    violation = json.loads(out)["ntf"]["violation"]
+    assert code == 0 and violation["k"] == 4
+    assert violation["exponents"] == [1, 1, 1, 1, 2, 1, 2, 1, 1, 2, 1, 2]
+    code, out, _ = run_cli(["verify-certificate", "-"], stdin_text=out)
+    assert code == 0 and "power_violation: valid" in out
+
+
+@extended
+def test_decide_c8_plus_disjoint_p4():
+    edges = [(i, i % 8 + 1) for i in range(1, 9)] + [(9, 10), (10, 11), (11, 12)]
+    code, out, _ = run_cli(["decide", "--edges", "\n".join(f"{a} {b}" for a, b in edges)])
+    d = json.loads(out)
+    assert code == 0 and d["trace"] == "POWER_EQUALITY" and d["mengerian"] is True
+    assert d["checks"]["ntf"]["checked_k"] == [2, 3, 4, 5]
 
 
 @pytest.mark.parametrize("prop", ["tu", "ideal", "konig", "packing", "ntf"])

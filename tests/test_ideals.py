@@ -6,14 +6,17 @@ from mengerian.clutters import Clutter, minimal_covers
 from mengerian.graphs import build_path_hypergraph, make_family, parse_edge_list
 from mengerian.ideals import (
     MonomialIdeal,
+    _minimal_cover_vectors,
     divides,
     edge_ideal,
     format_monomial,
     is_normally_torsion_free,
     member_of_power,
+    power_bound,
     powers_equal,
     symbolic_power,
 )
+from mengerian.survey import enumerate_connected
 
 import oracles
 
@@ -178,6 +181,54 @@ def test_symbolic_gens_pass_cover_degree_oracle():
                     if e:
                         dec = g[:v] + (e - 1,) + g[v + 1:]
                         assert not oracles.symbolic_member_scan(dec, covers, k)
+
+
+def same_vectors(c, k):
+    covers = minimal_covers(c)
+    return (sorted(_minimal_cover_vectors(covers, k, c.n))
+            == sorted(oracles.minimal_cover_vectors_scan(covers, k, c.n)))
+
+
+def test_packed_search_matches_tuple_search_h3_n6():
+    checked = 0
+    for n in range(1, 7):
+        for g in enumerate_connected(n):
+            c = build_path_hypergraph(g)
+            if c.is_empty:
+                continue
+            for k in range(1, min(power_bound(c.m), 4) + 1):
+                assert same_vectors(c, k), (g, k)
+                checked += 1
+    assert checked > 100
+
+
+def test_packed_search_matches_tuple_search_random():
+    rng = random.Random(67)
+    checked = 0
+    while checked < 300:
+        n = rng.randint(1, 8)
+        c = Clutter(n, oracles.random_clutter(rng, n))
+        if not c.is_empty:
+            assert same_vectors(c, rng.randint(1, 4)), c
+            checked += 1
+
+
+def test_packed_search_matches_tuple_search_cycles(h3c8):
+    for k in (1, 2, 3, 4):
+        assert same_vectors(h3c8, k)
+    assert same_vectors(H3("cycle", 10), 2)
+
+
+@pytest.mark.parametrize("n, edges, k", [
+    (12, ((0, 1, 2, 3),), 4),
+    (12, ((0, 1, 2, 3),), 8),  # k = Caps().max_power_k
+    (12, ((0, 1), (2, 3)), 8),  # isolated vertices on no cover
+    (8, ((0, 1, 2, 3), (2, 3, 4, 5), (4, 5, 6, 7)), 8),
+])
+def test_packed_field_widths(n, edges, k):
+    # the widest exponent and cover-sum fields that the caps allow
+    c = Clutter(n, edges)
+    assert symbolic_power(c, k).gens == oracles.symbolic_power_scan(n, c.edges, k)
 
 
 def test_symbolic_validation(h3c5):
