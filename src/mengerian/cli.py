@@ -190,11 +190,15 @@ def _cmd_survey(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    if args.report == "-":
-        data = json.load(sys.stdin)
-    else:
-        with open(args.report, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
+    try:
+        if args.report == "-":
+            data = json.load(sys.stdin)
+        else:
+            with open(args.report, "r", encoding="utf-8") as fh:
+                data = json.load(fh)
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        source = "on stdin" if args.report == "-" else args.report
+        raise ValueError(f"report {source} is not valid JSON: {exc}") from None
     classify.check_report_caps(data, _caps(args))
     results = classify.verify_report_dict(data)
     for name, ok, msg in results:

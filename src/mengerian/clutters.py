@@ -255,11 +255,15 @@ def from_json_dict(d: dict) -> Clutter:
     """Read a clutter written by to_json_dict; "labels" is ignored.
 
     n and every edge vertex must be exact ints: a float or a bool that
-    compares equal to an int is refused with TypeError.
+    compares equal to an int is refused with TypeError. The 1..n range is
+    checked on the labels as written, so an error names those labels.
     """
     if d.get("unit"):
         raise ValueError("the unit clutter has no hypergraph to check")
     n, edges = d["n"], [tuple(e) for e in d["edges"]]
     if type(n) is not int or not all(type(v) is int for e in edges for v in e):
         raise TypeError("n and edge vertices must be integers")
+    for e in edges:
+        if not all(1 <= v <= n for v in e):
+            raise ValueError(f"hypergraph edge {list(e)} has a vertex outside 1..{n}")
     return Clutter(n, tuple(tuple(v - 1 for v in e) for e in edges))

@@ -28,7 +28,7 @@ class Graph:
             if u == v:
                 raise ValueError(f"loop at vertex {u + 1}")
             if not (0 <= u < v < self.n):
-                raise ValueError(f"edge ({u}, {v}) out of range for n={self.n}")
+                raise ValueError(f"edge ({u + 1}, {v + 1}) out of range 1..{self.n}")
 
     @property
     def m(self) -> int:

@@ -8,7 +8,13 @@ determinant, rank and solve goes through one fraction-free (Bareiss)
 row-echelon kernel over integer rows, total unimodularity is decided by
 an exhaustive subdeterminant scan with an explicit witness on failure,
 and a fractional vertex of a covering polyhedron Q(A) = {x >= 0, Ax >= 1}
-is searched for exactly among its tight full-rank subsystems.
+is searched for exactly among its tight full-rank subsystems. That search
+runs per zero set Z over the rows of the contraction minor C/Z, since the
+face x_Z = 0 of Q(A) is Q(C/Z) (Cornuejols 2001, *Combinatorial
+Optimization: Packing and Covering*, ch. 1). Its first hit is positive on
+the live columns, where a row of C that is not an edge of C/Z is never
+tight or only repeats an earlier basis, so it is the first hit of the
+search over every basis.
 
 The two questions share their work, and ``is_ideal`` settles both. A
 totally unimodular matrix has an integral Q(A) (Hoffman-Kruskal), so
@@ -27,7 +33,7 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Iterator, Optional, Sequence
 
-from .clutters import Clutter, _bits, _mask, _popcount, _row
+from .clutters import Clutter, _bits, _mask, _minimal_masks, _popcount, _row
 
 
 def _echelon(a: list[list[int]], ncols: int) -> tuple[int, int]:
@@ -185,25 +191,42 @@ def tight_constraints(c: Clutter, coords: Sequence[Fraction]) -> tuple[int, ...]
 def _fractional_vertex(c: Clutter) -> Optional[PolyhedronVertex]:
     """The first fractional vertex of Q(A) in basis order, or None.
 
-    A basis is n of the m + n constraints: a set of zero coordinates and as
-    many covering rows as there are live ones. Bases with more zeros come
-    first, then the zero set and the row set each in ``combinations``
-    order. The rows restricted to the live columns form a square block,
+    A basis is n of the m + n constraints: a set Z of zero coordinates and
+    as many covering rows as there are live ones. Bases with more zeros
+    come first, then the zero set and the row set each in ``combinations``
+    order. The face x_Z = 0 of Q(A) is Q(C/Z), the covering polyhedron of
+    the contraction minor, and two prunes follow from it. A Z that contains
+    an edge is skipped, since that face is empty. The rows are drawn only
+    from the edges of C/Z: the restricted rows ``e & ~Z`` that are
+    inclusion-minimal, each at the index of its first edge. Neither prune
+    loses the first hit. It is positive on every live column, since a
+    vertex with a further zero is met at a larger zero set, which comes
+    earlier. So a restricted row that strictly contains another sums to
+    more than 1 there and is not tight, and a repeated row either makes the
+    block singular or, with its first copy in its place, solves to the same
+    point at an earlier row set.
+
+    The rows restricted to the live columns form a square block,
     eliminated once with the unit right-hand side carried along. Its last
     pivot is +-det, and by Cramer's rule a block with |det| = 1 has an
     integral solution, so only the other nonsingular blocks are solved.
     The first solution that is fractional, nonnegative and feasible is the
     vertex; tight rows are computed for it alone.
     """
-    m, n = c.m, c.n
+    n = c.n
     for zeros in range(n - 1, -1, -1):
         size = n - zeros
-        if size > m:
-            continue
         for zset in combinations(range(n), zeros):
+            keep = ~_mask(zset)
+            restricted = [e & keep for e in c.masks]
+            if not all(restricted):
+                continue
+            minor = sorted(restricted.index(r) for r in _minimal_masks(restricted))
+            if len(minor) < size:
+                continue
             live = [j for j in range(n) if j not in zset]
-            reduced = [_row(e, live) + [1] for e in c.masks]
-            for tset in combinations(range(m), size):
+            reduced = {i: _row(restricted[i], live) + [1] for i in minor}
+            for tset in combinations(minor, size):
                 block = [reduced[i][:] for i in tset]
                 if _echelon(block, size)[0] < size or abs(block[-1][size - 1]) == 1:
                     continue
@@ -328,9 +351,12 @@ def is_ideal(c: Clutter) -> IdealityResult:
     pre-pass only accelerates refutations. A positive answer is backed
     either by the TU scan (a totally unimodular matrix has an integral
     Q(A), by Hoffman-Kruskal), whose result is returned as the TU verdict,
-    or by a search of every basis that finds no fractional vertex, which
-    runs only when the scan refutes TU. The scan is called through the
-    module global, so ``perfbench/spans.py`` sees it.
+    or by a basis search that finds no fractional vertex, which runs only
+    when the scan refutes TU. That search visits, per zero set Z, only the
+    bases over the edges of the contraction minor C/Z; no other basis can
+    hold its first hit, so it refutes exactly when a search of every basis
+    would, with the same vertex. The scan is called through the module
+    global, so ``perfbench/spans.py`` sees it.
     """
     if c.is_empty:
         return IdealityResult(True, None, TUResult(True, None))

@@ -203,6 +203,39 @@ def test_verify_certificate_without_hypergraph(report):
     assert len(lines) == 1 and lines[0].startswith("error: ") and "hypergraph" in lines[0]
 
 
+@pytest.mark.parametrize("report, msg", [
+    ({"hypergraph": {"n": 3, "edges": [[0, 1]]}},
+     "hypergraph edge [0, 1] has a vertex outside 1..3"),
+    ({"hypergraph": {"n": 3, "edges": [[2, 4]]}},
+     "hypergraph edge [2, 4] has a vertex outside 1..3"),
+    ({"graph": {"n": 3, "edges": [[0, 1]]}, "t": 3, "hypergraph": {"n": 3, "edges": [[1, 2, 3]]}},
+     "edge (0, 1) out of range 1..3"),
+])
+def test_verify_certificate_names_labels_as_written(report, msg):
+    # the range is checked before labels are shifted to 0-based vertices
+    code, out, err = run_cli(["verify-certificate", "-"], stdin_text=json.dumps(report))
+    assert (code, out, err) == (1, "", f"error: {msg}\n")
+
+
+def test_verify_certificate_not_json(tmp_path):
+    empty = tmp_path / "empty.json"
+    empty.write_text("")
+    code, out, err = run_cli(["verify-certificate", str(empty)])
+    assert (code, out) == (1, "")
+    assert err == (f"error: report {empty} is not valid JSON: "
+                   "Expecting value: line 1 column 1 (char 0)\n")
+    binary = tmp_path / "binary.json"
+    binary.write_bytes(b"\xff{}")
+    code, out, err = run_cli(["verify-certificate", str(binary)])
+    assert (code, out) == (1, "")
+    assert err == (f"error: report {binary} is not valid JSON: 'utf-8' codec can't decode "
+                   "byte 0xff in position 0: invalid start byte\n")
+    code, out, err = run_cli(["verify-certificate", "-"], stdin_text='{"schema": 1,\n')
+    assert (code, out) == (1, "")
+    assert err == ("error: report on stdin is not valid JSON: "
+                   "Expecting property name enclosed in double quotes: line 2 column 1 (char 14)\n")
+
+
 def test_input_source_required():
     # no input source, or two of them, is one error line like every other bad input
     for argv in (["check", "konig"], ["decide", "--family", "cycle:5", "--graph6", "Dhc"]):
@@ -305,7 +338,6 @@ def test_check_ntf_cycle12_refuted_and_verified():
     assert code == 0 and "power_violation: valid" in out
 
 
-@extended
 def test_decide_c8_plus_disjoint_p4():
     edges = [(i, i % 8 + 1) for i in range(1, 9)] + [(9, 10), (10, 11), (11, 12)]
     code, out, _ = run_cli(["decide", "--edges", "\n".join(f"{a} {b}" for a, b in edges)])

@@ -63,6 +63,10 @@ def integral(v):
     return all(x.denominator == 1 for x in v.coords)
 
 
+def first_fractional(c):
+    return next((u for u in vertices(c) if not integral(u)), None)
+
+
 def solve_unit_rhs(rows):
     """Solve rows * y = 1 the way the basis search does, or None if singular."""
     size = len(rows)
@@ -334,11 +338,41 @@ def test_fractional_vertex_matches_scan():
              and not is_totally_unimodular(c).totally_unimodular]
     cases += [h3("cycle", k) for k in (5, 6, 7)]
     fractional = 0
-    for c in cases:
+    # H_3(C8) is ideal and not TU: the search runs to the end and finds none
+    for c in cases + [h3("cycle", 8)]:
         v = _fractional_vertex(c)
-        assert v == next((u for u in vertices(c) if not integral(u)), None), c.edges
+        assert v == first_fractional(c), c.edges
         fractional += v is not None
     assert (sum(not c.is_empty for c in drawn), len(cases), fractional) == (2683, 89, 85)
+
+
+def test_fractional_vertex_matches_scan_at_n8():
+    # The search runs per zero set over the rows of the contraction minor;
+    # on eight vertices with at most ten edges its first hit, or None, is
+    # still the first fractional vertex in the oracle's basis order.
+    rng = random.Random(61)
+    cases = [Clutter(8, random_clutter(rng, 8)[:10]) for _ in range(130)]
+    cases = [c for c in cases if not c.is_empty]
+    fractional = 0
+    for c in cases:
+        v = _fractional_vertex(c)
+        assert v == first_fractional(c), c.edges
+        fractional += v is not None
+    assert (len(cases), fractional) == (123, 32)
+
+
+def test_fractional_vertex_work_bound_on_c8(monkeypatch):
+    # H_3(C8) is ideal and not TU, so its basis search runs to the end. Over
+    # the contraction minors it eliminates 23 blocks; trying every basis took 12,869.
+    calls = []
+
+    def counting(a, ncols):
+        calls.append(ncols)
+        return _echelon(a, ncols)
+
+    monkeypatch.setattr(linalg, "_echelon", counting)
+    assert _fractional_vertex(h3("cycle", 8)) is None
+    assert 0 < len(calls) <= 50, len(calls)
 
 
 def prepass(c):
