@@ -30,7 +30,6 @@ from .ideals import (
     MonomialIdeal,
     NtfResult,
     cover_degree,
-    edge_ideal,
     is_normally_torsion_free,
     member_of_power,
     powers_equal,

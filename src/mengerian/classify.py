@@ -415,7 +415,7 @@ def verify_report_dict(d: dict) -> list[tuple[str, bool, str]]:
         k, mono = v.get("k"), _exponents(v.get("exponents"), c.n)
         if type(k) is int and k >= 1 and mono is not None:
             in_symbolic = ideals.cover_degree(mono, clutters.minimal_covers(c)) >= k
-            in_power = ideals.member_of_power(mono, ideals.edge_ideal(c), k)
+            in_power = ideals.member_of_power(mono, c, k)
             ok, msg = in_symbolic and not in_power, f"symbolic={in_symbolic} ordinary={in_power}"
         else:
             ok, msg = False, f"k must be a positive integer and exponents {c.n} nonnegative integers"

@@ -57,7 +57,7 @@ def _load_graph(args) -> graphs.Graph:
 
 
 def _caps(args) -> Caps:
-    return Caps(max_vertices=args.max_n, max_edges=args.max_edges, max_power_k=args.max_power)
+    return Caps(max_vertices=args.max_vertices, max_edges=args.max_edges, max_power_k=args.max_power)
 
 
 def _emit_json(payload: dict) -> None:
@@ -70,14 +70,15 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact Konig/packing/ideal/TU/Mengerian checks for path hypergraphs.",
     )
     p.add_argument("--t", type=int, default=3, help="path length (default 3)")
-    p.add_argument("--max-n", type=int, default=12, help="vertex cap")
+    p.add_argument("--max-vertices", type=int, default=12, help="vertex cap")
     p.add_argument("--max-edges", type=int, default=64, help="hyperedge cap")
     p.add_argument("--max-power", type=int, default=8, help="power-equality exponent cap")
     sub = p.add_subparsers(dest="command", required=True)
 
     ph = sub.add_parser("hypergraph", help="emit the t-path hypergraph")
     _add_input_args(ph)
-    ph.add_argument("--format", choices=("text", "json", "dot"), default="text")
+    ph.add_argument("--format", choices=("text", "json", "dot"), default="text",
+                    help="dot draws the input graph G, not H_t, so --t does not change it")
 
     pc = sub.add_parser("check", help="run a single property check")
     pc.add_argument("property", choices=("tu", "ideal", "konig", "packing", "ntf"))
@@ -99,7 +100,7 @@ def build_parser() -> argparse.ArgumentParser:
     pk.add_argument("--format", choices=("text", "json"), default="text")
 
     ps = sub.add_parser("survey", help="exhaustive cross-check over small graphs")
-    ps.add_argument("--max-n", dest="survey_max_n", type=int, default=6)
+    ps.add_argument("--max-n", type=int, default=6, help="largest vertex count surveyed")
     ps.add_argument("--min-n", type=int, default=4)
     ps.add_argument("--csv", action="store_true", help="CSV summary instead of JSON")
 
@@ -181,7 +182,7 @@ def _cmd_classify(args) -> int:
 
 
 def _cmd_survey(args) -> int:
-    rep = survey.cross_check(args.survey_max_n, t=args.t, n_min=args.min_n, caps=_caps(args))
+    rep = survey.cross_check(args.max_n, t=args.t, n_min=args.min_n, caps=_caps(args))
     if args.csv:
         sys.stdout.write(rep.to_csv())
     else:

@@ -1,14 +1,17 @@
 """Monomial ideals of clutters: power membership, symbolic powers, torsion-freeness.
 
-Monomials are exponent tuples. Symbolic powers of a square-free monomial
-ideal are computed by direct enumeration of the minimal exponent vectors
-whose degree sum over every minimal cover reaches k. The search packs each
-state into two integers, the exponent vector and the cover sums with a
-flag bit per cover, so finding the first deficient cover is one addition
-and a mask; one monotone prune drops every state whose extensions are all
-non-minimal, and it doubles as the minimality test. The test suite checks
-the generators against the defining intersection of powers of
-minimal-cover primes and against the plain tuple search it replaced.
+Monomials are exponent tuples. The edge ideal I of a clutter has no
+container of its own: the clutter's edges are its square-free generators,
+and membership in I^k searches over c.edges directly. Only a symbolic
+power is built, as a MonomialIdeal record, by direct enumeration of the
+minimal exponent vectors whose degree sum over every minimal cover
+reaches k. The search packs each state into two integers, the exponent
+vector and the cover sums with a flag bit per cover, so finding the first
+deficient cover is one addition and a mask; one monotone prune drops
+every state whose extensions are all non-minimal, and it doubles as the
+minimality test. The test suite checks the generators against the
+defining intersection of powers of minimal-cover primes and against the
+plain tuple search it replaced.
 The headline operation decides I^k = I^(k) for k up to ceil(mu/2), which
 settles the normally-torsion-free question, and with it the Mengerian one,
 exactly: powers_equal returns the first generator of I^(k) outside I^k,
@@ -21,15 +24,11 @@ than k edges pack under it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
-from .clutters import Clutter, _row, minimal_covers
+from .clutters import Clutter, minimal_covers
 
 Monomial = tuple[int, ...]
-
-
-def divides(a: Monomial, b: Monomial) -> bool:
-    return all(x <= y for x, y in zip(a, b))
 
 
 def format_monomial(a: Monomial) -> str:
@@ -42,43 +41,12 @@ def format_monomial(a: Monomial) -> str:
     return "*".join(parts) if parts else "1"
 
 
-def minimalize_generators(gens: Iterable[Monomial]) -> tuple[Monomial, ...]:
-    """Unique minimal generating set: drop every multiple of another generator."""
-    uniq = sorted(set(gens), key=lambda g: (sum(g), g))
-    kept: list[Monomial] = []
-    for g in uniq:
-        dg = sum(g)
-        if not any(divides(h, g) for h in kept if sum(h) < dg):
-            kept.append(g)
-    return tuple(sorted(kept))
-
-
 @dataclass(frozen=True)
 class MonomialIdeal:
-    """Monomial ideal given by its unique minimal generating set."""
+    """Monomial ideal by its minimal generators; symbolic_power builds it."""
 
     n: int
     gens: tuple[Monomial, ...]
-
-    def __post_init__(self):
-        for g in self.gens:
-            if len(g) != self.n:
-                raise ValueError("generator arity must match the variable count")
-            if any(e < 0 for e in g):
-                raise ValueError("exponents must be nonnegative")
-        norm = minimalize_generators(self.gens)
-        if norm != self.gens:
-            raise ValueError("generators are not a minimal generating set")
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.gens
-
-
-def edge_ideal(c: Clutter) -> MonomialIdeal:
-    """Square-free generator per hyperedge; the empty clutter gives (0)."""
-    gens = [tuple(_row(e, range(c.n))) for e in c.masks]
-    return MonomialIdeal(c.n, tuple(sorted(gens)))
 
 
 def cover_degree(a: Monomial, covers: Sequence[tuple[int, ...]]) -> int:
@@ -164,26 +132,27 @@ def symbolic_power(c: Clutter, k: int) -> MonomialIdeal:
     return MonomialIdeal(c.n, tuple(sorted(gens)))
 
 
-def member_of_power(m: Monomial, I: MonomialIdeal, k: int) -> bool:
-    """Does some product of k generators (with repetition) divide m?
+def member_of_power(m: Monomial, c: Clutter, k: int) -> bool:
+    """Does some product of k edges of c (with repetition) divide m?
 
-    Depth-first over generators with divisibility and degree pruning, on an
-    explicit stack of lazy iterators that expands each (rest, depth) state once.
+    An edge is a square-free generator, so it divides the rest r when r is
+    positive on each of its vertices. Depth-first over c.edges with
+    divisibility and degree pruning, on an explicit stack of lazy iterators
+    that expands each (rest, depth) state once.
     """
     if k < 1:
         raise ValueError("power exponent must be positive")
-    if I.is_zero:
+    if c.is_empty:
         return False
-    if len(m) != I.n:
+    if len(m) != c.n:
         raise ValueError("monomial arity mismatch")
-    gens = I.gens
-    min_deg = min(sum(g) for g in gens)
+    min_deg = min(map(len, c.edges))
 
     def children(rem: Monomial, depth: int) -> Iterator[tuple[Monomial, int]]:
         if sum(rem) >= depth * min_deg:
-            for g in gens:
-                if divides(g, rem):
-                    yield tuple(r - x for r, x in zip(rem, g)), depth - 1
+            for e, mask in zip(c.edges, c.masks):
+                if all(rem[v] for v in e):
+                    yield tuple(r - (mask >> v & 1) for v, r in enumerate(rem)), depth - 1
 
     seen: set[tuple[Monomial, int]] = set()
     stack = [iter([(m, k)])]
@@ -204,11 +173,10 @@ def powers_equal(c: Clutter, k: int) -> Optional[Monomial]:
 
     The ordinary power always sits inside the symbolic one, so equality
     holds iff every minimal generator of the symbolic power factors into
-    k edge generators. The first one that does not is the certificate.
+    k edges of c. The first one that does not is the certificate.
     The empty clutter and k < 1 raise ValueError, as for symbolic_power.
     """
-    I = edge_ideal(c)
-    return next((g for g in symbolic_power(c, k).gens if not member_of_power(g, I, k)), None)
+    return next((g for g in symbolic_power(c, k).gens if not member_of_power(g, c, k)), None)
 
 
 @dataclass(frozen=True)

@@ -17,7 +17,6 @@ from mengerian.clutters import Clutter, incidence_matrix, minimal_covers
 from mengerian.graphs import build_path_hypergraph, make_family, parse_edge_list, relabel
 from mengerian.ideals import (
     cover_degree,
-    edge_ideal,
     is_normally_torsion_free,
     member_of_power,
     powers_equal,
@@ -58,8 +57,7 @@ def survey6():
 def test_criterion_1_c8_fixture():
     start = time.time()
     c = H3("cycle", 8)
-    J = edge_ideal(c)
-    assert len(J.gens) == 8
+    assert len(incidence_matrix(c)) == 8
 
     published_covers = sorted(
         [tuple(sorted(x - 1 for x in t)) for t in
@@ -248,7 +246,7 @@ def test_criterion_8_property_suites(survey6):
         wc = cover_degree(cost, minimal_covers(c))
         assert mp <= wc
         if wc:
-            assert not member_of_power(cost, edge_ideal(c), wc + 1)
+            assert not member_of_power(cost, c, wc + 1)
         if c.edges:
             assert clutters.nu(c) <= clutters.tau(c)
         pairs += 1
@@ -259,10 +257,10 @@ def test_criterion_8_property_suites(survey6):
               H3("spider", 2, 2, 1),
               build_path_hypergraph(parse_edge_list("1 2\n2 3\n3 4\n4 5\n3 6"))]
     for c in corpus:
-        J = edge_ideal(c)
+        rows = [tuple(r) for r in incidence_matrix(c)]
         covers = minimal_covers(c)
         for k in (2, 3):
-            for g in oracles.minimal_gens(oracles.power_products(J.gens, k)):
+            for g in oracles.minimal_gens(oracles.power_products(rows, k)):
                 assert oracles.symbolic_member_scan(g, covers, k)
 
     # the symbolic power agrees with the prime-intersection oracle on every

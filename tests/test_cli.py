@@ -290,8 +290,16 @@ def test_deterministic_output():
 
 
 def test_cap_exceeded_exit():
-    code, _, err = run_cli(["--max-n", "5", "decide", "--family", "cycle:8"])
+    code, _, err = run_cli(["--max-vertices", "5", "decide", "--family", "cycle:8"])
     assert code == 1 and "cap" in err
+
+
+def test_global_max_n_is_gone(capsys):
+    # the vertex cap is --max-vertices; --max-n is the survey's own upper
+    # bound, so given before the subcommand it must not pass silently
+    with pytest.raises(SystemExit) as exc:
+        main(["--max-n", "5", "survey"])
+    assert exc.value.code == 2 and capsys.readouterr().err.startswith("usage: mengerian")
 
 
 def test_family_cap_applies_before_the_build(monkeypatch):
@@ -308,7 +316,7 @@ def test_classify_respects_vertex_cap():
     code, out, err = run_cli(["classify", "--family", "path:40"])
     assert (code, out) == (1, "")
     assert err == "resource cap exceeded: n=40 exceeds the vertex cap 12\n"
-    code, out, err = run_cli(["--max-n", "40", "classify", "--family", "path:40"])
+    code, out, err = run_cli(["--max-vertices", "40", "classify", "--family", "path:40"])
     assert (code, out, err) == (0, "PATH_WITH_DOUBLE_STARS: mengerian=True\n", "")
 
 
@@ -348,7 +356,7 @@ def test_decide_c8_plus_disjoint_p4():
 
 @pytest.mark.parametrize("prop", ["tu", "ideal", "konig", "packing", "ntf"])
 def test_check_respects_size_caps(prop):
-    for caps in (["--max-n", "3"], ["--max-edges", "4"]):
+    for caps in (["--max-vertices", "3"], ["--max-edges", "4"]):
         code, out, err = run_cli(caps + ["check", prop, "--family", "cycle:5"])
         assert code == 1 and out == ""
         assert err.startswith("resource cap exceeded: ") and len(err.splitlines()) == 1
@@ -356,7 +364,7 @@ def test_check_respects_size_caps(prop):
 
 def test_verify_certificate_respects_size_caps():
     _, report, _ = run_cli(["decide", "--family", "cycle:5"])
-    for caps, msg in ((["--max-n", "4"], "n=5 exceeds the vertex cap 4"),
+    for caps, msg in ((["--max-vertices", "4"], "n=5 exceeds the vertex cap 4"),
                       (["--max-edges", "4"], "m=5 exceeds the edge cap 4")):
         code, out, err = run_cli(caps + ["verify-certificate", "-"], stdin_text=report)
         assert code == 1 and out == ""

@@ -16,7 +16,7 @@ from mengerian.clutters import (
     tau,
 )
 from mengerian.graphs import build_path_hypergraph, make_family, relabel
-from mengerian.ideals import cover_degree, edge_ideal, is_normally_torsion_free, member_of_power
+from mengerian.ideals import cover_degree, is_normally_torsion_free, member_of_power
 from mengerian.survey import enumerate_connected
 
 import oracles
@@ -321,8 +321,7 @@ def test_weighted_sides_against_scan_and_duality():
         mp = packing_max(c, cost)
         assert wc == oracles.weighted_cover_scan(n, c.edges, cost)
         # x^cost is in I^k exactly when k edges pack under cost
-        I = edge_ideal(c)
-        assert (mp == 0 or member_of_power(cost, I, mp)) and not member_of_power(cost, I, mp + 1)
+        assert (mp == 0 or member_of_power(cost, c, mp)) and not member_of_power(cost, c, mp + 1)
         assert mp <= wc
 
 
@@ -334,7 +333,7 @@ def test_weighted_sides_against_scan_and_duality():
 def assert_gap_replays(c, gap):
     # the cover side reaches k at the gap's cost while k edges do not pack under it
     cost, wc, _ = gap
-    assert cover_min(c, cost) == wc and not member_of_power(cost, edge_ideal(c), wc)
+    assert cover_min(c, cost) == wc and not member_of_power(cost, c, wc)
 
 
 def test_probe_c5_refuted_at_all_ones(h3c5):

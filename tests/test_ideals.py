@@ -2,13 +2,10 @@ import random
 
 import pytest
 
-from mengerian.clutters import Clutter, minimal_covers
+from mengerian.clutters import Clutter, incidence_matrix, minimal_covers
 from mengerian.graphs import build_path_hypergraph, make_family, parse_edge_list
 from mengerian.ideals import (
-    MonomialIdeal,
     _minimal_cover_vectors,
-    divides,
-    edge_ideal,
     format_monomial,
     is_normally_torsion_free,
     member_of_power,
@@ -25,12 +22,13 @@ def H3(name, *params):
     return build_path_hypergraph(make_family(name, list(params)))
 
 
-def ideal(n, gens):
-    return MonomialIdeal(n, oracles.minimal_gens(gens))
+def power_gens(gens, k):
+    return oracles.minimal_gens(oracles.power_products(gens, k))
 
 
-def power_gens(J, k):
-    return oracles.minimal_gens(oracles.power_products(J.gens, k))
+def edge_gens(c):
+    # the square-free generators of the edge ideal, one incidence row per edge
+    return tuple(sorted(map(tuple, incidence_matrix(c))))
 
 
 @pytest.fixture(scope="module")
@@ -64,41 +62,33 @@ def corpus():
 # --- edge ideals ------------------------------------------------------------------
 
 def test_edge_ideal_c8(h3c8):
-    J = edge_ideal(h3c8)
-    assert len(J.gens) == 8
-    assert (1, 1, 1, 1, 0, 0, 0, 0) in J.gens
-    assert all(sum(g) == 4 for g in J.gens)
-
-
-def test_edge_ideal_empty_and_single():
-    assert edge_ideal(Clutter(3, ())).is_zero
-    J = edge_ideal(Clutter(4, ((0, 1, 2, 3),)))
-    assert J.gens == ((1, 1, 1, 1),)
-
-
-def test_minimal_generating_set_enforced():
-    with pytest.raises(ValueError):
-        MonomialIdeal(2, ((1, 0), (1, 1)))
+    gens = edge_gens(h3c8)
+    assert len(gens) == 8
+    assert (1, 1, 1, 1, 0, 0, 0, 0) in gens
+    assert all(sum(g) == 4 for g in gens)
 
 
 # --- powers ------------------------------------------------------------------------
 
 def test_power_fixtures():
-    assert power_gens(ideal(2, [(1, 1)]), 3) == ((3, 3),)
-    assert power_gens(ideal(2, [(1, 0), (0, 1)]), 2) == ((0, 2), (1, 1), (2, 0))
+    assert power_gens(oracles.minimal_gens([(1, 1)]), 3) == ((3, 3),)
+    assert power_gens(oracles.minimal_gens([(1, 0), (0, 1)]), 2) == ((0, 2), (1, 1), (2, 0))
 
 
 def test_power_c8_squared_matches_brute(h3c8):
-    J = edge_ideal(h3c8)
-    brute = oracles.power_products(list(J.gens), 2)
+    gens = edge_gens(h3c8)
+    brute = oracles.power_products(gens, 2)
     # uniform generators: all 36 pairwise products, distinct ones survive
-    assert set(power_gens(J, 2)) == brute
+    assert set(power_gens(gens, 2)) == brute
     assert len(brute) == 33
 
 
 def test_power_validation():
     with pytest.raises(ValueError, match="positive"):
-        member_of_power((1, 1), ideal(2, [(1, 0)]), 0)
+        member_of_power((1, 1), Clutter(2, ((0,),)), 0)
+    with pytest.raises(ValueError, match="arity"):
+        member_of_power((1,), Clutter(2, ((0,),)), 1)
+    assert not member_of_power((1, 1), Clutter(2, ()), 1)  # the zero ideal
 
 
 def test_prime_power_fixtures():
@@ -121,21 +111,21 @@ def test_intersect_fixtures():
         (1, 1, 0, 0, 0, 0), (1, 0, 0, 0, 0, 1), (0, 1, 0, 0, 1, 0), (0, 0, 0, 0, 1, 1)}
 
 
-def contains(I, m):
-    return any(divides(g, m) for g in I.gens)
+def contains(gens, m):
+    return any(all(x <= y for x, y in zip(g, m)) for g in gens)
 
 
 def test_intersect_membership_oracle():
     rng = random.Random(59)
     for _ in range(20):
         n = rng.randint(2, 4)
-        I = ideal(n, [tuple(rng.randint(0, 2) for _ in range(n)) for _ in range(3)])
-        J = ideal(n, [tuple(rng.randint(0, 2) for _ in range(n)) for _ in range(3)])
-        K = ideal(n, oracles.intersect(I.gens, J.gens))
-        assert K.gens == oracles.intersect(I.gens, J.gens)
-        for g in K.gens:
+        I = oracles.minimal_gens([tuple(rng.randint(0, 2) for _ in range(n)) for _ in range(3)])
+        J = oracles.minimal_gens([tuple(rng.randint(0, 2) for _ in range(n)) for _ in range(3)])
+        K = oracles.minimal_gens(oracles.intersect(I, J))
+        assert K == oracles.intersect(I, J)
+        for g in K:
             assert contains(I, g) and contains(J, g)
-        for g in list(I.gens) + list(J.gens):
+        for g in I + J:
             assert contains(K, g) == (contains(I, g) and contains(J, g))
 
 
@@ -143,8 +133,8 @@ def test_intersect_membership_oracle():
 
 def test_symbolic_k1_is_edge_ideal():
     for c in corpus():
-        assert symbolic_power(c, 1) == edge_ideal(c)
-        assert oracles.symbolic_power_scan(c.n, c.edges, 1) == edge_ideal(c).gens
+        assert symbolic_power(c, 1).gens == edge_gens(c)
+        assert oracles.symbolic_power_scan(c.n, c.edges, 1) == edge_gens(c)
 
 
 def test_symbolic_methods_agree_small():
@@ -164,9 +154,9 @@ def test_symbolic_c5_contains_all_ones(h3c5):
 
 
 def test_symbolic_c8_equals_ordinary(h3c8):
-    J = edge_ideal(h3c8)
+    gens = edge_gens(h3c8)
     for k in (2, 3, 4):
-        assert symbolic_power(h3c8, k).gens == power_gens(J, k)
+        assert symbolic_power(h3c8, k).gens == power_gens(gens, k)
 
 
 def test_symbolic_gens_pass_cover_degree_oracle():
@@ -241,12 +231,11 @@ def test_symbolic_validation(h3c5):
 # --- membership and power equality -----------------------------------------------------
 
 def test_member_of_power_fixtures(h3c8, h3c5):
-    J8, J5 = edge_ideal(h3c8), edge_ideal(h3c5)
-    assert not member_of_power((1, 1, 1, 1, 1), J5, 2)  # degree 5 < 8
+    assert not member_of_power((1, 1, 1, 1, 1), h3c5, 2)  # degree 5 < 8
     w1 = tuple(1 if i < 4 else 0 for i in range(8))
     w2 = tuple(0 if i < 4 else 1 for i in range(8))
-    assert member_of_power(tuple(a + b for a, b in zip(w1, w2)), J8, 2)
-    assert member_of_power((2, 2, 2, 2, 0, 0, 0, 0), J8, 2)  # square of one generator
+    assert member_of_power(tuple(a + b for a, b in zip(w1, w2)), h3c8, 2)
+    assert member_of_power((2, 2, 2, 2, 0, 0, 0, 0), h3c8, 2)  # square of one generator
 
 
 def test_powers_equal_c5(h3c5):
@@ -265,12 +254,26 @@ def test_powers_equal_k1(h3c5):
     assert powers_equal(h3c5, 1) is None
 
 
+def test_powers_equal_matches_oracle_on_corpus():
+    # both outcomes of the membership search on mixed inputs
+    outcomes = set()
+    for c in corpus():
+        for k in (2, 3):
+            symbolic = oracles.symbolic_power_scan(c.n, c.edges, k)
+            ordinary = power_gens(edge_gens(c), k)
+            violation = powers_equal(c, k)
+            assert (violation is None) == (symbolic == ordinary), (c, k)
+            if violation is not None:
+                assert violation in symbolic and not contains(ordinary, violation)
+            outcomes.add(violation is None)
+    assert outcomes == {True, False}
+
+
 def test_ordinary_inside_symbolic():
     for c in corpus():
-        J = edge_ideal(c)
         covers = minimal_covers(c)
         for k in (2, 3):
-            for g in power_gens(J, k):
+            for g in power_gens(edge_gens(c), k):
                 assert oracles.symbolic_member_scan(g, covers, k)
 
 
