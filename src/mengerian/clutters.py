@@ -7,16 +7,23 @@ it. The walk visits the minors with the most edges first, leaves out
 those that trivially pack (at most two edges, or pairwise disjoint
 ones), and contracts a vertex in one pass over an antichain.
 
-All solvers here are exact. Branch and bound is used for tau and nu; the
-weighted sides of the min-max equation live with the monomial ideals.
-Brute subset scans survive in the test suite as independent oracles.
+All solvers here are exact, and each runs on an explicit stack, so no
+recursion depth grows with the input. tau is a branch and bound on the
+uncovered edges. One packing search finds the most edges, with
+repetition, whose product divides a capacity: nu is that search at unit
+capacity, and ideals.member_of_power runs it at a monomial's exponents.
+One transversal kernel finds the minimal exponent vectors of degree at
+least k on every one of a list of sets: minimal_covers is that kernel at
+k = 1 over the edges, and ideals.symbolic_power runs it over the minimal
+covers. Brute subset scans survive in the test suite as independent
+oracles.
 """
 
 from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 
 @dataclass(frozen=True)
@@ -77,46 +84,77 @@ def incidence_matrix(c: Clutter) -> list[list[int]]:
 
 
 # ---------------------------------------------------------------------------
-# covers and matchings
+# covers and packings
 
 def tau(c: Clutter) -> int:
-    """Minimum vertex cover size, by branch and bound on uncovered edges."""
-    masks = c.masks
-    best = min(c.n, len(masks))  # every vertex, or one vertex from each edge, is a cover
+    """Minimum vertex cover size, by branch and bound on uncovered edges.
 
-    def search(remaining: list[int], depth: int):
-        nonlocal best
+    The first bound is a greedy cover: it takes the vertex of the smallest
+    uncovered edge that covers the most edges, until all are covered.
+    Then depth-first on an explicit stack: a node branches on the vertices
+    of its smallest uncovered edge, lowest first, and is cut when its depth
+    plus a greedy matching of the uncovered edges reaches the best cover.
+    """
+    remaining, best = c.masks, 0
+    while remaining:
+        e = min(remaining, key=_popcount)
+        remaining = min(([r for r in remaining if not r >> v & 1] for v in _bits(e)), key=len)
+        best += 1
+    stack = [(c.masks, 0)]  # uncovered edges, vertices chosen
+    while stack:
+        remaining, depth = stack.pop()
         if not remaining:
             best = min(best, depth)
-            return
-        if depth + _greedy_matching_size(remaining) >= best:
-            return
-        e = min(remaining, key=_popcount)
-        for v in _bits(e):
-            bit = 1 << v
-            search([r for r in remaining if not r & bit], depth + 1)
-
-    search(masks, 0)
+        elif depth + _greedy_matching_size(remaining) < best:
+            e = min(remaining, key=_popcount)
+            for v in reversed(list(_bits(e))):
+                stack.append(([r for r in remaining if not r >> v & 1], depth + 1))
     return best
 
 
 def nu(c: Clutter) -> int:
-    """Maximum number of pairwise disjoint edges, exact branch and bound."""
-    masks = c.masks
+    """Maximum number of pairwise disjoint edges: the packing at unit capacity."""
+    return _pack(c.masks, c.n, [(1 << c.n) - 1], c.m)
+
+
+def _pack(masks: Sequence[int], n: int, layers: Sequence[int], goal: int) -> int:
+    """The most edges, with repetition, whose product divides the capacity.
+
+    ``layers[i]`` is the set of vertices with more than i units of
+    capacity; the search stacks them n bits apart in one integer, so taking
+    j copies of edge e keeps e's vertices of layer i + j in layer i. Branch
+    and bound on an explicit stack, over the edges in index order: each
+    edge is taken as often as it fits, then fewer times. A state is cut
+    when its count plus min(free units on the vertices of the edges left
+    // least edge size, layers * edges left) cannot beat the best count.
+    The search stops as soon as the best count reaches goal, and returns it.
+    """
+    reps = sum(1 << i * n for i in range(len(layers)))  # bit 0 of every layer
+    word = sum(layer << i * n for i, layer in enumerate(layers))
+    spreads = [e * reps for e in masks]  # each edge in every layer
+    tails = [0] * (len(masks) + 1)  # tails[i]: the vertices of masks[i:], in every layer
+    for i in reversed(range(len(masks))):
+        tails[i] = tails[i + 1] | spreads[i]
+    least = min(map(_popcount, masks), default=1)
     best = 0
-
-    def search(idx: int, used: int, count: int):
-        nonlocal best
-        if count + len(masks) - idx <= best:
-            return
-        if idx == len(masks):
+    # a frame: edge, capacity before it, count, copies of it to take; the root is edge -1
+    stack = [(-1, word, 0, 0)]
+    while stack:
+        idx, word, count, j = stack.pop()
+        if j:
+            stack.append((idx, word, count, j - 1))
+            word = word & ~spreads[idx] | word >> j * n & spreads[idx]
+            count += j
             best = max(best, count)
-            return
-        if not masks[idx] & used:
-            search(idx + 1, used | masks[idx], count + 1)
-        search(idx + 1, used, count)
-
-    search(0, 0, 0)
+            if best >= goal:
+                break
+        idx += 1
+        free = (word & tails[idx]).bit_count()
+        if count + min(free // least, len(layers) * (len(masks) - idx)) > best:
+            e, j = masks[idx], 0
+            while word >> j * n & e == e:
+                j += 1
+            stack.append((idx, word, count, j))
     return best
 
 
@@ -139,7 +177,7 @@ def _minimal_masks(masks: Iterable[int]) -> list[int]:
     return kept
 
 
-def _greedy_matching_size(masks: list[int]) -> int:
+def _greedy_matching_size(masks: Sequence[int]) -> int:
     used = 0
     count = 0
     for e in masks:
@@ -150,33 +188,88 @@ def _greedy_matching_size(masks: list[int]) -> int:
 
 
 def minimal_covers(c: Clutter) -> tuple[tuple[int, ...], ...]:
-    """All inclusion-minimal vertex covers via sequential transversal growth."""
-    partial: list[int] = [0]
-    for e in c.masks:
-        nxt: list[int] = []
-        for t in partial:
-            if t & e:
-                nxt.append(t)
-            else:
-                nxt.extend(t | (1 << v) for v in _bits(e))
-        partial = _minimal_masks(nxt)
-    covers = sorted(tuple(sorted(_bits(t))) for t in partial)
-    return tuple(sorted(covers, key=lambda t: (len(t), t)))
+    """All inclusion-minimal vertex covers, in (size, vertices) order.
+
+    A cover is a 0/1 vector with sum at least 1 on every edge, so these
+    are the transversal kernel's minimal vectors at k = 1 over the edges.
+    """
+    vectors = _minimal_cover_vectors(c.edges, 1, c.n)
+    return tuple(sorted((tuple(v for v, a in enumerate(x) if a) for x in vectors),
+                        key=lambda t: (len(t), t)))
+
+
+def _minimal_cover_vectors(covers: Sequence[tuple[int, ...]], k: int,
+                           n: int) -> list[tuple[int, ...]]:
+    """Minimal exponent vectors with degree sum >= k on every cover.
+
+    The transversal kernel: symbolic_power passes the minimal covers, and
+    minimal_covers passes the edges at k = 1, whose minimal transversals
+    are the minimal covers.
+
+    Depth-first completion: repair the first deficient cover by single
+    increments. A state is two packed integers: the exponent vector, with
+    k.bit_length() bits per coordinate, and the cover sums, one field of
+    (n*k).bit_length() + 1 bits per cover whose top bit is a flag. Raising
+    coordinate v adds its precomputed word to each. A field's flag in
+    S + (top - k)*ones is set when that cover reaches k, so the first
+    deficient cover is the lowest clear flag; in S + (top - k - 1)*ones it
+    is set when the cover exceeds k. A coordinate on a deficient cover is
+    below k, so no exponent passes k and no field overflows.
+
+    One monotone prune: a state with a positive coordinate whose covers
+    all exceed k has no minimal extension, since sums only grow, and is
+    dropped. The raised coordinate always keeps its repaired cover at or
+    below k, so the test runs only when a raise lifts some cover past k.
+    At a solution it is the minimality test, so every solution is minimal.
+    """
+    b = k.bit_length()
+    w = (n * k).bit_length() + 1
+    top = 1 << (w - 1)
+    ones = sum(1 << i * w for i in range(len(covers)))
+    flags = top * ones
+    reach = (top - k) * ones
+    exceed = reach - ones
+    step = [0] * n
+    for i, cov in enumerate(covers):
+        for v in cov:
+            step[v] |= 1 << i * w
+    through = [word * top for word in step]
+    # the lowest clear flag of cover i has bit_length (i + 1) * w
+    raises = [()] + [tuple((1 << v * b, step[v], 1 << v) for v in cov) for cov in covers]
+    seen = {0}
+    sols = []
+    stack = [(0, 0, 0)]  # exponent word, cover-sum word, mask of positive coordinates
+    while stack:
+        e, s, pos = stack.pop()
+        short = ~(s + reach) & flags
+        if not short:
+            sols.append(e)
+            continue
+        loose = ~(s + exceed) & flags  # covers at or below k
+        for unit, add, bit in raises[(short & -short).bit_length() // w]:
+            child = e + unit
+            if child in seen:
+                continue
+            seen.add(child)
+            cs = s + add
+            child_loose = ~(cs + exceed) & flags
+            if child_loose != loose:
+                q = pos
+                while q:
+                    u = q & -q
+                    if not through[u.bit_length() - 1] & child_loose:
+                        break
+                    q ^= u
+                if q:
+                    continue
+            stack.append((child, cs, pos | bit))
+    mask = (1 << b) - 1
+    return [tuple(e >> v * b & mask for v in range(n)) for e in sols]
 
 
 def has_konig(c: Clutter) -> bool:
     """tau == nu."""
     return tau(c) == nu(c)
-
-
-def _disjoint(masks: Iterable[int]) -> bool:
-    """Whether the edges are pairwise disjoint."""
-    used = 0
-    for e in masks:
-        if e & used:
-            return False
-        used |= e
-    return True
 
 
 def _contract(masks: tuple[int, ...], bit: int) -> tuple[int, ...] | None:
@@ -226,7 +319,7 @@ def has_packing(c: Clutter) -> bool:
                 if child is None or child in seen:
                     continue
                 seen.add(child)
-                if len(child) > 2 and not _disjoint(child):
+                if len(child) > 2 and _greedy_matching_size(child) < len(child):
                     heapq.heappush(heap, (-len(child), child))
     return True
 

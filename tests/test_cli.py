@@ -55,6 +55,14 @@ def test_check_konig_text():
     assert code == 0 and "holds" in out
 
 
+def test_check_konig_long_path():
+    # 2499 edges: neither tau nor nu may recurse once per edge or per chosen vertex
+    code, out, err = run_cli(["--t", "1", "--max-vertices", "3000", "--max-edges", "3000",
+                              "check", "konig", "--family", "path:2500"])
+    assert (code, err) == (0, "")
+    assert json.loads(out)["konig"] == {"value": True, "tau": 1250, "nu": 1250}
+
+
 def test_check_mfmc_probe(capsys):
     # the bounded probe, both its --cmax options and the survey's packing
     # cutoff (every row reports packing) are gone: argparse usage errors
@@ -165,6 +173,13 @@ def test_verify_certificate_accepts_check_output():
     assert code4 == 0 and "konig_values: valid" in out4
 
 
+def test_verify_certificate_packing_report_has_no_certificates():
+    # a check packing report carries a verdict only
+    _, report, _ = run_cli(["check", "packing", "--family", "cycle:5"])
+    assert run_cli(["verify-certificate", "-"], stdin_text=report) == (
+        0, "no certificates found in report\n", "")
+
+
 def test_verify_certificate_stdin_tampered():
     code, out, _ = run_cli(["decide", "--family", "cycle:6"])
     d = json.loads(out)
@@ -241,6 +256,14 @@ def test_input_source_required():
     for argv in (["check", "konig"], ["decide", "--family", "cycle:5", "--graph6", "Dhc"]):
         assert run_cli(argv) == (
             1, "", "error: exactly one of --family/--file/--edges/--graph6 is required\n")
+
+
+def test_file_source_matches_edges(tmp_path):
+    path = tmp_path / "tree.txt"
+    path.write_text("1 2\n2 3\n3 4\n4 5\n3 6\n", encoding="utf-8")
+    from_file = run_cli(["check", "konig", "--file", str(path)])
+    assert from_file[0] == 0
+    assert from_file == run_cli(["check", "konig", "--edges", "1 2\\n2 3\\n3 4\\n4 5\\n3 6"])
 
 
 def test_duplicate_edge_is_one_warning_line():

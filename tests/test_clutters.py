@@ -68,7 +68,7 @@ def test_masks_are_the_edge_bitmasks():
     assert "masks" not in repr(a)
 
 
-# _minimal_masks is the antichain step of each transversal round in minimal_covers
+# _minimal_masks keeps the minimal sets; contraction and the basis search lean on it
 
 def test_minimalize_superset_removal():
     assert _minimal_masks([0b011, 0b111, 0b011]) == [0b011]
@@ -146,6 +146,14 @@ def test_tau_nu_against_scan():
     for c in corpus:
         assert tau(c) == oracles.tau_scan(c.n, c.edges)
         assert nu(c) == oracles.nu_scan(c.edges)
+
+
+def test_tau_nu_deep_inputs():
+    # one search level per edge or per chosen vertex would pass the recursion limit
+    singletons = Clutter(1100, tuple((v,) for v in range(1100)))
+    assert nu(singletons) == 1100
+    path = Clutter(1500, tuple((i, i + 1) for i in range(1499)))
+    assert tau(path) == 750 and nu(path) == 750
 
 
 def test_minimal_covers_c8_matches_published_list(h3c8):

@@ -90,6 +90,24 @@ def test_graph6_truncated():
         parse_graph6("D?")
 
 
+def test_graph6_long_size_prefix_round_trip():
+    # n > 62 is written as "~" and three 6-bit bytes
+    for n in (63, 100):
+        g = make_family("path", [n])
+        text = to_graph6(g)
+        assert text[0] == "~" and parse_graph6(text) == g
+
+
+@pytest.mark.parametrize("text, message", [
+    ("~??", "truncated graph6 size prefix"),  # the long prefix needs three size bytes
+    ("?", "at least one vertex"),  # n = 0
+    ("A@", "nonzero padding bits"),  # n = 2 has one edge bit; the last of six is set
+])
+def test_graph6_malformed(text, message):
+    with pytest.raises(ValueError, match=message):
+        parse_graph6(text)
+
+
 def test_edge_list_round_trip():
     g = make_family("spider", [2, 2, 1])
     assert parse_edge_list(graphs.to_edge_list(g)) == g

@@ -2,10 +2,9 @@ import random
 
 import pytest
 
-from mengerian.clutters import Clutter, incidence_matrix, minimal_covers
+from mengerian.clutters import Clutter, _minimal_cover_vectors, incidence_matrix, minimal_covers
 from mengerian.graphs import build_path_hypergraph, make_family, parse_edge_list
 from mengerian.ideals import (
-    _minimal_cover_vectors,
     format_monomial,
     is_normally_torsion_free,
     member_of_power,

@@ -66,6 +66,11 @@ PINNED = [
      "f46a65d64ccb1f114ba7332e4a20046271da81b273a6080bfb7852e98a8d3119"),
     (["check", "packing", "--family", "path:12"],
      "f044b3c3dedf13a4fc440f0afe384bd3c0abbf2b3074fd314796c5ca3d9acf64"),
+    # total unimodularity: holds on P7, refuted on C5 by a subdeterminant witness
+    (["check", "tu", "--family", "path:7"],
+     "a5076d1bd0a8abee473caaa0b54fb288776442ea039c8f0ac70de18d321fb9f6"),
+    (["check", "tu", "--family", "cycle:5"],
+     "0689fd2756c92c1b2a48d6338da3ef9fff4e0fd3d88b437ca96c1eb3bb0446ae"),
     (["classify", "--format", "json", "--family", "cycle:8"],
      "14ef1897785e45a0f94a75ca817055ec55627c803c4e684c5a384df905b2e89c"),
 ]
@@ -94,3 +99,10 @@ def test_verify_certificate_bytes():
     _, report = run_digest(["decide", "--family", "cycle:5"])
     assert run_digest(["verify-certificate"], stdin_text=report)[0] == (
         "5cf776ee5f660651121ebfeccd979d12724c6733d6e256bd6c29ba10944797e5")
+
+
+def test_verify_certificate_tu_witness():
+    _, report = run_digest(["check", "tu", "--family", "cycle:5"])
+    digest, out = run_digest(["verify-certificate"], stdin_text=report)
+    assert out == "tu_witness: valid (subdeterminant -2)\n"
+    assert digest == "faea9319504105293f27ebaca699cc17e47c389bb81a7608ab322d2ed32f9590"
