@@ -43,7 +43,6 @@ from .linalg import (
     is_ideal,
     is_totally_unimodular,
     verify_vertex,
-    vertex_tu_witness,
 )
 from .classify import (
     Caps,

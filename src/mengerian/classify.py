@@ -296,9 +296,17 @@ def _checks(d: dict) -> dict:
 
 
 def check_report_caps(d: dict, caps: Caps) -> None:
-    """Refuse a report whose hypergraph or power violation exceeds the caps."""
-    c = report_hypergraph(d)
-    check_caps(caps, c.n, c.m)
+    """Refuse a report whose hypergraph or power violation exceeds the caps.
+
+    The n and the edge count as listed are checked before the clutter is
+    built, since the build's antichain check is quadratic in the edges.
+    They bound the clutter's own, and a malformed value is left to the
+    build, which names it.
+    """
+    h = d.get("hypergraph") if isinstance(d, dict) else None
+    n, edges = (h.get("n"), h.get("edges")) if isinstance(h, dict) else (None, None)
+    check_caps(caps, n if type(n) is int else 0, len(edges) if isinstance(edges, list) else 0)
+    report_hypergraph(d)
     k = _section(_section(_checks(d), "ntf"), "violation").get("k")
     if type(k) is int and k > caps.max_power_k:
         raise CapExceeded(f"power violation k={k} exceeds the cap {caps.max_power_k}")

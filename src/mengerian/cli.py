@@ -95,7 +95,7 @@ def build_parser() -> argparse.ArgumentParser:
                     help="leave the certificates out of the report")
     pd.add_argument("--packing", action="store_true", help="ignored: every report gives packing")
 
-    pk = sub.add_parser("classify", help="closed-form clause for a connected graph")
+    pk = sub.add_parser("classify", help="closed-form clause for a connected graph (t = 3 only)")
     _add_input_args(pk)
     pk.add_argument("--format", choices=("text", "json"), default="text")
 
@@ -171,6 +171,8 @@ def _cmd_decide(args) -> int:
 
 
 def _cmd_classify(args) -> int:
+    if args.t != 3:
+        raise ValueError(f"classify is the closed form for t = 3 only, got --t {args.t}")
     g = _load_graph(args)  # applies the vertex cap
     verdict = classify.classify_mengerian(g)
     if args.format == "json":

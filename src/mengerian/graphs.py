@@ -188,9 +188,9 @@ def to_graph6(g: Graph) -> str:
     return prefix + "".join(chars)
 
 
-def to_dot(g: Graph, values: Optional[Sequence] = None, name: str = "G") -> str:
+def to_dot(g: Graph, values: Optional[Sequence] = None) -> str:
     """DOT rendering; optional per-vertex values become label annotations."""
-    lines = [f"graph {name} {{"]
+    lines = ["graph G {"]
     for v in range(g.n):
         label = f"x{v + 1}"
         if values is not None:

@@ -20,10 +20,10 @@ The two questions share their work, and ``is_ideal`` settles both. A
 totally unimodular matrix has an integral Q(A) (Hoffman-Kruskal), so
 ``is_ideal`` searches the bases of Q(A) only when the TU scan refutes TU,
 and a positive answer is backed by the scan or by that search. Conversely a
-fractional vertex refutes TU: ``vertex_tu_witness`` reads a square
-submatrix with |det| >= 2 off its tight rows. So every ``IdealityResult``
-carries the TU verdict too, and a caller that asks for idealness needs no
-second scan.
+fractional vertex refutes TU: both searches return it with its basis, the
+tight covering rows that certify it, and those rows on its support form a
+square submatrix with |det| >= 2. So every ``IdealityResult`` carries the
+TU verdict too, and a caller that asks for idealness needs no second scan.
 """
 
 from __future__ import annotations
@@ -31,6 +31,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
+from math import lcm
 from typing import Iterator, Optional, Sequence
 
 from .clutters import Clutter, _bits, _mask, _minimal_masks, _popcount, _row
@@ -183,13 +184,19 @@ def _row_sums(c: Clutter, coords: Sequence[Fraction]) -> Iterator[Fraction]:
 
 
 def tight_constraints(c: Clutter, coords: Sequence[Fraction]) -> tuple[int, ...]:
-    tight = [i for i, s in enumerate(_row_sums(c, coords)) if s == 1]
-    tight += [c.m + j for j, x in enumerate(coords) if x == 0]
+    """The covering rows with <A_i, x> = 1, then m + j for each x_j = 0.
+
+    The sums are taken in integers, over the common denominator d of x.
+    """
+    d = lcm(*(x.denominator for x in coords))
+    scaled = [x.numerator * (d // x.denominator) for x in coords]
+    tight = [i for i, e in enumerate(c.edges) if sum(scaled[v] for v in e) == d]
+    tight += [c.m + j for j, x in enumerate(scaled) if x == 0]
     return tuple(tight)
 
 
-def _fractional_vertex(c: Clutter) -> Optional[PolyhedronVertex]:
-    """The first fractional vertex of Q(A) in basis order, or None.
+def _fractional_vertex(c: Clutter) -> Optional[tuple[PolyhedronVertex, tuple[int, ...]]]:
+    """The first fractional vertex of Q(A) in basis order with its basis, or None.
 
     A basis is n of the m + n constraints: a set Z of zero coordinates and
     as many covering rows as there are live ones. Bases with more zeros
@@ -211,7 +218,10 @@ def _fractional_vertex(c: Clutter) -> Optional[PolyhedronVertex]:
     pivot is +-det, and by Cramer's rule a block with |det| = 1 has an
     integral solution, so only the other nonsingular blocks are solved.
     The first solution that is fractional, nonnegative and feasible is the
-    vertex; tight rows are computed for it alone.
+    vertex; tight rows are computed for it alone. Its basis is the row set
+    solved. That is the first basis of its tight rows in ``combinations``
+    order, which is the greedy one: the tight rows in index order, each
+    kept while independent on the support.
     """
     n = c.n
     for zeros in range(n - 1, -1, -1):
@@ -238,7 +248,7 @@ def _fractional_vertex(c: Clutter) -> Optional[PolyhedronVertex]:
                     coords[j] = v
                 if any(s < 1 for s in _row_sums(c, coords)):
                     continue
-                return PolyhedronVertex(tuple(coords), tight_constraints(c, coords))
+                return PolyhedronVertex(tuple(coords), tight_constraints(c, coords)), tset
     return None
 
 
@@ -273,7 +283,7 @@ def verify_vertex(c: Clutter, coords: Sequence) -> VertexCheck:
     )
 
 
-def _pattern_vertices(c: Clutter) -> Optional[PolyhedronVertex]:
+def _pattern_vertices(c: Clutter) -> Optional[tuple[PolyhedronVertex, tuple[int, ...]]]:
     """Fast search for fractional vertices that are uniform on their support.
 
     Points of the form (1/q on S, 0 elsewhere) cover every fractional
@@ -296,8 +306,12 @@ def _pattern_vertices(c: Clutter) -> Optional[PolyhedronVertex]:
     short of every edge has weight below 2; with ``thrice`` short it has
     weight 2 and tight rows ``twice & ~thrice``. Only an S that every edge
     meets three times needs its weights counted row by row, and that is
-    skipped once a hit with q <= 3 is kept. The tight rows are the covering
-    rows of weight q ascending, then the zero coordinates off S.
+    skipped once a hit with q <= 3 is kept.
+
+    The rank test runs on the transpose, one row per vertex of S and one
+    column per tight row, since the pivot columns of its echelon form are
+    the first tight rows in index order that are independent on S. So a
+    hit comes with its basis, as in the basis search.
     """
     masks = c.masks
     n, m = c.n, c.m
@@ -330,68 +344,51 @@ def _pattern_vertices(c: Clutter) -> Optional[PolyhedronVertex]:
                 if best is not None and q >= best[0]:
                     continue
                 tight = [i for i, w in enumerate(weights) if w == q]
-            if len(tight) < s or _echelon([_row(masks[i], S) for i in tight], s)[0] != s:
+            if len(tight) < s:
                 continue
-            best = q, S, tight
+            block = [_row(cols[j], tight) for j in S]
+            if _echelon(block, len(tight))[0] != s:
+                continue
+            basis = tuple(next(i for i, x in zip(tight, row) if x) for row in block)
+            best = q, S, basis
             if q == 2:
                 break
         if best is not None:
-            q, S, tight = best
+            q, S, basis = best
             coords = tuple(Fraction(1, q) if j in S else Fraction(0) for j in range(n))
-            tight += [m + j for j in range(n) if j not in S]
-            return PolyhedronVertex(coords, tuple(tight))
+            return PolyhedronVertex(coords, tight_constraints(c, coords)), basis
     return None
 
 
 def is_ideal(c: Clutter) -> IdealityResult:
     """Decide whether every vertex of Q(A) is integral, and settle TU on the way.
 
-    A fractional vertex is returned as the certificate, and the TU verdict
-    is then the witness ``vertex_tu_witness`` reads off it. The pattern
-    pre-pass only accelerates refutations. A positive answer is backed
-    either by the TU scan (a totally unimodular matrix has an integral
-    Q(A), by Hoffman-Kruskal), whose result is returned as the TU verdict,
-    or by a basis search that finds no fractional vertex, which runs only
-    when the scan refutes TU. That search visits, per zero set Z, only the
-    bases over the edges of the contraction minor C/Z; no other basis can
-    hold its first hit, so it refutes exactly when a search of every basis
-    would, with the same vertex. The scan is called through the module
-    global, so ``perfbench/spans.py`` sees it.
+    A fractional vertex is returned as the certificate. Its TU refutation
+    is the square submatrix B on its basis and its support S: B x_S = 1,
+    so by Cramer's rule |det B| = 1 would make the vertex integral. That
+    witness need not be the first one the exhaustive scan would find. The
+    pattern pre-pass only accelerates refutations. A positive answer is
+    backed either by the TU scan (a totally unimodular matrix has an
+    integral Q(A), by Hoffman-Kruskal), whose result is returned as the TU
+    verdict, or by a basis search that finds no fractional vertex, which
+    runs only when the scan refutes TU. That search visits, per zero set Z,
+    only the bases over the edges of the contraction minor C/Z; no other
+    basis can hold its first hit, so it refutes exactly when a search of
+    every basis would, with the same vertex. The scan is called through the
+    module global, so ``perfbench/spans.py`` sees it.
     """
     if c.is_empty:
         return IdealityResult(True, None, TUResult(True, None))
-    vertex = _pattern_vertices(c)
-    if vertex is None:
+    hit = _pattern_vertices(c)
+    if hit is None:
         tu = is_totally_unimodular(c)
         if not tu.totally_unimodular:
-            vertex = _fractional_vertex(c)
-        if vertex is None:
+            hit = _fractional_vertex(c)
+        if hit is None:
             return IdealityResult(True, None, tu)
-    return IdealityResult(False, vertex, vertex_tu_witness(c, vertex))
-
-
-def vertex_tu_witness(c: Clutter, vertex: PolyhedronVertex) -> TUResult:
-    """The TU refutation that a fractional vertex of Q(A) implies.
-
-    The columns are the support S of the vertex. The rows are its tight
-    covering rows, taken in index order while each stays linearly
-    independent on S, until there are |S| of them; a vertex has that many,
-    since its tight system has rank n and its zero coordinates account for
-    the rest. The square submatrix B then solves B x_S = 1, so by Cramer's
-    rule |det B| = 1 would make the vertex integral. The witness need not
-    be the first one the exhaustive scan would find.
-    """
+    vertex, rows = hit
     cols = tuple(j for j, x in enumerate(vertex.coords) if x)
-    rows: list[int] = []
-    block: list[list[int]] = []
-    for i in vertex.tight_rows:
-        if i >= c.m or len(rows) == len(cols):
-            break
-        trial = block + [_row(c.masks[i], cols)]
-        if _echelon([r[:] for r in trial], len(cols))[0] == len(trial):
-            rows.append(i)
-            block = trial
-    det = bareiss_det(block) if len(rows) == len(cols) else 0
+    det = bareiss_det([_row(c.masks[i], cols) for i in rows])
     if abs(det) < 2:
-        raise ArithmeticError("the tight rows of a fractional vertex gave no |det| >= 2 block")
-    return TUResult(False, TUWitness(tuple(rows), cols, det))
+        raise ArithmeticError("the basis of a fractional vertex gave no |det| >= 2 block")
+    return IdealityResult(False, vertex, TUResult(False, TUWitness(rows, cols, det)))

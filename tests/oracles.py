@@ -402,6 +402,27 @@ def gauss_rank(rows):
     return rank
 
 
+def vertex_witness_scan(n, edge_sets, coords):
+    """The TU witness that a fractional vertex of Q(A) implies, as (rows, cols, det).
+
+    The columns are the support of coords. The rows are the covering rows
+    tight at coords, taken in index order while each stays linearly
+    independent on the support, until there are as many as columns. The
+    determinant is by cofactor expansion.
+    """
+    cols = [j for j in range(n) if coords[j]]
+    rows = []
+    for i, e in enumerate(edge_sets):
+        if len(rows) == len(cols):
+            break
+        if sum(coords[j] for j in e) == 1:
+            trial = [[int(j in edge_sets[r]) for j in cols] for r in rows + [i]]
+            if gauss_rank(trial) == len(trial):
+                rows.append(i)
+    block = [[int(j in edge_sets[i]) for j in cols] for i in rows]
+    return tuple(rows), tuple(cols), cofactor_det(block)
+
+
 def pattern_vertex_hits(n, edge_sets):
     """Every (q, S) at which 1/q on S and 0 off it is a vertex of Q(A).
 

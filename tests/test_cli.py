@@ -4,10 +4,11 @@ import os
 import shlex
 import subprocess
 import sys
+from itertools import accumulate, combinations
 
 import pytest
 
-from mengerian import classify, graphs
+from mengerian import classify, clutters, graphs
 from mengerian.cli import build_parser, main
 
 from test_survey import extended
@@ -335,6 +336,17 @@ def test_family_cap_applies_before_the_build(monkeypatch):
     assert err == "resource cap exceeded: n=1500 exceeds the vertex cap 12\n"
 
 
+@pytest.mark.parametrize("t", ["1", "2", "4"])
+def test_classify_refuses_other_path_lengths(t):
+    # the closed form is the paper's classification of H_3; at t = 2 it
+    # would call C6 non-Mengerian, where decide proves it Mengerian
+    code, out, err = run_cli(["--t", t, "classify", "--family", "cycle:6"])
+    assert (code, out) == (1, "")
+    assert err == f"error: classify is the closed form for t = 3 only, got --t {t}\n"
+    code, out, _ = run_cli(["--t", "3", "classify", "--family", "cycle:6"])
+    assert (code, out) == (0, "NOT_MENGERIAN: mengerian=False\n")
+
+
 def test_classify_respects_vertex_cap():
     code, out, err = run_cli(["classify", "--family", "path:40"])
     assert (code, out) == (1, "")
@@ -391,6 +403,24 @@ def test_verify_certificate_respects_size_caps():
                       (["--max-edges", "4"], "m=5 exceeds the edge cap 4")):
         code, out, err = run_cli(caps + ["verify-certificate", "-"], stdin_text=report)
         assert code == 1 and out == ""
+        assert err == f"resource cap exceeded: {msg}\n"
+
+
+def test_verify_certificate_caps_the_listed_sizes_before_the_build(monkeypatch):
+    # the clutter's antichain check is quadratic in the edges, so the n and
+    # the edge count as listed are refused before it is built
+    def refuse(*args, **kwargs):
+        raise AssertionError("the report's clutter was built")
+
+    monkeypatch.setattr(clutters, "from_json_dict", refuse)
+    sizes = [1 + i % 3 for i in range(6000)]
+    edges = [list(range(s + 1, s + k + 1)) for s, k in zip(accumulate(sizes, initial=0), sizes)]
+    for n, edges, msg in ((12000, edges, "n=12000 exceeds the vertex cap 12"),
+                          (12, [list(e) for e in combinations(range(1, 13), 2)][:65],
+                           "m=65 exceeds the edge cap 64")):
+        report = json.dumps({"schema": 1, "hypergraph": {"n": n, "edges": edges}})
+        code, out, err = run_cli(["verify-certificate", "-"], stdin_text=report)
+        assert (code, out) == (1, "")
         assert err == f"resource cap exceeded: {msg}\n"
 
 

@@ -19,7 +19,6 @@ from mengerian.linalg import (
     is_ideal,
     is_totally_unimodular,
     verify_vertex,
-    vertex_tu_witness,
 )
 from mengerian.classify import decide_mengerian_exact, verify_report_dict
 from mengerian.survey import enumerate_connected
@@ -33,6 +32,7 @@ from oracles import (
     random_clutter,
     rank_scan,
     tu_witness_scan,
+    vertex_witness_scan,
 )
 
 H = Fraction(1, 2)
@@ -65,6 +65,11 @@ def integral(v):
 
 def first_fractional(c):
     return next((u for u in vertices(c) if not integral(u)), None)
+
+
+def vertex_of(hit):
+    """The vertex of a search's (vertex, basis) hit, or None on a miss."""
+    return None if hit is None else hit[0]
 
 
 def solve_unit_rhs(rows):
@@ -330,8 +335,9 @@ def test_ideal_pattern_prepass_agrees_with_enumeration():
 
 def test_fractional_vertex_matches_scan():
     # The basis search returns the oracle's first fractional vertex, tight
-    # rows included. The random draws are kept where is_ideal reaches the
-    # search: the pattern pre-pass misses them and the TU scan refutes them.
+    # rows included, with the greedy basis of its tight rows. The random
+    # draws are kept where is_ideal reaches the search: the pattern
+    # pre-pass misses them and the TU scan refutes them.
     rng = random.Random(7)
     drawn = [Clutter(n, random_clutter(rng, n)) for n in (rng.randint(3, 7) for _ in range(3000))]
     cases = [c for c in drawn if not c.is_empty and _pattern_vertices(c) is None
@@ -340,9 +346,11 @@ def test_fractional_vertex_matches_scan():
     fractional = 0
     # H_3(C8) is ideal and not TU: the search runs to the end and finds none
     for c in cases + [h3("cycle", 8)]:
-        v = _fractional_vertex(c)
-        assert v == first_fractional(c), c.edges
-        fractional += v is not None
+        hit = _fractional_vertex(c)
+        assert vertex_of(hit) == first_fractional(c), c.edges
+        if hit is not None:
+            assert hit[1] == vertex_witness_scan(c.n, c.edges, hit[0].coords)[0], c.edges
+        fractional += hit is not None
     assert (sum(not c.is_empty for c in drawn), len(cases), fractional) == (2683, 89, 85)
 
 
@@ -355,7 +363,7 @@ def test_fractional_vertex_matches_scan_at_n8():
     cases = [c for c in cases if not c.is_empty]
     fractional = 0
     for c in cases:
-        v = _fractional_vertex(c)
+        v = vertex_of(_fractional_vertex(c))
         assert v == first_fractional(c), c.edges
         fractional += v is not None
     assert (len(cases), fractional) == (123, 32)
@@ -376,7 +384,7 @@ def test_fractional_vertex_work_bound_on_c8(monkeypatch):
 
 
 def prepass(c):
-    v = _pattern_vertices(c)
+    v = vertex_of(_pattern_vertices(c))
     return None if v is None else (v.coords, v.tight_rows)
 
 
@@ -417,7 +425,8 @@ def test_pattern_prepass_matches_scan_on_random_clutters():
 def test_pattern_prepass_c7_counts_weights_row_by_row():
     # every edge of H_3(C7) meets the whole vertex set four times, so
     # thrice == full and the all-1/4 vertex comes from the per-row count
-    assert _pattern_vertices(h3("cycle", 7)) == PolyhedronVertex((Q,) * 7, tuple(range(7)))
+    assert _pattern_vertices(h3("cycle", 7)) == (PolyhedronVertex((Q,) * 7, tuple(range(7))),
+                                                 tuple(range(7)))
 
 
 def test_ideal_tu_branch_agrees_with_enumeration():
@@ -439,16 +448,50 @@ def test_ideal_tu_branch_agrees_with_enumeration():
         else:
             assert verify_vertex(c, res.certificate.coords).is_vertex
             assert not integral(res.certificate)
-            assert res.tu == vertex_tu_witness(c, res.certificate)
+            w = res.tu.witness
+            assert (w.rows, w.cols, w.det) == vertex_witness_scan(c.n, c.edges,
+                                                                  res.certificate.coords)
         tu = is_totally_unimodular(c).totally_unimodular
         assert res.tu.totally_unimodular == tu
         seen[res.ideal, tu] += 1
     assert all(seen.values()), seen
 
 
-# --- TU witnesses read off fractional vertices ------------------------------------
+# --- TU witnesses read off the basis of a fractional vertex -----------------------
+
+def witness_cases(kind):
+    if kind == "H_3 n<=7":
+        return [build_path_hypergraph(g) for n in range(1, 8) for g in enumerate_connected(n)]
+    if kind == "H_2 and H_4 n=7":
+        return [build_path_hypergraph(g, t) for g in enumerate_connected(7) for t in (2, 4)]
+    rng = random.Random(5)
+    return [Clutter(n, random_clutter(rng, n)) for n in (rng.randint(2, 8) for _ in range(3000))]
+
+
+@pytest.mark.parametrize("kind,counts", [("H_3 n<=7", (968, 0)), ("H_2 and H_4 n=7", (1683, 0)),
+                                         ("random", (239, 97))], ids=["H_3", "H_2 H_4", "random"])
+def test_ideal_witness_is_the_greedy_basis(kind, counts):
+    # The TU witness of a non-ideal clutter is read off the basis that its
+    # vertex search returns; it must be the square block that the
+    # row-by-row greedy over the vertex's tight rows gives. No graph input
+    # reaches the basis search, so the random draws carry those hits.
+    refuted = searched = 0
+    for c in witness_cases(kind):
+        res = is_ideal(c)
+        if res.ideal:
+            continue
+        w = res.tu.witness
+        assert (w.rows, w.cols, w.det) == vertex_witness_scan(c.n, c.edges,
+                                                              res.certificate.coords), c.edges
+        refuted += 1
+        searched += _pattern_vertices(c) is None
+    assert (refuted, searched) == counts
+
 
 def test_vertex_witness_on_every_fractional_vertex():
+    # The greedy reference the witness is compared with: on every
+    # fractional vertex, uniform or not, its block is square on the support,
+    # drawn from the tight covering rows, and has |det| >= 2 (Cramer's rule).
     rng = random.Random(89)
     fractional = non_uniform = 0
     for _ in range(1000):
@@ -458,22 +501,26 @@ def test_vertex_witness_on_every_fractional_vertex():
         for v in vertices(c):
             if integral(v):
                 continue
-            w = vertex_tu_witness(c, v).witness
-            assert len(w.rows) == len(w.cols)
-            assert w.cols == tuple(j for j, x in enumerate(v.coords) if x)
-            assert set(w.rows) <= {i for i in v.tight_rows if i < c.m}
-            d = cofactor_det([[A[i][j] for j in w.cols] for i in w.rows])
-            assert d == w.det and abs(d) >= 2
+            rows, cols, d = vertex_witness_scan(c.n, c.edges, v.coords)
+            assert len(rows) == len(cols)
+            assert cols == tuple(j for j, x in enumerate(v.coords) if x)
+            assert set(rows) <= {i for i in v.tight_rows if i < c.m}
+            assert det([[A[i][j] for j in cols] for i in rows]) == d and abs(d) >= 2
             fractional += 1
             non_uniform += len({x for x in v.coords if x}) > 1
     assert fractional >= 100 and non_uniform >= 30, (fractional, non_uniform)
 
 
-def test_vertex_witness_refuses_integral_vertex():
+def test_vertex_witness_refuses_integral_vertex(monkeypatch):
+    # a basis whose block has |det| = 1 solves to an integral point, so it
+    # certifies no fractional vertex, and is_ideal raises instead of
+    # returning a witness
     c = h3("cycle", 5)
     first = next(v for v in vertices(c) if integral(v))
+    basis = vertex_witness_scan(c.n, c.edges, first.coords)[0]
+    monkeypatch.setattr(linalg, "_pattern_vertices", lambda c: (first, basis))
     with pytest.raises(ArithmeticError):
-        vertex_tu_witness(c, first)
+        is_ideal(c)
 
 
 def test_decide_witnesses_of_non_ideal_classes_verify():

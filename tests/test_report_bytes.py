@@ -42,6 +42,9 @@ PINNED = [
      "dc4b10fd579a3ba0d2ba0fe6daef8c2563a36c2363fcfb2aa0549f768c0a903e"),
     (["survey", "--max-n", "5", "--csv"],
      "d2765aebeecc3a81fe32b851f72b3ae1d81bc84b1a044350aa1dc436dcf88933"),
+    # stdout sha256 79ba5452..., the n <= 6 survey bytes that ROADMAP.md quotes
+    (["survey", "--max-n", "6"],
+     "46b3158c7325e67d99bed0d6b29571b56ba8af488a4fd1736c26804f4e8ff8d5"),
     (["--t", "2", "hypergraph", "--format", "json", "--family", "cycle:8"],
      "8425cf1fef0b9379f00debf327c68b399f8027f0d01477ef5495979fb9dd7db2"),
     (["--t", "3", "hypergraph", "--format", "json", "--family", "cycle:8"],
