@@ -226,7 +226,16 @@ def decide_mengerian_exact(g: Graph, t: int = 3, caps: Caps = Caps()) -> Decisio
     Packing is always reported: tau != nu refutes it, backed by the Konig
     values; a Mengerian clutter packs (Konig on every minor is the min-max
     equation for weights in {0, 1, infinity}); the rest take the walk
-    ``clutters.has_packing``, whose refutation carries no certificate.
+    ``clutters.has_packing``. A clutter with the packing property is ideal
+    (Lehman 1990; Cornuéjols, Guenin & Margot 2000, *The packing
+    property*), so a non-ideal clutter is walked only on the face C/Z of
+    its fractional vertex, Z the vertex's zero set. The vertex stays a
+    fractional vertex of Q(C/Z), so some minor of C/Z, which is a minor
+    of C, fails Konig; the vertex backs the refutation. A face walk that
+    finds none raises ArithmeticError rather than report a non-ideal
+    clutter as packing. An ideal clutter that is not Mengerian (none
+    through n=8) is walked whole, and that refutation carries no
+    certificate.
     """
     c = capped_hypergraph(g, t, caps)
 
@@ -249,10 +258,25 @@ def decide_mengerian_exact(g: Graph, t: int = 3, caps: Caps = Caps()) -> Decisio
         check_power_cap(c, caps)
         ntf = ideals.is_normally_torsion_free(c)
         trace, mengerian = TRACE_POWER, ntf.normally_torsion_free
-    packing = tau == nu and (mengerian or clutters.has_packing(c))
+    packing = tau == nu and (mengerian or _walk_packing(c, ideality.certificate))
     return DecisionReport(g, t, c, trace, mengerian, ideality.tu, tau, nu, packing,
                           ideal=None if trace == TRACE_TU else ideality,
                           ntf=ntf, classifier=classifier)
+
+
+def _walk_packing(c: Clutter, vertex: Optional[linalg.PolyhedronVertex]) -> bool:
+    """The packing walk on c, or on the face C/Z of c's fractional vertex.
+
+    C/Z contracts the vertex's zero set Z in one pass, and is never the
+    unit clutter, since the vertex is feasible.
+    """
+    if vertex is None:
+        return clutters.has_packing(c)
+    zeros = sum(1 << j for j, x in enumerate(vertex.coords) if not x)
+    face = clutters._minimal_masks(e & ~zeros for e in c.masks)
+    if clutters.has_packing(Clutter(c.n, tuple(tuple(clutters._bits(e)) for e in face))):
+        raise ArithmeticError("the face of a fractional vertex packs, against Lehman's theorem")
+    return False
 
 
 # ---------------------------------------------------------------------------
@@ -363,8 +387,10 @@ def verify_report_dict(d: dict) -> list[tuple[str, bool, str]]:
     witness). A report that names its graph must carry H_t of that graph,
     and a certificate is valid only when the report sets every verdict it
     refutes to false; Konig values with tau != nu refute the packing and
-    Mengerian verdicts a report gives. Malformed input raises ValueError, as
-    does a report of the retired bounded min-max probe.
+    Mengerian verdicts a report gives, and a fractional vertex refutes a
+    decide report's packing verdict, since a clutter that packs is ideal.
+    Malformed input raises ValueError, as does a report of the retired
+    bounded min-max probe.
     """
     c = report_hypergraph(d)
     if "mfmc_probe" in d:
@@ -402,10 +428,13 @@ def verify_report_dict(d: dict) -> list[tuple[str, bool, str]]:
         tight = _indices(vertex.get("tight_rows"), c.m + c.n)
         same_tight = tight is not None and sorted(tight) == list(chk.tight_rows)
         msg = f"feasible={chk.feasible} tight_rank={chk.tight_rank}/{c.n}"
+        # a clutter that packs is ideal, so the vertex refutes a decide report's packing too
+        packing = checks.get("packing") if "checks" in d else None
+        refuted = {"packing": packing} if isinstance(packing, bool) else {}
         out.append(_refuting("fractional_vertex",
                              chk.is_vertex and not chk.is_integral and same_tight,
                              msg if same_tight else msg + ", tight_rows differ",
-                             ideal=ideal.get("value"), mengerian=mengerian))
+                             ideal=ideal.get("value"), mengerian=mengerian, **refuted))
 
     konig = _section(checks, "konig")
     if "tau" in konig:

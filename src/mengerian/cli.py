@@ -5,8 +5,13 @@ Identical invocations produce byte-identical output. Every decide report
 and survey row gives packing. Every refutation but the packing walk's is
 emitted with a certificate that verify-certificate re-validates; the walk
 names no failing minor, but a decide packing=false with tau != nu is
-backed by the Konig values. Exit status: 0 completed, 2 property refuted
-under --assert (or an invalid certificate), 1 error.
+backed by the Konig values, and one on a non-ideal clutter by its
+fractional vertex: a clutter that packs is ideal (Lehman 1990;
+Cornuéjols, Guenin & Margot 2000), so decide walks only the face C/Z of
+that vertex, and check packing walks the whole clutter. The caps
+--max-vertices, --max-edges and --max-power take nonnegative integers.
+Exit status: 0 completed, 2 property refuted under --assert (or an
+invalid certificate, or a usage error), 1 error.
 """
 
 from __future__ import annotations
@@ -60,6 +65,17 @@ def _caps(args) -> Caps:
     return Caps(max_vertices=args.max_vertices, max_edges=args.max_edges, max_power_k=args.max_power)
 
 
+def _cap(text: str) -> int:
+    """A cap value: a nonnegative integer, else an argparse usage error."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"a cap must be nonnegative, got {value}")
+    return value
+
+
 def _emit_json(payload: dict) -> None:
     print(json.dumps(payload, indent=2, sort_keys=True))
 
@@ -70,9 +86,9 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact Konig/packing/ideal/TU/Mengerian checks for path hypergraphs.",
     )
     p.add_argument("--t", type=int, default=3, help="path length (default 3)")
-    p.add_argument("--max-vertices", type=int, default=12, help="vertex cap")
-    p.add_argument("--max-edges", type=int, default=64, help="hyperedge cap")
-    p.add_argument("--max-power", type=int, default=8, help="power-equality exponent cap")
+    p.add_argument("--max-vertices", type=_cap, default=12, help="vertex cap")
+    p.add_argument("--max-edges", type=_cap, default=64, help="hyperedge cap")
+    p.add_argument("--max-power", type=_cap, default=8, help="power-equality exponent cap")
     sub = p.add_subparsers(dest="command", required=True)
 
     ph = sub.add_parser("hypergraph", help="emit the t-path hypergraph")

@@ -123,19 +123,19 @@ def _is_least(mask: int, adj: list[int]) -> bool:
 class SurveyRow:
     n: int
     index: int
+    graph6: str
     report: Optional[DecisionReport]
     incomplete: Optional[str] = None
 
 
 def _instance(row: SurveyRow) -> dict:
     """The one per-instance record that the JSON instances and the CSV rows print."""
-    rec = {"n": row.n, "index": row.index, "graph6": None, "trace": "INCOMPLETE",
+    rec = {"n": row.n, "index": row.index, "graph6": row.graph6, "trace": "INCOMPLETE",
            "mengerian": None, "clause": None, "tu": None, "ideal": None,
            "packing": None, "konig": None, "incomplete": row.incomplete}
     rep = row.report
     if rep is not None:
-        rec.update(graph6=graphs.to_graph6(rep.graph), trace=rep.trace,
-                   mengerian=rep.mengerian,
+        rec.update(trace=rep.trace, mengerian=rep.mengerian,
                    clause=rep.classifier.clause if rep.classifier else None,
                    tu=rep.tu.totally_unimodular,
                    ideal=None if rep.ideal is None else rep.ideal.ideal,
@@ -222,14 +222,15 @@ def cross_check(
     report = SurveyReport(t=t, n_min=n_min, n_max=n_max)
     for n in range(n_min, n_max + 1):
         for idx, g in enumerate(enumerate_connected(n)):
-            key = {"n": n, "index": idx, "graph6": graphs.to_graph6(g)}
+            g6 = graphs.to_graph6(g)
+            key = {"n": n, "index": idx, "graph6": g6}
             try:
                 rep = classify.decide_mengerian_exact(g, t, caps=caps)
             except CapExceeded as exc:
-                report.rows.append(SurveyRow(n, idx, None, incomplete=str(exc)))
+                report.rows.append(SurveyRow(n, idx, g6, None, incomplete=str(exc)))
                 report.incomplete.append({**key, "reason": str(exc)})
                 continue
-            row = SurveyRow(n, idx, rep)
+            row = SurveyRow(n, idx, g6, rep)
             report.rows.append(row)
             if rep.classifier is not None and rep.classifier.mengerian != rep.mengerian:
                 report.mismatches.append({

@@ -74,7 +74,8 @@ def test_traced_pass_covers_gated_metrics(workload, tmp_path, monkeypatch):
     metrics = spans.layer_metrics(json.loads(path.read_text()))
     assert [name for name in run.COVERAGE[workload] if not metrics[name]] == []
     if workload == "decide-fixtures":
-        # the packing walk Konig-checks each minor it visits once, and its
-        # order and pruning keep the visits few (11776 before both)
+        # the packing walk Konig-checks each minor it visits once; C12 and
+        # the pendant tree are walked on the face of their fractional
+        # vertex, whose first check fails, so their two copies make 4
         assert metrics["clutters.has_packing.distinct_ratio"] == 1.0
-        assert metrics["clutters.has_packing.konig_calls"] < 2000
+        assert metrics["clutters.has_packing.konig_calls"] <= 10

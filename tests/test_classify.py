@@ -218,6 +218,65 @@ def test_decide_packing_without_the_walk(monkeypatch):
         assert rep.mengerian and rep.packing
 
 
+def face_cases(kind):
+    if kind == "H_3 n<=7":
+        return [build_path_hypergraph(g) for n in range(1, 8) for g in enumerate_connected(n)]
+    if kind == "H_2 and H_4 n=7":
+        return [build_path_hypergraph(g, t) for g in enumerate_connected(7) for t in (2, 4)]
+    rng = random.Random(23)
+    return [clutters.Clutter(n, oracles.random_clutter(rng, n))
+            for n in (rng.randint(3, 9) for _ in range(3000))]
+
+
+@pytest.mark.parametrize("kind,walked", [("H_3 n<=7", 119), ("H_2 and H_4 n=7", 368),
+                                         ("random", 189)], ids=["H_3", "H_2 H_4", "random"])
+def test_face_of_a_fractional_vertex_fails_the_walk(kind, walked):
+    # A clutter that packs is ideal (Lehman 1990; Cornuéjols, Guenin &
+    # Margot 2000). The fractional vertex stays one of Q(C/Z) on its zero
+    # set Z, so the walk on that face, whose minors are minors of C, must
+    # refute packing wherever tau == nu leaves it open.
+    count = 0
+    for c in face_cases(kind):
+        res = linalg.is_ideal(c)
+        if res.ideal or clutters.tau(c) != clutters.nu(c):
+            continue
+        zeros = {j for j, x in enumerate(res.certificate.coords) if not x}
+        face = clutters.Clutter(c.n, oracles.antichain(set(e) - zeros for e in c.edges))
+        assert not linalg.is_ideal(face).ideal, c.edges
+        assert clutters.has_packing(face) is False, c.edges
+        assert clutters.has_packing(c) is False, c.edges
+        count += 1
+    assert count == walked
+
+
+def test_face_walk_that_packs_raises(monkeypatch):
+    # a non-ideal clutter must never be reported as packing
+    monkeypatch.setattr(clutters, "has_packing", lambda c: True)
+    with pytest.raises(ArithmeticError):
+        decide_mengerian_exact(make_family("cycle", [12]))
+
+
+@pytest.mark.parametrize("source", ["cycle:12", PRO3_TREE], ids=["C12", "pendant tree"])
+def test_face_walk_makes_one_konig_check(source, monkeypatch):
+    # Konig fails on the face C/Z itself, so the walk checks one minor
+    # under every labelling (the whole of H_3(C12) takes 133-150)
+    calls = []
+    konig = clutters.has_konig
+    monkeypatch.setattr(clutters, "has_konig", lambda c: calls.append(c) or konig(c))
+    if ":" in source:
+        name, k = source.split(":")
+        g = make_family(name, [int(k)])
+    else:
+        g = parse_edge_list(source)
+    for seed in range(8):
+        perm = list(range(g.n))
+        random.Random(seed).shuffle(perm)
+        calls.clear()
+        rep = decide_mengerian_exact(relabel(g, perm))
+        assert (rep.trace, rep.tau == rep.nu, rep.packing) == ("NON_IDEAL", True, False)
+        assert len(calls) == 1
+
+
 def test_shortcuts_agree_with_forced_power_equality():
     # TU and non-ideal traces must agree with the torsion-free decision
     # recomputed from scratch on a spread of survey instances
@@ -334,8 +393,10 @@ def test_verify_report_flipped_verdict(flip, refuted):
     d = c5_report()
     flip(d)
     results = verify_report_dict(d)
-    # tau=2 > nu=1 refutes a true Mengerian verdict, too
-    assert failed(results) == {refuted} | ({"konig_values"} if d["mengerian"] else set())
+    # tau=2 > nu=1 refutes a true Mengerian verdict, too, and the fractional
+    # vertex a true packing verdict, since a clutter that packs is ideal
+    assert failed(results) == ({refuted} | ({"konig_values"} if d["mengerian"] else set())
+                               | ({"fractional_vertex"} if d["checks"]["packing"] else set()))
     assert any("does not set" in msg for _, _, msg in results)
 
 

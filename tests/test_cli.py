@@ -200,6 +200,21 @@ def test_verify_certificate_konig_refutes_a_true_verdict(verdict):
     assert f"konig_values: INVALID (tau=2 nu=1; the report does not set {verdict} false)" in out2
 
 
+def test_verify_certificate_fractional_vertex_refutes_packing():
+    # a clutter that packs is ideal (Lehman; Cornuéjols, Guenin & Margot),
+    # so C12's fractional vertex refutes a packing verdict that tau == nu
+    # leaves standing
+    _, out, _ = run_cli(["decide", "--family", "cycle:12"])
+    d = json.loads(out)
+    assert d["checks"]["konig"]["value"] is True and d["checks"]["packing"] is False
+    d["checks"]["packing"] = True
+    code, out2, _ = run_cli(["verify-certificate", "-"], stdin_text=json.dumps(d))
+    assert code == 2
+    assert ("fractional_vertex: INVALID (feasible=True tight_rank=12/12; "
+            "the report does not set packing false)") in out2.splitlines()
+    assert "konig_values: valid (tau=3 nu=3)" in out2.splitlines()
+
+
 @pytest.mark.parametrize("report", [
     {"schema": 1},
     {"schema": 1, "hypergraph": 5},
@@ -324,6 +339,33 @@ def test_global_max_n_is_gone(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["--max-n", "5", "survey"])
     assert exc.value.code == 2 and capsys.readouterr().err.startswith("usage: mengerian")
+
+
+@pytest.mark.parametrize("cap", ["--max-vertices", "--max-edges", "--max-power"])
+def test_negative_cap_is_a_usage_error(cap, capsys):
+    # a negative cap is a bad option, not an input over its cap
+    with pytest.raises(SystemExit) as exc:
+        main([cap, "-1", "decide", "--family", "path:3"])
+    err = capsys.readouterr().err
+    assert exc.value.code == 2 and err.startswith("usage: mengerian")
+    assert err.endswith(f"error: argument {cap}: a cap must be nonnegative, got -1\n")
+
+
+@pytest.mark.parametrize("cap", ["--max-vertices", "--max-edges", "--max-power"])
+def test_cap_must_be_an_integer(cap, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main([cap, "1.5", "decide", "--family", "path:3"])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.endswith(f"error: argument {cap}: invalid int value: '1.5'\n")
+
+
+def test_zero_caps_are_allowed():
+    # path:3 has no 3-path, so m = 0 and a zero edge cap admits it
+    code, out, err = run_cli(["--max-edges", "0", "--max-power", "0",
+                              "decide", "--family", "path:3"])
+    assert (code, err) == (0, "") and json.loads(out)["trace"] == "EMPTY"
+    code, _, err = run_cli(["--max-vertices", "0", "decide", "--family", "path:3"])
+    assert code == 1 and err == "resource cap exceeded: n=3 exceeds the vertex cap 0\n"
 
 
 def test_family_cap_applies_before_the_build(monkeypatch):

@@ -171,6 +171,21 @@ def test_cross_check_incomplete_on_tiny_caps():
     assert rep.counters["decided"] < rep.counters["total"]
 
 
+def test_incomplete_rows_name_their_graph():
+    # the graph of an INCOMPLETE instance is known; its record and CSV row
+    # carry its graph6, the same string the incomplete list gives
+    rep = cross_check(5, n_min=5, caps=Caps(max_edges=3))
+    listed = {(e["n"], e["index"]): e["graph6"] for e in rep.incomplete}
+    assert listed[(5, 10)] == "Dz_" and len(listed) == 11
+    records = rep.to_json_dict()["instances"]
+    assert {(r["n"], r["index"]): r["graph6"]
+            for r in records if r["trace"] == "INCOMPLETE"} == listed
+    lines = rep.to_csv().splitlines()
+    g6_col = lines[0].split(",").index("graph6")
+    assert [line.split(",")[g6_col] for line in lines[1:]] == [r["graph6"] for r in records]
+    assert all(r["graph6"] for r in records)
+
+
 def test_csv_output():
     rep = cross_check(4)
     csv = rep.to_csv()
