@@ -107,14 +107,6 @@ def capped_hypergraph(g: Graph, t: int, caps: Caps) -> Clutter:
     return c
 
 
-def check_power_cap(c: Clutter, caps: Caps) -> None:
-    """Refuse a power-equality run whose bound ceil(mu/2) exceeds the cap."""
-    bound = ideals.power_bound(c.m)
-    if bound > caps.max_power_k:
-        raise CapExceeded(
-            f"power-equality bound {bound} exceeds the cap {caps.max_power_k}")
-
-
 @dataclass
 class DecisionReport:
     """Full pipeline verdict with method trace and certificates."""
@@ -255,7 +247,9 @@ def decide_mengerian_exact(g: Graph, t: int = 3, caps: Caps = Caps()) -> Decisio
     elif ideality.tu.totally_unimodular:
         trace, mengerian = TRACE_TU, True
     else:
-        check_power_cap(c, caps)
+        bound = ideals.power_bound(c.m)
+        if bound > caps.max_power_k:
+            raise CapExceeded(f"power-equality bound {bound} exceeds the cap {caps.max_power_k}")
         ntf = ideals.is_normally_torsion_free(c)
         trace, mengerian = TRACE_POWER, ntf.normally_torsion_free
     packing = tau == nu and (mengerian or _walk_packing(c, ideality.certificate))
@@ -315,7 +309,14 @@ def _section(d: dict, key: str) -> dict:
 
 
 def _checks(d: dict) -> dict:
-    """decide reports nest the results under "checks"; check reports are flat."""
+    """decide reports nest the results under "checks"; check reports are flat.
+
+    A report with both shapes is refused, since either reading would
+    ignore the other's certificates.
+    """
+    for key in ("tu", "ideal", "konig", "packing", "ntf"):
+        if key in d and "checks" in d:
+            raise ValueError(f"report has a top-level {key!r} section beside 'checks'")
     return _section(d, "checks") if "checks" in d else d
 
 

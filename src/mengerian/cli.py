@@ -1,7 +1,10 @@
 """Command-line interface.
 
 Commands: hypergraph, check, decide, classify, survey, verify-certificate.
-Identical invocations produce byte-identical output. Every decide report
+Identical invocations produce byte-identical output. A clutter is
+Mengerian exactly when its edge ideal is normally torsion-free, so check
+ntf prints the decide report with "property" and "holds" added, holds
+being the Mengerian verdict; the other checks run alone. Every decide report
 and survey row gives packing. Every refutation but the packing walk's is
 emitted with a certificate that verify-certificate re-validates; the walk
 names no failing minor, but a decide packing=false with tau != nu is
@@ -22,7 +25,7 @@ import sys
 import warnings
 from typing import Optional
 
-from . import classify, clutters, graphs, ideals, linalg, survey
+from . import classify, clutters, graphs, linalg, survey
 from .classify import Caps
 
 
@@ -96,7 +99,7 @@ def build_parser() -> argparse.ArgumentParser:
     ph.add_argument("--format", choices=("text", "json", "dot"), default="text",
                     help="dot draws the input graph G, not H_t, so --t does not change it")
 
-    pc = sub.add_parser("check", help="run a single property check")
+    pc = sub.add_parser("check", help="run a single property check (ntf: the decide report)")
     pc.add_argument("property", choices=("tu", "ideal", "konig", "packing", "ntf"))
     _add_input_args(pc)
     pc.add_argument("--assert", dest="assert_mode", action="store_true",
@@ -142,10 +145,14 @@ def _cmd_hypergraph(args) -> int:
 
 def _cmd_check(args) -> int:
     g = _load_graph(args)
-    c = classify.capped_hypergraph(g, args.t, _caps(args))
     prop = args.property
-    payload: dict = {"schema": 1, "t": args.t, "property": prop,
-                     "hypergraph": clutters.to_json_dict(c)}
+    if prop == "ntf":
+        # Mengerian exactly when normally torsion-free: the decision answers
+        payload = classify.decide_mengerian_exact(g, args.t, _caps(args)).to_json_dict()
+        holds = payload["mengerian"]
+    else:
+        c = classify.capped_hypergraph(g, args.t, _caps(args))
+        payload = {"schema": 1, "t": args.t, "hypergraph": clutters.to_json_dict(c)}
     if prop == "tu":
         res = linalg.is_totally_unimodular(c)
         holds = res.totally_unimodular
@@ -160,11 +167,7 @@ def _cmd_check(args) -> int:
     elif prop == "packing":
         holds = clutters.has_packing(c)
         payload["packing"] = {"value": holds}
-    else:  # ntf
-        classify.check_power_cap(c, _caps(args))
-        res = ideals.is_normally_torsion_free(c)
-        holds = res.normally_torsion_free
-        payload["ntf"] = classify.ntf_json(res, certificates=True)
+    payload["property"] = prop
     payload["holds"] = holds
     if args.format == "json":
         _emit_json(payload)

@@ -280,27 +280,26 @@ def make_family(name: str, params: Sequence[int]) -> Graph:
 def path_vertex_sets(g: Graph, t: int) -> set[int]:
     """Vertex bitmasks of all simple paths with exactly t edges.
 
-    Depth-first on an explicit stack of (used vertices, end vertex, edges
-    left) states, extending each path at its end by an unused neighbour.
-    The last edge is closed in place: a state with one edge left adds its
-    completed paths to the result rather than pushing them.
+    Breadth-first over levels of distinct states: a level maps each vertex
+    set S spanned by a path with i edges to the neighbours of the ends such
+    paths can have. A neighbour w outside S extends a path to S | w that
+    ends at w, so S | w gains w's neighbours. There are at most 2^n sets
+    per level, however many paths span them.
     """
     if t < 1:
         raise ValueError("path length t must be >= 1")
     adj = adjacency(g)
-    found: set[int] = set()
-    stack = [(1 << v, v, t) for v in range(g.n)]
-    while stack:
-        used, v, left = stack.pop()
-        nbrs = adj[v] & ~used
-        while nbrs:
-            low = nbrs & -nbrs
-            nbrs ^= low
-            if left == 1:
-                found.add(used | low)
-            else:
-                stack.append((used | low, low.bit_length() - 1, left - 1))
-    return found
+    level = {1 << v: adj[v] for v in range(g.n)}
+    for _ in range(t):
+        grown: dict[int, int] = {}
+        for used, reach in level.items():
+            reach &= ~used
+            while reach:
+                w = reach & -reach
+                reach ^= w
+                grown[used | w] = grown.get(used | w, 0) | adj[w.bit_length() - 1]
+        level = grown
+    return set(level)
 
 
 def build_path_hypergraph(g: Graph, t: int = 3) -> Clutter:

@@ -8,12 +8,19 @@ from itertools import accumulate, combinations
 
 import pytest
 
-from mengerian import classify, clutters, graphs
+from mengerian import classify, clutters, graphs, ideals
 from mengerian.cli import build_parser, main
 
-from test_survey import extended
-
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+
+def c5_ntf_report():
+    # a power violation of H_3(C5), as the NTF decision itself returns it;
+    # check ntf answers C5 on the NON_IDEAL route, which carries none
+    c = graphs.build_path_hypergraph(graphs.make_family("cycle", [5]))
+    return json.dumps({"schema": 1, "hypergraph": clutters.to_json_dict(c),
+                       "ntf": classify.ntf_json(ideals.is_normally_torsion_free(c),
+                                                certificates=True)})
 
 
 def run_cli(argv, stdin_text=None):
@@ -168,7 +175,7 @@ def test_verify_certificate_accepts_check_output():
     code, out, _ = run_cli(["check", "ntf", "--family", "cycle:5"])
     assert code == 0
     code2, out2, _ = run_cli(["verify-certificate", "-"], stdin_text=out)
-    assert code2 == 0 and "power_violation: valid" in out2
+    assert code2 == 0 and "fractional_vertex: valid" in out2 and "konig_values: valid" in out2
     code3, out3, _ = run_cli(["check", "konig", "--family", "cycle:8"])
     code4, out4, _ = run_cli(["verify-certificate", "-"], stdin_text=out3)
     assert code4 == 0 and "konig_values: valid" in out4
@@ -403,24 +410,54 @@ def test_check_ntf_respects_power_cap():
     assert code == 1 and out == ""
     assert err == "resource cap exceeded: power-equality bound 4 exceeds the cap 2\n"
     code, out, _ = run_cli(["--max-power", "4", "check", "ntf", "--family", "cycle:8"])
-    assert code == 0 and json.loads(out)["ntf"]["checked_k"] == [2, 3, 4]
+    assert code == 0 and json.loads(out)["checks"]["ntf"]["checked_k"] == [2, 3, 4]
 
 
 def test_check_ntf_path11():
-    # a TU clutter checked the long way, up to its power bound
+    # a TU clutter: the decision answers by the TU route, without power equality
     code, out, _ = run_cli(["check", "ntf", "--family", "path:11"])
-    ntf = json.loads(out)["ntf"]
-    assert code == 0 and ntf["value"] is True and ntf["checked_k"] == [2, 3, 4]
+    d = json.loads(out)
+    assert code == 0 and d["trace"] == "TU_SHORTCUT" and d["holds"] is True
 
 
-@extended
 def test_check_ntf_cycle12_refuted_and_verified():
     code, out, _ = run_cli(["check", "ntf", "--family", "cycle:12"])
-    violation = json.loads(out)["ntf"]["violation"]
-    assert code == 0 and violation["k"] == 4
-    assert violation["exponents"] == [1, 1, 1, 1, 2, 1, 2, 1, 1, 2, 1, 2]
+    d = json.loads(out)
+    assert code == 0 and d["trace"] == "NON_IDEAL" and d["holds"] is False
     code, out, _ = run_cli(["verify-certificate", "-"], stdin_text=out)
-    assert code == 0 and "power_violation: valid" in out
+    assert code == 0 and "fractional_vertex: valid" in out
+
+
+@pytest.mark.parametrize("family", ["cycle:12", "path:12", "complete:7"])
+def test_check_ntf_answers_and_verifies(family):
+    # the old power search took seconds on the first two and refused K7 at
+    # its power bound 18 > 8
+    code, out, err = run_cli(["check", "ntf", "--family", family])
+    assert (code, err) == (0, "")
+    assert run_cli(["verify-certificate", "-"], stdin_text=out)[0] == 0
+
+
+@pytest.mark.parametrize("family", ["cycle:5", "cycle:8", "path:7", "star:3"])
+def test_check_ntf_prints_the_decision(family, monkeypatch):
+    _, decided, _ = run_cli(["decide", "--family", family])
+    expected = json.loads(decided)
+    expected.update(property="ntf", holds=expected["mengerian"])
+    builds = []
+    build = graphs.build_path_hypergraph
+    monkeypatch.setattr(graphs, "build_path_hypergraph",
+                        lambda *a: builds.append(a) or build(*a))
+    code, out, _ = run_cli(["check", "ntf", "--family", family])
+    assert code == 0 and out == json.dumps(expected, indent=2, sort_keys=True) + "\n"
+    assert len(builds) == 1
+    verdict = "holds" if expected["mengerian"] else "refuted"
+    assert run_cli(["check", "ntf", "--format", "text", "--family", family]) == (
+        0, f"ntf: {verdict}\n", "")
+
+
+def test_hypergraph_of_a_hamiltonian_path_answers():
+    # one hyperedge; the path search walks vertex sets, not K12's 12!/2 paths
+    code, out, err = run_cli(["--t", "11", "hypergraph", "--family", "complete:12"])
+    assert (code, out, err) == (0, "12 1\n1 2 3 4 5 6 7 8 9 10 11 12\n", "")
 
 
 def test_decide_c8_plus_disjoint_p4():
@@ -467,7 +504,7 @@ def test_verify_certificate_caps_the_listed_sizes_before_the_build(monkeypatch):
 
 
 def test_verify_certificate_respects_power_cap():
-    _, report, _ = run_cli(["check", "ntf", "--family", "cycle:5"])
+    report = c5_ntf_report()
     d = json.loads(report)
     d["ntf"]["violation"].update(k=2000, exponents=[2000] * 5)
     code, out, err = run_cli(["verify-certificate", "-"], stdin_text=json.dumps(d))
@@ -481,13 +518,27 @@ def test_verify_certificate_respects_power_cap():
 
 def test_verify_certificate_deep_power_violation():
     # k = 2000 factors: the membership search must not recurse once per factor
-    _, report, _ = run_cli(["check", "ntf", "--family", "cycle:5"])
+    report = c5_ntf_report()
     d = json.loads(report)
     d["ntf"]["violation"].update(k=2000, exponents=[2000] * 5)
     code, out, err = run_cli(["--max-power", "5000", "verify-certificate", "-"],
                              stdin_text=json.dumps(d))
     assert code == 2 and err == ""
     assert out == "power_violation: INVALID (symbolic=True ordinary=True)\n"
+
+
+@pytest.mark.parametrize("checks", [None, {}])
+def test_verify_certificate_refuses_flat_sections_beside_checks(checks):
+    # read as nested, the report's flat certificates would all be skipped
+    _, report, _ = run_cli(["check", "konig", "--family", "cycle:5"])
+    d = json.loads(report)
+    d["konig"].update(tau=1, value=True)
+    code, out, _ = run_cli(["verify-certificate", "-"], stdin_text=json.dumps(d))
+    assert code == 2 and "konig_values: INVALID" in out
+    d["checks"] = checks
+    code, out, err = run_cli(["verify-certificate", "-"], stdin_text=json.dumps(d))
+    assert (code, out) == (1, "")
+    assert err == "error: report has a top-level 'konig' section beside 'checks'\n"
 
 
 def test_verify_certificate_refuses_retired_probe_report():
@@ -504,7 +555,7 @@ def test_verify_certificate_refuses_retired_probe_report():
 
 def test_verify_power_violation_exponent_validation():
     # booleans, negatives, floats, short and non-list exponents are malformed certificates
-    _, report, _ = run_cli(["check", "ntf", "--family", "cycle:5"])
+    report = c5_ntf_report()
     for exponents in ([True] * 5, [1, -1, 1, 1, 1], [1.0] * 5, [1, 1, 1], "11111"):
         d = json.loads(report)
         d["ntf"]["violation"]["exponents"] = exponents

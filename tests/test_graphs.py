@@ -181,7 +181,7 @@ def test_h3_c5_every_four_subset():
     assert H.m == 5  # each 4-subset of a 5-cycle spans a path
 
 
-@pytest.mark.parametrize("t", [1, 2, 3, 4])
+@pytest.mark.parametrize("t", [1, 2, 3, 4, 5, 6])
 def test_h3_matches_ordering_oracle_random(t):
     rng = random.Random(11)
     for _ in range(25):
@@ -200,6 +200,14 @@ def test_h_t_matches_ordering_oracle_on_every_class(t):
     assert len(classes) == 143
     for g in classes:
         assert list(build_path_hypergraph(g, t).edges) == path_hypergraph_edges(g.n, g.edges, t)
+
+
+def test_h_t_matches_ordering_oracle_on_complete_graphs():
+    # every vertex set spans many paths, which the search visits once per set
+    for n in range(1, 9):
+        g = make_family("complete", [n])
+        for t in range(1, n):
+            assert list(build_path_hypergraph(g, t).edges) == path_hypergraph_edges(n, g.edges, t)
 
 
 def test_h_t_uniformity_and_small_cases():

@@ -15,6 +15,7 @@ from mengerian.ideals import (
 from mengerian.survey import enumerate_connected
 
 import oracles
+from test_survey import extended
 
 
 def H3(name, *params):
@@ -289,6 +290,20 @@ def test_ntf_c5(h3c5):
     res = is_normally_torsion_free(h3c5)
     assert not res.normally_torsion_free
     assert res.violation is not None and res.checked_k[-1] == 2
+
+
+def test_ntf_p11():
+    # TU, so decide takes the shortcut; power equality still holds up to the bound
+    res = is_normally_torsion_free(H3("path", 11))
+    assert res.normally_torsion_free and res.checked_k == (2, 3, 4)
+
+
+@extended
+def test_ntf_c12_violation():
+    # C12 is non-ideal, so decide never runs this search on it
+    res = is_normally_torsion_free(H3("cycle", 12))
+    assert not res.normally_torsion_free and res.checked_k[-1] == 4
+    assert res.violation == (1, 1, 1, 1, 2, 1, 2, 1, 1, 2, 1, 2)
 
 
 def test_ntf_degenerate():

@@ -34,10 +34,11 @@ PINNED = [
      "04edfd5db8de5d16f41e3b44580e5e07c0662737598e488006e96c81ec4f9c25"),
     (["check", "konig", "--family", "cycle:8"],
      "5f6354e9281d1232b5fef15a4b39c1f6ace9cf96975e1dbfd5b45a6dde520256"),
+    # check ntf prints the decide report, with "property" and "holds"
     (["check", "ntf", "--family", "cycle:5"],
-     "91e660f59fa40d10f4f213933f77abf39f1f534a7fc725f9dfcaf4e55e291059"),
+     "e4af2675d197b07594415fe5889ee5ea00721e65af09cb1fb552cd7e697a107b"),
     (["check", "ntf", "--family", "cycle:8"],
-     "75fd473a1cad4846e8b57ec8a31ac1302e23cac25ead68af6388e2e1ccf56577"),
+     "e162f456f62787a06245d7134b5e7b44663517125876545b72df0dbe8b951715"),
     (["survey", "--max-n", "5"],
      "dc4b10fd579a3ba0d2ba0fe6daef8c2563a36c2363fcfb2aa0549f768c0a903e"),
     (["survey", "--max-n", "5", "--csv"],
