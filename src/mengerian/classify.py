@@ -132,13 +132,7 @@ class DecisionReport:
 
     def to_json_dict(self, certificates: bool = True) -> dict:
         return {
-            "schema": 1,
-            "graph": {
-                "n": self.graph.n,
-                "edges": [[u + 1, v + 1] for u, v in sorted(self.graph.edges)],
-            },
-            "t": self.t,
-            "hypergraph": clutters.to_json_dict(self.hypergraph),
+            **report_header(self.graph, self.t, self.hypergraph),
             "trace": self.trace,
             "mengerian": self.mengerian,
             "checks": {
@@ -155,6 +149,16 @@ class DecisionReport:
             },
             "agreement": self.agreement,
         }
+
+
+def report_header(g: Graph, t: int, c: Clutter) -> dict:
+    """The keys every decide and check report opens with: the graph, t and c = H_t."""
+    return {
+        "schema": 1,
+        "graph": {"n": g.n, "edges": [[u + 1, v + 1] for u, v in sorted(g.edges)]},
+        "t": t,
+        "hypergraph": clutters.to_json_dict(c),
+    }
 
 
 def konig_json(tau: int, nu: int) -> dict:
@@ -309,39 +313,32 @@ def _section(d: dict, key: str) -> dict:
 
 
 def _checks(d: dict) -> dict:
-    """decide reports nest the results under "checks"; check reports are flat.
+    """The results, which every report nests under "checks".
 
-    A report with both shapes is refused, since either reading would
-    ignore the other's certificates.
+    A top-level section, as check reports had before they named their
+    graph, is refused rather than skipped with its certificates.
     """
     for key in ("tu", "ideal", "konig", "packing", "ntf"):
-        if key in d and "checks" in d:
-            raise ValueError(f"report has a top-level {key!r} section beside 'checks'")
-    return _section(d, "checks") if "checks" in d else d
-
-
-def check_report_caps(d: dict, caps: Caps) -> None:
-    """Refuse a report whose hypergraph or power violation exceeds the caps.
-
-    The n and the edge count as listed are checked before the clutter is
-    built, since the build's antichain check is quadratic in the edges.
-    They bound the clutter's own, and a malformed value is left to the
-    build, which names it.
-    """
-    h = d.get("hypergraph") if isinstance(d, dict) else None
-    n, edges = (h.get("n"), h.get("edges")) if isinstance(h, dict) else (None, None)
-    check_caps(caps, n if type(n) is int else 0, len(edges) if isinstance(edges, list) else 0)
-    report_hypergraph(d)
-    k = _section(_section(_checks(d), "ntf"), "violation").get("k")
-    if type(k) is int and k > caps.max_power_k:
-        raise CapExceeded(f"power violation k={k} exceeds the cap {caps.max_power_k}")
+        if key in d:
+            where = "beside" if "checks" in d else "outside"
+            raise ValueError(f"report has a top-level {key!r} section {where} 'checks'")
+    return _section(d, "checks")
 
 
 def _rational(s, what: str) -> Fraction:
-    try:
-        return Fraction(s)
-    except (TypeError, ValueError, ZeroDivisionError):
-        raise ValueError(f"report has a malformed {what}: {s!r}") from None
+    """An exact rational; an exponent form and a non-finite float are malformed.
+
+    Fraction("1e100000000") would expand the exponent digit by digit, and
+    an error quotes only the start of a long value.
+    """
+    if not (isinstance(s, str) and "e" in s.lower()):
+        try:
+            return Fraction(s)
+        except (TypeError, ValueError, ZeroDivisionError, OverflowError):
+            pass
+    text = repr(s)
+    raise ValueError(f"report has a malformed {what}: "
+                     f"{text if len(text) <= 40 else text[:40] + '...'}")
 
 
 def _list(d: dict, key: str) -> list:
@@ -380,7 +377,7 @@ def _refuting(name: str, ok: bool, msg: str, **verdicts) -> tuple[str, bool, str
     return name, ok, msg
 
 
-def verify_report_dict(d: dict) -> list[tuple[str, bool, str]]:
+def verify_report_dict(d: dict, caps: Caps = Caps()) -> list[tuple[str, bool, str]]:
     """Independently re-validate a report and every certificate in it.
 
     Returns (check name, ok, message) triples; an empty list means the
@@ -388,11 +385,20 @@ def verify_report_dict(d: dict) -> list[tuple[str, bool, str]]:
     witness). A report that names its graph must carry H_t of that graph,
     and a certificate is valid only when the report sets every verdict it
     refutes to false; Konig values with tau != nu refute the packing and
-    Mengerian verdicts a report gives, and a fractional vertex refutes a
-    decide report's packing verdict, since a clutter that packs is ideal.
-    Malformed input raises ValueError, as does a report of the retired
-    bounded min-max probe.
+    Mengerian verdicts a report gives, and a fractional vertex refutes its
+    packing verdict, since a clutter that packs is ideal. Certificates are
+    read only under "checks".
+
+    The hypergraph's n and edge count as listed are capped before the
+    clutter is built, since the build's antichain check is quadratic in
+    the edges; a malformed value is left to the build, which names it. A
+    power violation's k is capped before its membership search.
+    CapExceeded is raised past a cap. Malformed input raises ValueError,
+    as does a report of the retired bounded min-max probe.
     """
+    h = d.get("hypergraph") if isinstance(d, dict) else None
+    n, edges = (h.get("n"), h.get("edges")) if isinstance(h, dict) else (None, None)
+    check_caps(caps, n if type(n) is int else 0, len(edges) if isinstance(edges, list) else 0)
     c = report_hypergraph(d)
     if "mfmc_probe" in d:
         raise ValueError("report key 'mfmc_probe' is retired; check ntf gives the exact verdict")
@@ -429,8 +435,8 @@ def verify_report_dict(d: dict) -> list[tuple[str, bool, str]]:
         tight = _indices(vertex.get("tight_rows"), c.m + c.n)
         same_tight = tight is not None and sorted(tight) == list(chk.tight_rows)
         msg = f"feasible={chk.feasible} tight_rank={chk.tight_rank}/{c.n}"
-        # a clutter that packs is ideal, so the vertex refutes a decide report's packing too
-        packing = checks.get("packing") if "checks" in d else None
+        # a clutter that packs is ideal, so the vertex refutes the report's packing too
+        packing = checks.get("packing")
         refuted = {"packing": packing} if isinstance(packing, bool) else {}
         out.append(_refuting("fractional_vertex",
                              chk.is_vertex and not chk.is_integral and same_tight,
@@ -451,6 +457,8 @@ def verify_report_dict(d: dict) -> list[tuple[str, bool, str]]:
     v = _section(ntf, "violation")
     if v:
         k, mono = v.get("k"), _exponents(v.get("exponents"), c.n)
+        if type(k) is int and k > caps.max_power_k:
+            raise CapExceeded(f"power violation k={k} exceeds the cap {caps.max_power_k}")
         if type(k) is int and k >= 1 and mono is not None:
             in_symbolic = ideals.cover_degree(mono, clutters.minimal_covers(c)) >= k
             in_power = ideals.member_of_power(mono, c, k)

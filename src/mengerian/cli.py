@@ -1,10 +1,14 @@
 """Command-line interface.
 
 Commands: hypergraph, check, decide, classify, survey, verify-certificate.
-Identical invocations produce byte-identical output. A clutter is
-Mengerian exactly when its edge ideal is normally torsion-free, so check
-ntf prints the decide report with "property" and "holds" added, holds
-being the Mengerian verdict; the other checks run alone. Every decide report
+Identical invocations produce byte-identical output. Every check and
+decide report opens with the same header (schema, graph, t, hypergraph)
+and nests its results under "checks", the one shape verify-certificate
+reads. A clutter is Mengerian exactly when its edge ideal is normally
+torsion-free, so check ntf prints the decide report with "property" and
+"holds" added, holds being the Mengerian verdict; the other checks run
+alone and write their one section as decide writes it (packing a bool),
+plus "property" and "holds". Every decide report
 and survey row gives packing. Every refutation but the packing walk's is
 emitted with a certificate that verify-certificate re-validates; the walk
 names no failing minor, but a decide packing=false with tau != nu is
@@ -99,7 +103,8 @@ def build_parser() -> argparse.ArgumentParser:
     ph.add_argument("--format", choices=("text", "json", "dot"), default="text",
                     help="dot draws the input graph G, not H_t, so --t does not change it")
 
-    pc = sub.add_parser("check", help="run a single property check (ntf: the decide report)")
+    pc = sub.add_parser("check", help="one property check, in the decide report's shape "
+                                      "(ntf: the decide report itself)")
     pc.add_argument("property", choices=("tu", "ideal", "konig", "packing", "ntf"))
     _add_input_args(pc)
     pc.add_argument("--assert", dest="assert_mode", action="store_true",
@@ -151,32 +156,27 @@ def _cmd_check(args) -> int:
         payload = classify.decide_mengerian_exact(g, args.t, _caps(args)).to_json_dict()
         holds = payload["mengerian"]
     else:
+        # the one section decide would write for the property, under "checks"
         c = classify.capped_hypergraph(g, args.t, _caps(args))
-        payload = {"schema": 1, "t": args.t, "hypergraph": clutters.to_json_dict(c)}
-    if prop == "tu":
-        res = linalg.is_totally_unimodular(c)
-        holds = res.totally_unimodular
-        payload["tu"] = classify.tu_json(res, certificates=True)
-    elif prop == "ideal":
-        res = linalg.is_ideal(c)
-        holds = res.ideal
-        payload["ideal"] = classify.ideal_json(res, certificates=True)
-    elif prop == "konig":
-        payload["konig"] = classify.konig_json(clutters.tau(c), clutters.nu(c))
-        holds = payload["konig"]["value"]
-    elif prop == "packing":
-        holds = clutters.has_packing(c)
-        payload["packing"] = {"value": holds}
+        if prop == "tu":
+            res = linalg.is_totally_unimodular(c)
+            holds, section = res.totally_unimodular, classify.tu_json(res, certificates=True)
+        elif prop == "ideal":
+            res = linalg.is_ideal(c)
+            holds, section = res.ideal, classify.ideal_json(res, certificates=True)
+        elif prop == "konig":
+            section = classify.konig_json(clutters.tau(c), clutters.nu(c))
+            holds = section["value"]
+        else:
+            holds = section = clutters.has_packing(c)
+        payload = {**classify.report_header(g, args.t, c), "checks": {prop: section}}
     payload["property"] = prop
     payload["holds"] = holds
     if args.format == "json":
         _emit_json(payload)
     elif args.format == "dot":
-        values = None
-        vertex = payload.get("ideal", {}).get("fractional_vertex") if prop == "ideal" else None
-        if vertex:
-            values = vertex["coords"]
-        sys.stdout.write(graphs.to_dot(g, values=values))
+        vertex = payload["checks"]["ideal"].get("fractional_vertex") if prop == "ideal" else None
+        sys.stdout.write(graphs.to_dot(g, values=vertex and vertex["coords"]))
     else:
         print(f"{prop}: {'holds' if holds else 'refuted'}")
     return 2 if (args.assert_mode and not holds) else 0
@@ -221,8 +221,7 @@ def _cmd_verify(args) -> int:
     except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         source = "on stdin" if args.report == "-" else args.report
         raise ValueError(f"report {source} is not valid JSON: {exc}") from None
-    classify.check_report_caps(data, _caps(args))
-    results = classify.verify_report_dict(data)
+    results = classify.verify_report_dict(data, _caps(args))
     for name, ok, msg in results:
         print(f"{name}: {'valid' if ok else 'INVALID'} ({msg})")
     if not results:

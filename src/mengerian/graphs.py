@@ -205,15 +205,33 @@ def to_dot(g: Graph, values: Optional[Sequence] = None) -> str:
 # ---------------------------------------------------------------------------
 # standard families
 
-# name: (parameter count, None for any; least parameter; its range error; vertex count)
+def _spider_edges(*legs: int) -> list[tuple[int, int]]:
+    edges, start = [], 1
+    for leg in legs:
+        path = [0, *range(start, start + leg)]
+        edges += zip(path, path[1:])
+        start += leg
+    return edges
+
+
+# name: (parameter count, None for any; least parameter; its range error;
+#        vertex count; edges on vertices 0..count-1)
 _FAMILIES = {
-    "path": (1, 1, "path needs k >= 1", lambda k: k),
-    "cycle": (1, 3, "cycle needs k >= 3", lambda k: k),
-    "star": (1, 1, "star needs at least one leaf", lambda k: k + 1),
-    "double_star": (2, 1, "double_star needs positive leaf counts", lambda p, q: p + q + 2),
-    "spider": (None, 1, "spider needs positive leg lengths", lambda *legs: 1 + sum(legs)),
-    "star_plus_edge": (1, 2, "star_plus_edge needs at least two leaves", lambda k: k + 1),
-    "complete": (1, 1, "complete needs k >= 1", lambda k: k),
+    "path": (1, 1, "path needs k >= 1", lambda k: k,
+             lambda k: ((i, i + 1) for i in range(k - 1))),
+    "cycle": (1, 3, "cycle needs k >= 3", lambda k: k,
+              lambda k: ((i, (i + 1) % k) for i in range(k))),
+    "star": (1, 1, "star needs at least one leaf", lambda k: k + 1,
+             lambda k: ((0, i) for i in range(1, k + 1))),
+    "double_star": (2, 1, "double_star needs positive leaf counts", lambda p, q: p + q + 2,
+                    lambda p, q: [(0, 1)] + [(0, i) for i in range(2, p + 2)]
+                    + [(1, i) for i in range(p + 2, p + q + 2)]),
+    "spider": (None, 1, "spider needs positive leg lengths", lambda *legs: 1 + sum(legs),
+               _spider_edges),
+    "star_plus_edge": (1, 2, "star_plus_edge needs at least two leaves", lambda k: k + 1,
+                       lambda k: [(0, i) for i in range(1, k + 1)] + [(1, 2)]),
+    "complete": (1, 1, "complete needs k >= 1", lambda k: k,
+                 lambda k: combinations(range(k), 2)),
 }
 
 
@@ -225,7 +243,7 @@ def family_order(name: str, params: Sequence[int]) -> int:
     """
     if name not in _FAMILIES:
         raise ValueError(f"unknown family {name!r}")
-    arity, least, error, order = _FAMILIES[name]
+    arity, least, error, order, _ = _FAMILIES[name]
     if arity is not None and len(params) != arity:
         raise ValueError(f"{name} takes {arity} parameter{'s' * (arity > 1)}, "
                          f"got {len(params)}")
@@ -245,33 +263,7 @@ def make_family(name: str, params: Sequence[int]) -> Graph:
     star_plus_edge k  star with k >= 2 leaves plus the edge {2, 3}
     complete k   all pairs
     """
-    params = list(params)
-    n = family_order(name, params)
-    if name == "path":
-        return graph(n, ((i, i + 1) for i in range(n - 1)))
-    if name == "cycle":
-        return graph(n, ((i, (i + 1) % n) for i in range(n)))
-    if name == "star":
-        return graph(n, ((0, i) for i in range(1, n)))
-    if name == "double_star":
-        p, q = params
-        edges = [(0, 1)]
-        edges += [(0, 2 + i) for i in range(p)]
-        edges += [(1, 2 + p + i) for i in range(q)]
-        return graph(n, edges)
-    if name == "spider":
-        edges = []
-        nxt = 1
-        for leg in params:
-            prev = 0
-            for _ in range(leg):
-                edges.append((prev, nxt))
-                prev = nxt
-                nxt += 1
-        return graph(n, edges)
-    if name == "star_plus_edge":
-        return graph(n, [(0, i) for i in range(1, n)] + [(1, 2)])
-    return graph(n, combinations(range(n), 2))
+    return graph(family_order(name, params), _FAMILIES[name][4](*params))
 
 
 # ---------------------------------------------------------------------------
@@ -299,6 +291,8 @@ def path_vertex_sets(g: Graph, t: int) -> set[int]:
                 reach ^= w
                 grown[used | w] = grown.get(used | w, 0) | adj[w.bit_length() - 1]
         level = grown
+        if not level:  # no path is longer than the last one found, so t >= n answers at once
+            break
     return set(level)
 
 

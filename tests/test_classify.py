@@ -358,7 +358,7 @@ def failed(results):
 def c5_ntf_dict():
     c = build_path_hypergraph(make_family("cycle", [5]))
     return {"hypergraph": clutters.to_json_dict(c),
-            "ntf": ntf_json(ideals.is_normally_torsion_free(c), certificates=True)}
+            "checks": {"ntf": ntf_json(ideals.is_normally_torsion_free(c), certificates=True)}}
 
 
 def test_verify_report_checks_graph():
@@ -371,6 +371,15 @@ def test_verify_report_checks_graph():
     d = c5_report()
     d["graph"]["n"] = 6
     assert failed(verify_report_dict(d)) == {"hypergraph"}
+
+
+def test_verify_report_caps_the_listed_edges():
+    # the caps apply to every caller, before the clutter is built
+    d = {"schema": 1, "hypergraph": {
+        "n": 12, "edges": [list(e) for e in combinations(range(1, 13), 2)][:65]}}
+    with pytest.raises(CapExceeded, match="m=65 exceeds the edge cap 64"):
+        verify_report_dict(d)
+    assert verify_report_dict(d, Caps(max_edges=65)) == []
 
 
 @pytest.mark.parametrize("graph", [
@@ -402,7 +411,7 @@ def test_verify_report_flipped_verdict(flip, refuted):
 
 
 @pytest.mark.parametrize("flip", [
-    lambda d: d["ntf"].update(value=True),
+    lambda d: d["checks"]["ntf"].update(value=True),
     lambda d: d.update(mengerian=True),
 ])
 def test_verify_report_flipped_ntf_verdict(flip):
@@ -454,8 +463,8 @@ def det_text(d):
      "tu_witness"),
     (lambda d: d["checks"]["tu"]["witness"].update(det=f" {det_text(d)} "), "tu_witness"),
     (lambda d: d["checks"]["tu"]["witness"].update(det=int(det_text(d))), "tu_witness"),
-    (lambda d: d["ntf"]["violation"].update(k=2.0), "power_violation"),
-    (lambda d: d["ntf"]["violation"].update(k=True), "power_violation"),
+    (lambda d: d["checks"]["ntf"]["violation"].update(k=2.0), "power_violation"),
+    (lambda d: d["checks"]["ntf"]["violation"].update(k=True), "power_violation"),
 ])
 def test_verify_report_loose_number_types(edit, refuted):
     d = c5_ntf_dict() if refuted == "power_violation" else c5_report()

@@ -4,6 +4,7 @@ import os
 import shlex
 import subprocess
 import sys
+import time
 from itertools import accumulate, combinations
 
 import pytest
@@ -18,9 +19,9 @@ def c5_ntf_report():
     # a power violation of H_3(C5), as the NTF decision itself returns it;
     # check ntf answers C5 on the NON_IDEAL route, which carries none
     c = graphs.build_path_hypergraph(graphs.make_family("cycle", [5]))
+    ntf = classify.ntf_json(ideals.is_normally_torsion_free(c), certificates=True)
     return json.dumps({"schema": 1, "hypergraph": clutters.to_json_dict(c),
-                       "ntf": classify.ntf_json(ideals.is_normally_torsion_free(c),
-                                                certificates=True)})
+                       "checks": {"ntf": ntf}})
 
 
 def run_cli(argv, stdin_text=None):
@@ -49,7 +50,7 @@ def test_check_ideal_assert_refuted():
     assert code == 2
     d = json.loads(out)
     assert d["holds"] is False
-    coords = d["ideal"]["fractional_vertex"]["coords"]
+    coords = d["checks"]["ideal"]["fractional_vertex"]["coords"]
     assert all("/" in c or c in ("0", "1") for c in coords)
 
 
@@ -68,7 +69,7 @@ def test_check_konig_long_path():
     code, out, err = run_cli(["--t", "1", "--max-vertices", "3000", "--max-edges", "3000",
                               "check", "konig", "--family", "path:2500"])
     assert (code, err) == (0, "")
-    assert json.loads(out)["konig"] == {"value": True, "tau": 1250, "nu": 1250}
+    assert json.loads(out)["checks"]["konig"] == {"value": True, "tau": 1250, "nu": 1250}
 
 
 def test_check_mfmc_probe(capsys):
@@ -182,10 +183,10 @@ def test_verify_certificate_accepts_check_output():
 
 
 def test_verify_certificate_packing_report_has_no_certificates():
-    # a check packing report carries a verdict only
+    # a check packing report carries a verdict only, beside the graph it names
     _, report, _ = run_cli(["check", "packing", "--family", "cycle:5"])
     assert run_cli(["verify-certificate", "-"], stdin_text=report) == (
-        0, "no certificates found in report\n", "")
+        0, "hypergraph: valid (equals H_3 of the report's graph)\n", "")
 
 
 def test_verify_certificate_stdin_tampered():
@@ -506,11 +507,11 @@ def test_verify_certificate_caps_the_listed_sizes_before_the_build(monkeypatch):
 def test_verify_certificate_respects_power_cap():
     report = c5_ntf_report()
     d = json.loads(report)
-    d["ntf"]["violation"].update(k=2000, exponents=[2000] * 5)
+    d["checks"]["ntf"]["violation"].update(k=2000, exponents=[2000] * 5)
     code, out, err = run_cli(["verify-certificate", "-"], stdin_text=json.dumps(d))
     assert code == 1 and out == ""
     assert err == "resource cap exceeded: power violation k=2000 exceeds the cap 8\n"
-    d["ntf"]["violation"].update(k=3, exponents=[1, 1, 1, 1, 1])
+    d["checks"]["ntf"]["violation"].update(k=3, exponents=[1, 1, 1, 1, 1])
     code, out, err = run_cli(["--max-power", "2", "verify-certificate", "-"],
                              stdin_text=json.dumps(d))
     assert code == 1 and err == "resource cap exceeded: power violation k=3 exceeds the cap 2\n"
@@ -520,7 +521,7 @@ def test_verify_certificate_deep_power_violation():
     # k = 2000 factors: the membership search must not recurse once per factor
     report = c5_ntf_report()
     d = json.loads(report)
-    d["ntf"]["violation"].update(k=2000, exponents=[2000] * 5)
+    d["checks"]["ntf"]["violation"].update(k=2000, exponents=[2000] * 5)
     code, out, err = run_cli(["--max-power", "5000", "verify-certificate", "-"],
                              stdin_text=json.dumps(d))
     assert code == 2 and err == ""
@@ -532,13 +533,88 @@ def test_verify_certificate_refuses_flat_sections_beside_checks(checks):
     # read as nested, the report's flat certificates would all be skipped
     _, report, _ = run_cli(["check", "konig", "--family", "cycle:5"])
     d = json.loads(report)
-    d["konig"].update(tau=1, value=True)
+    d["checks"]["konig"].update(tau=1, value=True)
     code, out, _ = run_cli(["verify-certificate", "-"], stdin_text=json.dumps(d))
     assert code == 2 and "konig_values: INVALID" in out
+    d["konig"] = d.pop("checks")["konig"]
     d["checks"] = checks
     code, out, err = run_cli(["verify-certificate", "-"], stdin_text=json.dumps(d))
     assert (code, out) == (1, "")
     assert err == "error: report has a top-level 'konig' section beside 'checks'\n"
+
+
+def test_verify_certificate_refuses_a_flat_report():
+    # a check report in the flat shape of earlier versions, with no graph
+    _, report, _ = run_cli(["check", "konig", "--family", "cycle:5"])
+    d = json.loads(report)
+    d = {"schema": 1, "t": 3, "hypergraph": d["hypergraph"], "konig": d["checks"]["konig"]}
+    code, out, err = run_cli(["verify-certificate", "-"], stdin_text=json.dumps(d))
+    assert (code, out) == (1, "")
+    assert err == "error: report has a top-level 'konig' section outside 'checks'\n"
+
+
+@pytest.mark.parametrize("prop", ["tu", "ideal", "konig", "packing"])
+@pytest.mark.parametrize("family", ["cycle:5", "path:7"])
+def test_check_report_names_its_graph(prop, family):
+    code, out, _ = run_cli(["check", prop, "--family", family])
+    d = json.loads(out)
+    _, decided, _ = run_cli(["decide", "--family", family])
+    header = {k: v for k, v in json.loads(decided).items()
+              if k in ("schema", "graph", "t", "hypergraph")}
+    assert code == 0 and d == {**header, "checks": {prop: d["checks"][prop]},
+                               "property": prop, "holds": d["holds"]}
+    code, verified, _ = run_cli(["verify-certificate", "-"], stdin_text=out)
+    assert code == 0
+    assert verified.splitlines()[0] == "hypergraph: valid (equals H_3 of the report's graph)"
+
+
+def test_verify_certificate_checks_a_check_report_against_its_graph():
+    # H_3(P8) and its Konig values are consistent, but not with C8, the graph named
+    _, report, _ = run_cli(["check", "konig", "--family", "cycle:8"])
+    d = json.loads(report)
+    p8 = graphs.build_path_hypergraph(graphs.make_family("path", [8]))
+    d["hypergraph"] = clutters.to_json_dict(p8)
+    d["checks"]["konig"] = classify.konig_json(clutters.tau(p8), clutters.nu(p8))
+    code, out, _ = run_cli(["verify-certificate", "-"], stdin_text=json.dumps(d))
+    assert code == 2
+    assert out.splitlines() == ["hypergraph: INVALID (differs from H_3 of the report's graph)",
+                                "konig_values: valid (tau=2 nu=2)"]
+
+
+def test_far_path_lengths_answer_at_once():
+    # the path search stops at its first empty level, for the CLI and for a
+    # crafted report whose t the verifier rebuilds H_t with
+    start = time.perf_counter()
+    assert run_cli(["--t", "100000000", "hypergraph", "--family", "path:3"]) == (0, "3 0\n", "")
+    report = {"schema": 1, "graph": {"n": 3, "edges": [[1, 2], [2, 3]]}, "t": 10 ** 12,
+              "hypergraph": {"n": 3, "edges": []}}
+    assert run_cli(["verify-certificate", "-"], stdin_text=json.dumps(report)) == (
+        0, "hypergraph: valid (equals H_1000000000000 of the report's graph)\n", "")
+    assert time.perf_counter() - start < 1
+
+
+@pytest.mark.parametrize("edit, shown", [
+    # Fraction would expand the exponent digit by digit
+    (lambda d: d["checks"]["tu"]["witness"].update(det="1e100000000"),
+     "witness det: '1e100000000'"),
+    (lambda d: d["checks"]["ideal"]["fractional_vertex"]["coords"].__setitem__(0, "1E100000000"),
+     "vertex coordinate: '1E100000000'"),
+    # json reads the number 1e400 as an infinite float
+    (lambda d: d["checks"]["ideal"]["fractional_vertex"]["coords"].__setitem__(0, "1e400 "),
+     "vertex coordinate: inf"),
+    (lambda d: d["checks"]["tu"]["witness"].update(det=float("inf")), "witness det: inf"),
+    (lambda d: d["checks"]["tu"]["witness"].update(det=float("nan")), "witness det: nan"),
+    (lambda d: d["checks"]["tu"]["witness"].update(det="7" * 2_000_000),
+     "witness det: '" + "7" * 39 + "..."),
+])
+def test_verify_certificate_bounds_its_rationals(edit, shown):
+    d = c5_report()
+    edit(d)
+    start = time.perf_counter()
+    text = json.dumps(d).replace('"1e400 "', "1e400")
+    code, out, err = run_cli(["verify-certificate", "-"], stdin_text=text)
+    assert (code, out, err) == (1, "", f"error: report has a malformed {shown}\n")
+    assert time.perf_counter() - start < 1
 
 
 def test_verify_certificate_refuses_retired_probe_report():
@@ -558,7 +634,7 @@ def test_verify_power_violation_exponent_validation():
     report = c5_ntf_report()
     for exponents in ([True] * 5, [1, -1, 1, 1, 1], [1.0] * 5, [1, 1, 1], "11111"):
         d = json.loads(report)
-        d["ntf"]["violation"]["exponents"] = exponents
+        d["checks"]["ntf"]["violation"]["exponents"] = exponents
         code, out, err = run_cli(["verify-certificate", "-"], stdin_text=json.dumps(d))
         assert code == 2 and err == ""
         assert out == ("power_violation: INVALID (k must be a positive integer "

@@ -232,6 +232,13 @@ def test_h3_equivariant_under_relabeling():
         assert list(Hp.edges) == mapped
 
 
+def test_path_search_stops_at_the_first_empty_level():
+    # no path has more than n - 1 edges, so a t past that answers at once
+    assert graphs.path_vertex_sets(make_family("path", [3]), 10 ** 12) == set()
+    assert graphs.path_vertex_sets(make_family("complete", [6]), 10 ** 9) == set()
+    assert graphs.path_vertex_sets(make_family("path", [3]), 2) == {0b111}
+
+
 def test_t_validation():
     with pytest.raises(ValueError):
         build_path_hypergraph(make_family("path", [4]), 0)

@@ -30,10 +30,11 @@ PINNED = [
      "4bee6ccb6c954020923997f6be7da9ccc48f6b1a44085aaaa2709b88e10e6349"),
     (["decide", "--packing", "--edges", TREE6],
      "9b473a8e1fda4a2f22a1b13a6006d4412327d187ee52f1a76025580a4cec5bec"),
+    # a check report names its graph and nests its one section under "checks"
     (["check", "konig", "--family", "cycle:5"],
-     "04edfd5db8de5d16f41e3b44580e5e07c0662737598e488006e96c81ec4f9c25"),
+     "f802d371e1c747d0b4069e97291d974245e9f880369799ebab946eb9d1485931"),
     (["check", "konig", "--family", "cycle:8"],
-     "5f6354e9281d1232b5fef15a4b39c1f6ace9cf96975e1dbfd5b45a6dde520256"),
+     "5ab7ef1ce47b3121cdf5eccb4207eaf19bb3230d8f7aa6b18606c2d10bbcd91d"),
     # check ntf prints the decide report, with "property" and "holds"
     (["check", "ntf", "--family", "cycle:5"],
      "e4af2675d197b07594415fe5889ee5ea00721e65af09cb1fb552cd7e697a107b"),
@@ -60,21 +61,21 @@ PINNED = [
      "de444148ded45688a563925e8f88a97232f402cadf47c1fc465ef05d39c1bb54"),
     # the pre-pass vertices of these three carry their tight_rows
     (["check", "ideal", "--family", "cycle:5"],
-     "d011ddddd72eba5668ac691213c03e5b119a60dcc4655e66adefbba5d9a42ea6"),
+     "f63b098579d3a298cd05b70eaa3f2db53417037836965a6da184b004e887d07b"),
     (["check", "ideal", "--family", "cycle:7"],
-     "1afa7ca5b7bbd994e834e39edad2ffe0a6fa65c2ac683f72c96cde61ef2d9326"),
+     "cdc5891e9aaace6b36a51cc0688cb49c41f0d2cbc43f7ac029eff5004ef1073a"),
     (["check", "ideal", "--family", "complete:5"],
-     "d011ddddd72eba5668ac691213c03e5b119a60dcc4655e66adefbba5d9a42ea6"),
+     "849a7eb3460018d3810d2699b16d80686641e837c741dca487240d53142b99a4"),
     # the packing walk: refuted on C12, holds on P12
     (["check", "packing", "--family", "cycle:12"],
-     "f46a65d64ccb1f114ba7332e4a20046271da81b273a6080bfb7852e98a8d3119"),
+     "f31b3dbf1f549e55a740c8e64eaad4f038ca53c6af0aad61c87b10292a5ae4f8"),
     (["check", "packing", "--family", "path:12"],
-     "f044b3c3dedf13a4fc440f0afe384bd3c0abbf2b3074fd314796c5ca3d9acf64"),
+     "5168795d1146a5085295a996c0de6987bd64fd3efa79ecf7caeb4b9d920a76db"),
     # total unimodularity: holds on P7, refuted on C5 by a subdeterminant witness
     (["check", "tu", "--family", "path:7"],
-     "a5076d1bd0a8abee473caaa0b54fb288776442ea039c8f0ac70de18d321fb9f6"),
+     "2a7b3c1bcee7b673a8dd5ee1834da3f3d7bf6714a25a5b393c77384d1c1e2764"),
     (["check", "tu", "--family", "cycle:5"],
-     "0689fd2756c92c1b2a48d6338da3ef9fff4e0fd3d88b437ca96c1eb3bb0446ae"),
+     "386747792ae37e7aeb81474e1cdb649699a737a3fb7f30eeb3377f0ef6853c1b"),
     (["classify", "--format", "json", "--family", "cycle:8"],
      "14ef1897785e45a0f94a75ca817055ec55627c803c4e684c5a384df905b2e89c"),
 ]
@@ -108,5 +109,6 @@ def test_verify_certificate_bytes():
 def test_verify_certificate_tu_witness():
     _, report = run_digest(["check", "tu", "--family", "cycle:5"])
     digest, out = run_digest(["verify-certificate"], stdin_text=report)
-    assert out == "tu_witness: valid (subdeterminant -2)\n"
-    assert digest == "faea9319504105293f27ebaca699cc17e47c389bb81a7608ab322d2ed32f9590"
+    assert out == ("hypergraph: valid (equals H_3 of the report's graph)\n"
+                   "tu_witness: valid (subdeterminant -2)\n")
+    assert digest == "7ec83cecadfa035b122588c3a7dcbeda5ae900fec77199a34752bf2f203a6850"
