@@ -9,6 +9,7 @@ decisive together with machine-checkable certificates.
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
@@ -272,7 +273,7 @@ def _walk_packing(c: Clutter, vertex: Optional[linalg.PolyhedronVertex]) -> bool
         return clutters.has_packing(c)
     zeros = sum(1 << j for j, x in enumerate(vertex.coords) if not x)
     face = clutters._minimal_masks(e & ~zeros for e in c.masks)
-    if clutters.has_packing(Clutter(c.n, tuple(tuple(clutters._bits(e)) for e in face))):
+    if clutters.has_packing(Clutter.from_masks(c.n, face)):
         raise ArithmeticError("the face of a fractional vertex packs, against Lehman's theorem")
     return False
 
@@ -387,7 +388,10 @@ def verify_report_dict(d: dict, caps: Caps = Caps()) -> list[tuple[str, bool, st
     refutes to false; Konig values with tau != nu refute the packing and
     Mengerian verdicts a report gives, and a fractional vertex refutes its
     packing verdict, since a clutter that packs is ideal. Certificates are
-    read only under "checks".
+    read only under "checks". A check report's "holds" must be its own
+    verdict: "value" of its property's section, the packing bool, or
+    "mengerian" for ntf; a mismatch adds one failed "holds" check, and a
+    report that gives "holds" without such a "property" is malformed.
 
     The hypergraph's n and edge count as listed are capped before the
     clutter is built, since the build's antichain check is quadratic in
@@ -468,4 +472,26 @@ def verify_report_dict(d: dict, caps: Caps = Caps()) -> list[tuple[str, bool, st
         out.append(_refuting("power_violation", ok, msg,
                              ntf=ntf.get("value"), mengerian=mengerian))
 
+    if "holds" in d:
+        prop = d.get("property")
+        if prop == "ntf":
+            where, verdict = "mengerian", d.get("mengerian")
+        elif prop == "packing":
+            where, verdict = "checks.packing", checks.get("packing")
+        elif prop in ("tu", "ideal", "konig"):
+            where, verdict = f"checks.{prop}.value", _section(checks, prop).get("value")
+        else:
+            raise ValueError(f"report property {_quote(prop)} is not one of "
+                             f"tu, ideal, konig, packing, ntf")
+        holds = d["holds"]
+        if not (type(holds) is bool and holds is verdict):
+            out.append(("holds", False,
+                        f"holds is {_quote(holds)}, but {where} is {_quote(verdict)}"))
+
     return out
+
+
+def _quote(value) -> str:
+    """A report value as JSON writes it, cut to 40 characters."""
+    text = json.dumps(value)
+    return text if len(text) <= 40 else text[:40] + "..."

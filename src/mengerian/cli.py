@@ -15,7 +15,8 @@ names no failing minor, but a decide packing=false with tau != nu is
 backed by the Konig values, and one on a non-ideal clutter by its
 fractional vertex: a clutter that packs is ideal (Lehman 1990;
 Cornuéjols, Guenin & Margot 2000), so decide walks only the face C/Z of
-that vertex, and check packing walks the whole clutter. The caps
+that vertex, and check packing walks the whole clutter. verify-certificate
+also holds a check report's "holds" to the report's own verdict. The caps
 --max-vertices, --max-edges and --max-power take nonnegative integers.
 Exit status: 0 completed, 2 property refuted under --assert (or an
 invalid certificate, or a usage error), 1 error.

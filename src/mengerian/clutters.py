@@ -21,6 +21,7 @@ oracles.
 
 from __future__ import annotations
 
+import functools
 import heapq
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Sequence
@@ -30,8 +31,10 @@ from typing import Iterable, Iterator, Sequence
 class Clutter:
     """Antichain of nonempty hyperedges on vertices 0..n-1.
 
-    ``masks[i]`` is the vertex bitmask of ``edges[i]``, built once here and
-    read by every layer; equality and hashing ignore it.
+    ``masks[i]`` is the vertex bitmask of ``edges[i]``, and every layer
+    reads it; equality and hashing ignore it. The edges are normalised
+    as masks, once: a constructor call turns its edge tuples into masks,
+    and ``from_masks`` takes masks as they are, with the same errors.
     """
 
     n: int
@@ -39,23 +42,45 @@ class Clutter:
     masks: tuple[int, ...] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
+        edges = tuple(self.edges)
+        if self.n >= 0 and any(v < 0 for e in edges for v in e):
+            # no mask holds a negative vertex, and an empty edge sorts before it
+            if all(edges):
+                bad = min(tuple(sorted(set(e))) for e in edges if min(e) < 0)
+                raise ValueError(f"edge {bad} out of range for n={self.n}")
+            edges = ((),)
+        self._normalise(map(_mask, edges))
+
+    @classmethod
+    def from_masks(cls, n: int, masks: Iterable[int]) -> Clutter:
+        """The clutter on n vertices whose edges have these bitmasks."""
+        c = cls.__new__(cls)
+        object.__setattr__(c, "n", n)
+        c._normalise(masks)
+        return c
+
+    def _normalise(self, masks: Iterable[int]) -> None:
+        """Set the edges and masks: distinct, in sorted edge order, checked."""
         if self.n < 0:
             raise ValueError("vertex count must be nonnegative")
-        norm = tuple(sorted(set(tuple(sorted(set(e))) for e in self.edges)))
-        object.__setattr__(self, "edges", norm)
-        for e in norm:
-            if not e:
-                raise ValueError("empty edge: the unit clutter is not a hypergraph")
-            if e[0] < 0 or e[-1] >= self.n:
-                raise ValueError(f"edge {e} out of range for n={self.n}")
-        masks = tuple(_mask(e) for e in norm)
+        distinct = set(masks)
+        if min(distinct, default=0) < 0:
+            raise ValueError("an edge mask must be nonnegative")
+        norm = sorted(distinct, key=_vertices)
+        if norm and not norm[0]:
+            raise ValueError("empty edge: the unit clutter is not a hypergraph")
+        for me in norm:
+            if me >> self.n:
+                raise ValueError(f"edge {_vertices(me)} out of range for n={self.n}")
         # distinct edges of one size already form an antichain
-        if len({len(e) for e in norm}) > 1:
-            for e, me in zip(norm, masks):
-                for f, mf in zip(norm, masks):
+        if len({m.bit_count() for m in norm}) > 1:
+            for me in norm:
+                for mf in norm:
                     if mf != me and mf & me == mf:
-                        raise ValueError(f"not an antichain: {f} is contained in {e}")
-        object.__setattr__(self, "masks", masks)
+                        raise ValueError(f"not an antichain: {_vertices(mf)} "
+                                         f"is contained in {_vertices(me)}")
+        object.__setattr__(self, "edges", tuple(map(_vertices, norm)))
+        object.__setattr__(self, "masks", tuple(norm))
 
     @property
     def m(self) -> int:
@@ -64,6 +89,16 @@ class Clutter:
     @property
     def is_empty(self) -> bool:
         return not self.edges
+
+
+@functools.lru_cache(maxsize=1 << 12)
+def _vertices(mask: int) -> tuple[int, ...]:
+    """The vertices of a bitmask in increasing order: the edge it stands for.
+
+    Sorting masks by it puts them in the edges' order. Memoised, since
+    clutters on one vertex set share their masks.
+    """
+    return tuple(_bits(mask))
 
 
 def _mask(vertices: Iterable[int]) -> int:
@@ -313,8 +348,7 @@ def has_packing(c: Clutter) -> bool:
     heap = [(-len(start), start)]
     while heap:
         _, masks = heapq.heappop(heap)
-        edges = tuple(tuple(_bits(e)) for e in masks)
-        if not has_konig(Clutter(c.n, edges)):
+        if not has_konig(Clutter.from_masks(c.n, masks)):
             return False
         support = 0
         for e in masks:

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterable, Optional, Sequence
 
-from .clutters import Clutter, _bits
+from .clutters import Clutter
 
 
 @dataclass(frozen=True)
@@ -302,4 +302,4 @@ def build_path_hypergraph(g: Graph, t: int = 3) -> Clutter:
     The vertex set is all of V(g); graphs with no t-edge path give the
     empty clutter, which downstream checks treat as vacuously Mengerian.
     """
-    return Clutter(g.n, tuple(tuple(_bits(s)) for s in path_vertex_sets(g, t)))
+    return Clutter.from_masks(g.n, path_vertex_sets(g, t))

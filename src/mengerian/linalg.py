@@ -311,7 +311,9 @@ def _pattern_vertices(c: Clutter) -> Optional[tuple[PolyhedronVertex, tuple[int,
     The rank test runs on the transpose, one row per vertex of S and one
     column per tight row, since the pivot columns of its echelon form are
     the first tight rows in index order that are independent on S. So a
-    hit comes with its basis, as in the basis search.
+    hit comes with its basis, as in the basis search. Its tight rows are
+    the ones the weights gave, the edges met exactly q times, then m + j
+    for each j off S, as ``tight_constraints`` would list them.
     """
     masks = c.masks
     n, m = c.n, c.m
@@ -350,13 +352,14 @@ def _pattern_vertices(c: Clutter) -> Optional[tuple[PolyhedronVertex, tuple[int,
             if _echelon(block, len(tight))[0] != s:
                 continue
             basis = tuple(next(i for i, x in zip(tight, row) if x) for row in block)
-            best = q, S, basis
+            best = q, S, tight, basis
             if q == 2:
                 break
         if best is not None:
-            q, S, basis = best
+            q, S, tight, basis = best
             coords = tuple(Fraction(1, q) if j in S else Fraction(0) for j in range(n))
-            return PolyhedronVertex(coords, tight_constraints(c, coords)), basis
+            tight += [m + j for j in range(n) if j not in S]
+            return PolyhedronVertex(coords, tuple(tight)), basis
     return None
 
 

@@ -3,17 +3,26 @@
 Connected graphs on up to 8 vertices are enumerated one per isomorphism
 class, each as the least adjacency bitmask of its orbit under vertex
 permutations, by orderly generation: a search that deletes edges from K_n
-and keeps only least masks, so no orbit is ever scanned. The survey runs
-the exact pipeline on every class, compares it against the closed-form
-classifier, audits the TU-or-non-ideal dichotomy, and checks packing,
-which every instance reports, against the Mengerian verdict.
+and keeps only least masks, so no orbit is ever scanned. The canonicity
+test judges each choice of first vertex v before it searches it: rows
+read v's adjacency first, so v's non-neighbours X must come next, and the
+least rows of G[X] bound the branch. Most branches are decided by that
+comparison alone. The enumeration takes about 0.1 s at n = 7 and 1.5 s
+at n = 8 (three runs each in a fresh interpreter, 2-vCPU host, Python
+3.11).
+
+The survey runs the exact pipeline on every class, compares it against
+the closed-form classifier, audits the TU-or-non-ideal dichotomy, and
+checks packing, which every instance reports, against the Mengerian
+verdict.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from itertools import combinations
-from typing import Optional
+from typing import Optional, Sequence
 
 from . import classify, clutters, graphs
 from .classify import Caps, CapExceeded, DecisionReport
@@ -49,18 +58,21 @@ def enumerate_connected(n: int) -> list[Graph]:
     adj_full = [((1 << n) - 1) ^ (1 << v) for v in range(n)]
     found = []
     stack = [(full, adj_full)]
-    while stack:
-        mask, adj = stack.pop()
-        found.append(mask)
-        run = ((mask + 1) & ~mask).bit_length() - 1
-        for b in range(run):
-            u, v = pairs[b]
-            child = adj[:]
-            child[u] ^= 1 << v
-            child[v] ^= 1 << u
-            cmask = mask ^ (1 << b)
-            if graphs.masks_connected(child) and _is_least(cmask, child):
-                stack.append((cmask, child))
+    try:
+        while stack:
+            mask, adj = stack.pop()
+            found.append(mask)
+            run = ((mask + 1) & ~mask).bit_length() - 1
+            for b in range(run):
+                u, v = pairs[b]
+                child = adj[:]
+                child[u] ^= 1 << v
+                child[v] ^= 1 << u
+                cmask = mask ^ (1 << b)
+                if graphs.masks_connected(child) and _is_least(cmask, child):
+                    stack.append((cmask, child))
+    finally:
+        _least_code.cache_clear()
     return [graphs.graph(n, (pairs[b] for b in clutters._bits(mask)))
             for mask in sorted(found)]
 
@@ -68,55 +80,140 @@ def enumerate_connected(n: int) -> list[Graph]:
 def _is_least(mask: int, adj: list[int]) -> bool:
     """Is mask the least adjacency bitmask of its graph's isomorphism class?
 
-    A backtrack over relabellings that fills positions n-1 down to 0. Placing
-    a vertex at position a fixes the bits of pairs (a, a+1) .. (a, n-1), the
-    next block of the mask from the top, as its adjacency to the vertices
-    already placed. A branch whose block exceeds the mask's is dropped; one
-    below it proves a smaller mask in the orbit.
+    A relabelling fills positions n-1 down to 0. The vertex at position
+    n-1-i brings row i of the mask: the i bits of the pairs (n-1-i, n-i) ..
+    (n-1-i, n-1), its adjacency to the vertices placed before it, the
+    first placed as the most significant bit. Rows 1, 2, ... fill the mask
+    from its top bit down, so the mask is least when no relabelling gives
+    lexicographically smaller rows.
 
-    Twins are explored once per level. Every explored candidate's block is
-    the mask's, so a candidate v with that block and the same unplaced
-    neighbours as an explored u (open neighbourhoods if the two are apart,
-    closed if adjacent) has u's neighbours apart from u and v. Swapping u
-    and v is then an automorphism that fixes every placed vertex, so v's
-    branch would give u's verdict. This keeps stars and complete graphs
-    polynomial.
+    Each root branch, a vertex v placed first, is judged before it is
+    searched. A row's most significant bit is its adjacency to v, so the
+    branch's least rows 1..|X| place v's non-neighbours X, each row a 0
+    followed by the least rows of G[X] (``_least_code``), and its row
+    |X|+1 starts with 1. Let k be the mask's number of leading rows that
+    start with 0. Against the mask's first min(|X|, k) rows, a branch
+    whose rows are smaller, or equal with |X| > k, proves a smaller mask;
+    one whose rows are larger, or equal with |X| < k, is skipped; only an
+    equal one with |X| = k is searched (``_search``). Twins are judged once
+    at the root as at every level.
     """
     n = len(adj)
-
-    def place(a: int, free: int, rows: list[int]) -> bool:
-        # rows[v] has bit p set when v is adjacent to the vertex at position p;
-        # bit a*(n-1) - a*(a-1)/2 of the mask is the pair (a, a+1)
-        want = (mask >> (a * (n - 1) - a * (a - 1) // 2)) & ((1 << (n - 1 - a)) - 1)
-        # open and closed unplaced neighbourhoods of the candidates explored
-        # here; N(u) never equals N[v], since it would hold v, so u ~ v, and
-        # then u itself
-        explored = set()
-        f = free
-        while f:
-            low = f & -f
-            f ^= low
-            v = low.bit_length() - 1
-            got = rows[v] >> (a + 1)
-            if got < want:
-                return False
-            if got == want and a:
-                nbrs = adj[v] & free
-                if nbrs in explored or nbrs | low in explored:
-                    continue
-                explored.add(nbrs)
-                explored.add(nbrs | low)
-                nxt = rows[:]
-                bit = 1 << a
-                while nbrs:
-                    w = nbrs & -nbrs
-                    nbrs ^= w
-                    nxt[w.bit_length() - 1] |= bit
-                if not place(a - 1, free ^ low, nxt):
-                    return False
+    if n == 1:
         return True
+    top = n * (n - 1) // 2
+    k = n - 1 - adj[-1].bit_length()
+    full = (1 << n) - 1
+    rows = [mask >> (top - i * (i + 1) // 2) & ((1 << i) - 1) for i in range(n)]
+    explored = set()
+    for v in range(n):
+        low = 1 << v
+        nbrs = adj[v]
+        if nbrs in explored or nbrs | low in explored:
+            continue
+        explored.add(nbrs)
+        explored.add(nbrs | low)
+        x_set = full ^ nbrs ^ low
+        x = x_set.bit_count()
+        j = min(x, k)
+        got = want = 0
+        if j:
+            sub = tuple([a & x_set if x_set >> w & 1 else 0 for w, a in enumerate(adj)])
+            # rows 1..j are the top j(j+1)/2 bits of either code
+            bits = j * (j + 1) // 2
+            got = _least_code(x_set, sub) >> (x * (x + 1) // 2 - bits)
+            want = mask >> (top - bits)
+        # on equal rows, more rows that start with 0 make the smaller mask
+        branch = (got, k - x)
+        if branch != (want, 0):
+            if branch < (want, 0):
+                return False
+            continue
+        cells = [(p, c) for p, c in ((0, x_set), (1, nbrs)) if c]
+        if not _search(adj, cells, full ^ low, 1, rows, False):
+            return False
+    return True
 
-    return place(n - 1, (1 << n) - 1, [0] * n)
+
+@functools.lru_cache(maxsize=1 << 16)
+def _least_code(free: int, sub: tuple[int, ...]) -> int:
+    """The least rows of the graph on the vertex set free, as one integer.
+
+    ``sub[w]`` is vertex w's neighbours in free, 0 off it. Row i+1, of
+    width i+1, is the graph's row i under a 0 bit, as the rows of a root's
+    non-neighbours read below the root, so rows 1..j are the code's top
+    j(j+1)/2 bits. The search is ``_search`` as a minimiser. Memoised:
+    ``enumerate_connected`` looks up about 127k roots at n = 8 on 2858
+    distinct induced graphs, and clears the memo when it ends.
+    """
+    rows = [0]
+    _search(sub, [(0, free)], free, 0, rows, True)
+    code = 0
+    for i, r in enumerate(rows, 1):
+        code = code << i | r
+    return code
+
+
+def _search(adj: Sequence[int], cells: list[tuple[int, int]], free: int, i: int,
+            rows: list[int], minimise: bool) -> bool:
+    """Extend a labelling whose rows 0..i equal rows[:i+1]; False on a smaller one.
+
+    ``cells`` partitions the unplaced vertices, ``free``, by their pattern:
+    their adjacency to the placed vertices, read as their next row would
+    read it. The cells are in increasing pattern order, so the first
+    cell's pattern is row i and only its members can come next. Placing u
+    splits every cell into u's non-neighbours and neighbours, which
+    appends a 0 or a 1 to its pattern, so the child's next row is its
+    first cell's pattern, judged before the child is entered. A child
+    whose row exceeds rows[i+1] is skipped. A smaller one refutes the mask,
+    or, in a minimiser (``minimise``), becomes the new least prefix: rows
+    is cut there and extended, and ends as the graph's least rows.
+
+    Twins are placed once per level. Every candidate has the cell's
+    pattern, so a candidate v with the same unplaced neighbours as an
+    explored u (open neighbourhoods if the two are apart, closed if
+    adjacent) has u's neighbours apart from u and v. Swapping u and v is
+    then an automorphism that fixes every placed vertex, so v's branch
+    would give u's rows. This keeps stars and complete graphs polynomial.
+    """
+    first = cells[0][1]
+    # open and closed unplaced neighbourhoods of the candidates explored
+    # here; N(u) never equals N[v], since it would hold v, so u ~ v, and
+    # then u itself
+    explored = set()
+    f = first
+    while f:
+        low = f & -f
+        f ^= low
+        nbrs = adj[low.bit_length() - 1] & free
+        if first != low:
+            if nbrs in explored or nbrs | low in explored:
+                continue
+            explored.add(nbrs)
+            explored.add(nbrs | low)
+        child = []
+        for pc, c in cells:
+            c &= ~low
+            if c & ~nbrs:
+                child.append((2 * pc, c & ~nbrs))
+            if c & nbrs:
+                child.append((2 * pc + 1, c & nbrs))
+        if not child:
+            continue  # the last vertex: every row matched
+        q = child[0][0]
+        if i + 1 < len(rows):
+            if q > rows[i + 1]:
+                continue
+            if q < rows[i + 1]:
+                if not minimise:
+                    return False
+                del rows[i + 1:]
+                rows.append(q)
+        else:
+            rows.append(q)
+        if not _search(adj, child, free ^ low, i + 1, rows, minimise):
+            return False
+    return True
 
 
 @dataclass

@@ -225,6 +225,20 @@ def is_least_scan(mask, adj):
     return place(n - 1, (1 << n) - 1, [0] * n)
 
 
+def least_rows_scan(adj):
+    """The least rows of a graph over all vertex orders, by scanning every permutation.
+
+    An order lists the vertices first to last. Its row i is the adjacency
+    of the i-th vertex to the i before it, the first of them as the most
+    significant bit; rows compare as a tuple. ``adj`` holds neighbour
+    bitmasks; the graph may be disconnected.
+    """
+    n = len(adj)
+    return min(tuple(sum(1 << (i - 1 - j) for j in range(i) if adj[order[i]] >> order[j] & 1)
+                     for i in range(n))
+               for order in permutations(range(n)))
+
+
 def symbolic_member_scan(mono, covers, k):
     """Membership in the k-th symbolic power via per-cover degree sums."""
     return all(sum(mono[v] for v in cov) >= k for cov in covers)

@@ -568,6 +568,42 @@ def test_check_report_names_its_graph(prop, family):
     assert verified.splitlines()[0] == "hypergraph: valid (equals H_3 of the report's graph)"
 
 
+def test_verify_certificate_reads_holds():
+    # holds is the section's own verdict; C5 refutes idealness
+    _, report, _ = run_cli(["check", "ideal", "--family", "cycle:5"])
+    _, valid, _ = run_cli(["verify-certificate", "-"], stdin_text=report)
+    d = json.loads(report)
+    d["holds"] = True
+    code, out, err = run_cli(["verify-certificate", "-"], stdin_text=json.dumps(d))
+    assert (code, err) == (2, "")
+    assert out == valid + "holds: INVALID (holds is true, but checks.ideal.value is false)\n"
+
+
+@pytest.mark.parametrize("prop, where", [
+    ("tu", "checks.tu.value"), ("konig", "checks.konig.value"),
+    ("packing", "checks.packing"), ("ntf", "mengerian"),
+])
+def test_verify_certificate_reads_holds_of_every_property(prop, where):
+    _, report, _ = run_cli(["check", prop, "--family", "cycle:5"])
+    assert run_cli(["verify-certificate", "-"], stdin_text=report)[0] == 0
+    for holds, shown in ((True, "true"), (None, "null"), (0, "0")):
+        d = json.loads(report)
+        d["holds"] = holds
+        code, out, _ = run_cli(["verify-certificate", "-"], stdin_text=json.dumps(d))
+        assert code == 2
+        assert out.splitlines()[-1] == f"holds: INVALID (holds is {shown}, but {where} is false)"
+
+
+def test_verify_certificate_refuses_holds_without_property():
+    _, report, _ = run_cli(["check", "konig", "--family", "cycle:5"])
+    d = json.loads(report)
+    d["property"] = "menger"
+    code, out, err = run_cli(["verify-certificate", "-"], stdin_text=json.dumps(d))
+    assert (code, out) == (1, "")
+    assert err == ('error: report property "menger" is not one of '
+                   'tu, ideal, konig, packing, ntf\n')
+
+
 def test_verify_certificate_checks_a_check_report_against_its_graph():
     # H_3(P8) and its Konig values are consistent, but not with C8, the graph named
     _, report, _ = run_cli(["check", "konig", "--family", "cycle:8"])

@@ -15,7 +15,7 @@ from mengerian.clutters import (
     nu,
     tau,
 )
-from mengerian.graphs import build_path_hypergraph, make_family, relabel
+from mengerian.graphs import build_path_hypergraph, make_family, path_vertex_sets, relabel
 from mengerian.ideals import cover_degree, is_normally_torsion_free, member_of_power
 from mengerian.survey import enumerate_connected
 
@@ -66,6 +66,55 @@ def test_masks_are_the_edge_bitmasks():
     object.__setattr__(b, "masks", ())
     assert a == b and hash(a) == hash(b)
     assert "masks" not in repr(a)
+
+
+def test_clutter_from_masks_equals_clutter_from_edges():
+    # the path search, the packing walk and its face hand over masks: the
+    # clutter they build is the one the same edges as tuples give, whatever
+    # the order of the masks and however often one repeats
+    rng = random.Random(59)
+    cases = [(g.n, list(path_vertex_sets(g, t)))
+             for n in range(1, 8) for g in enumerate_connected(n) for t in range(1, 5)]
+    for _ in range(300):
+        n = rng.randint(1, 8)
+        cases.append((n, [sum(1 << v for v in e) for e in oracles.random_clutter(rng, n)]))
+    assert sum(1 for n, masks in cases if n == 7 and masks) > 1000
+    for n, masks in cases:
+        rng.shuffle(masks)
+        a = Clutter.from_masks(n, masks + masks[:2])
+        b = Clutter(n, tuple(tuple(v for v in range(n) if m >> v & 1) for m in masks))
+        assert (a.n, a.edges, a.masks) == (b.n, b.edges, b.masks)
+        assert a == b and hash(a) == hash(b)
+
+
+@pytest.mark.parametrize("n, edges", [
+    (3, ((0,), ())),
+    (3, ((0, 3), (1, 2))),
+    (3, ((1, 2), (0, 4), (0, 3))),
+    (3, ((0, 1), (0, 1, 2))),
+    # the first containment in edge order is named
+    (4, ((0, 1, 2), (0,), (0, 1))),
+    (4, ((0, 1), (1, 2, 3), (0, 1, 3), (1, 2))),
+    (-1, ((0,),)),
+])
+def test_bad_masks_raise_the_errors_of_bad_edges(n, edges):
+    with pytest.raises(ValueError) as from_edges:
+        Clutter(n, edges)
+    with pytest.raises(ValueError) as from_masks:
+        Clutter.from_masks(n, [sum(1 << v for v in e) for e in edges])
+    assert str(from_masks.value) == str(from_edges.value)
+
+
+def test_negative_vertices_and_masks_are_refused():
+    # no mask holds a negative vertex; the errors keep the sorted edge order
+    with pytest.raises(ValueError, match=r"^edge \(-1, 2\) out of range for n=3$"):
+        Clutter(3, ((0, 5), (2, -1, -1)))
+    with pytest.raises(ValueError, match="^empty edge"):
+        Clutter(3, ((-1, 0), ()))
+    with pytest.raises(ValueError, match="^vertex count must be nonnegative$"):
+        Clutter(-1, ((-1,),))
+    with pytest.raises(ValueError, match="^an edge mask must be nonnegative$"):
+        Clutter.from_masks(3, [0b11, -1])
 
 
 # _minimal_masks keeps the minimal sets; contraction and the basis search lean on it

@@ -18,6 +18,7 @@ from mengerian.linalg import (
     bareiss_det,
     is_ideal,
     is_totally_unimodular,
+    tight_constraints,
     verify_vertex,
 )
 from mengerian.classify import decide_mengerian_exact, verify_report_dict
@@ -385,7 +386,11 @@ def test_fractional_vertex_work_bound_on_c8(monkeypatch):
 
 def prepass(c):
     v = vertex_of(_pattern_vertices(c))
-    return None if v is None else (v.coords, v.tight_rows)
+    if v is None:
+        return None
+    # the hit keeps the tight rows its weights gave; they are the point's
+    assert v.tight_rows == tight_constraints(c, v.coords), c.edges
+    return v.coords, v.tight_rows
 
 
 @pytest.mark.parametrize("ns", [range(2, 8), pytest.param(range(8, 9), marks=extended)],

@@ -1,8 +1,9 @@
 """Report bytes pinned by digest.
 
 Each invocation runs through cli.main in-process, and the sha256 of its
-exit code, stdout and stderr must equal the digest recorded here. A change
-that alters these bytes on purpose updates the digest and says so.
+exit code, stdout and stderr must equal the digest recorded here. The n = 7
+survey is pinned as the sha256 of its sorted-key JSON. A change that alters
+these bytes on purpose updates the digest and says so.
 """
 
 import contextlib
@@ -14,6 +15,7 @@ import sys
 import pytest
 
 from mengerian.cli import main
+from mengerian.survey import cross_check
 
 TREE6 = "1 2\n2 3\n3 4\n4 5\n3 6"
 
@@ -79,6 +81,14 @@ PINNED = [
     (["classify", "--format", "json", "--family", "cycle:8"],
      "14ef1897785e45a0f94a75ca817055ec55627c803c4e684c5a384df905b2e89c"),
 ]
+
+
+def test_survey_n7_bytes():
+    # every class with n = 7, the survey-n7 benchmark workload, beside the
+    # n <= 6 survey pinned above
+    d = cross_check(7, n_min=7).to_json_dict()
+    assert hashlib.sha256(json.dumps(d, sort_keys=True).encode()).hexdigest() == (
+        "565fea8ff558c65748f95be9173856d8f7bc913b29c09f7e3f87effa9d8be0ea")
 
 
 def run_digest(argv, stdin_text=None):

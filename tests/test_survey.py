@@ -1,13 +1,14 @@
 import json
 import os
+import random
 import time
-from itertools import combinations
+from itertools import combinations, permutations
 
 import pytest
 
 from mengerian import classify, survey
 from mengerian.classify import Caps
-from mengerian.graphs import is_connected
+from mengerian.graphs import is_connected, masks_connected
 from mengerian.survey import cross_check, enumerate_connected
 
 import oracles
@@ -75,6 +76,62 @@ def test_is_least_matches_scan_on_every_labelled_graph(n):
     for mask in range(1 << (n * (n - 1) // 2)):
         adj = mask_adjacency(n, mask)
         assert survey._is_least(mask, adj) == oracles.is_least_scan(mask, adj), mask
+
+
+def least_code_of(adj, free):
+    """survey._least_code on the graph induced on the vertex set free, read in place."""
+    sub = tuple(a & free if free >> w & 1 else 0 for w, a in enumerate(adj))
+    return survey._least_code(free, sub)
+
+
+def scan_code(adj, free):
+    """oracles.least_rows_scan on the graph induced on free, packed as _least_code packs:
+    each row under a 0 bit, widths 1, 2, 3, ..."""
+    verts = [w for w in range(len(adj)) if free >> w & 1]
+    sub = [sum(1 << r for r, u in enumerate(verts) if adj[w] >> u & 1) for w in verts]
+    code = 0
+    for width, row in enumerate(oracles.least_rows_scan(sub), 1):
+        code = code << width | row
+    return code
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+def test_least_rows_match_scan_on_every_labelled_graph(n):
+    # least rows are an isomorphism invariant, so the permutation scan runs
+    # once per orbit and every labelled graph of the orbit is checked
+    pairs = list(combinations(range(n), 2))
+    index = {p: i for i, p in enumerate(pairs)}
+    maps = [[index[(min(perm[u], perm[v]), max(perm[u], perm[v]))] for u, v in pairs]
+            for perm in permutations(range(n))]
+    full = (1 << n) - 1
+    expected = {}
+    for mask in range(1 << len(pairs)):
+        adj = mask_adjacency(n, mask)
+        if mask not in expected:
+            code = scan_code(adj, full)
+            bits = [i for i in range(len(pairs)) if mask >> i & 1]
+            for pmap in maps:
+                expected[sum(1 << pmap[i] for i in bits)] = code
+        assert least_code_of(adj, full) == expected[mask], mask
+
+
+@pytest.mark.parametrize("n, draws", [(7, 30), pytest.param(8, 6, marks=extended)])
+def test_least_rows_match_scan_on_random_graphs(n, draws):
+    # seeded labelled graphs of every density, disconnected ones included,
+    # and the graphs they induce on a random vertex set, as a root's
+    # non-neighbours are read
+    rng = random.Random(n)
+    full = (1 << n) - 1
+    connected = []
+    for _ in range(draws):
+        density = rng.random()
+        mask = sum(1 << i for i in range(n * (n - 1) // 2) if rng.random() < density)
+        adj = mask_adjacency(n, mask)
+        connected.append(masks_connected(adj))
+        assert least_code_of(adj, full) == scan_code(adj, full), mask
+        free = rng.randrange(1, full)
+        assert least_code_of(adj, free) == scan_code(adj, free), (mask, free)
+    assert any(connected) and not all(connected)
 
 
 def test_is_least_polynomial_on_stars_and_cliques():
