@@ -232,7 +232,8 @@ def decide_mengerian_exact(g: Graph, t: int = 3, caps: Caps = Caps()) -> Decisio
     finds none raises ArithmeticError rather than report a non-ideal
     clutter as packing. An ideal clutter that is not Mengerian (none
     through n=8) is walked whole, and that refutation carries no
-    certificate.
+    certificate. ``check packing`` and ``check ntf`` print this report,
+    so they answer under the same caps, the power cap included.
     """
     c = capped_hypergraph(g, t, caps)
 

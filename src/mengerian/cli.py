@@ -4,20 +4,23 @@ Commands: hypergraph, check, decide, classify, survey, verify-certificate.
 Identical invocations produce byte-identical output. Every check and
 decide report opens with the same header (schema, graph, t, hypergraph)
 and nests its results under "checks", the one shape verify-certificate
-reads. A clutter is Mengerian exactly when its edge ideal is normally
-torsion-free, so check ntf prints the decide report with "property" and
-"holds" added, holds being the Mengerian verdict; the other checks run
-alone and write their one section as decide writes it (packing a bool),
-plus "property" and "holds". Every decide report
-and survey row gives packing. Every refutation but the packing walk's is
-emitted with a certificate that verify-certificate re-validates; the walk
-names no failing minor, but a decide packing=false with tau != nu is
-backed by the Konig values, and one on a non-ideal clutter by its
-fractional vertex: a clutter that packs is ideal (Lehman 1990;
-Cornuéjols, Guenin & Margot 2000), so decide walks only the face C/Z of
-that vertex, and check packing walks the whole clutter. verify-certificate
-also holds a check report's "holds" to the report's own verdict. The caps
---max-vertices, --max-edges and --max-power take nonnegative integers.
+reads. check answers by the step of the decision that computes its
+property, and prints what that step computes, plus "property" and
+"holds": konig writes tau and nu; tu and ideal write their one section
+from the one idealness call that settles both, so a clutter has one TU
+witness; packing and ntf print the decide report itself, holds being its
+packing bool or its Mengerian verdict (a clutter is Mengerian exactly
+when its edge ideal is normally torsion-free). So check packing shares
+decide's power cap. Every decide report and survey row gives packing.
+Every refutation is emitted with a certificate that verify-certificate
+re-validates: packing=false with tau != nu is backed by the Konig values,
+and one on a non-ideal clutter by its fractional vertex, since a clutter
+that packs is ideal (Lehman 1990; Cornuéjols, Guenin & Margot 2000). The
+one exception is the whole-clutter walk of an ideal clutter that is not
+Mengerian, which names no failing minor; there is none through n=8.
+verify-certificate also holds a check report's "holds" to the report's
+own verdict. The caps --max-vertices, --max-edges and --max-power take
+nonnegative integers.
 Exit status: 0 completed, 2 property refuted under --assert (or an
 invalid certificate, or a usage error), 1 error.
 """
@@ -105,7 +108,7 @@ def build_parser() -> argparse.ArgumentParser:
                     help="dot draws the input graph G, not H_t, so --t does not change it")
 
     pc = sub.add_parser("check", help="one property check, in the decide report's shape "
-                                      "(ntf: the decide report itself)")
+                                      "(packing, ntf: the decide report itself)")
     pc.add_argument("property", choices=("tu", "ideal", "konig", "packing", "ntf"))
     _add_input_args(pc)
     pc.add_argument("--assert", dest="assert_mode", action="store_true",
@@ -152,24 +155,20 @@ def _cmd_hypergraph(args) -> int:
 def _cmd_check(args) -> int:
     g = _load_graph(args)
     prop = args.property
-    if prop == "ntf":
-        # Mengerian exactly when normally torsion-free: the decision answers
+    if prop in ("packing", "ntf"):
+        # the decision answers, so a packing refutation carries its certificate
         payload = classify.decide_mengerian_exact(g, args.t, _caps(args)).to_json_dict()
-        holds = payload["mengerian"]
+        holds = payload["checks"]["packing"] if prop == "packing" else payload["mengerian"]
     else:
-        # the one section decide would write for the property, under "checks"
+        # the one section decide writes for the property, under "checks"
         c = classify.capped_hypergraph(g, args.t, _caps(args))
-        if prop == "tu":
-            res = linalg.is_totally_unimodular(c)
-            holds, section = res.totally_unimodular, classify.tu_json(res, certificates=True)
-        elif prop == "ideal":
-            res = linalg.is_ideal(c)
-            holds, section = res.ideal, classify.ideal_json(res, certificates=True)
-        elif prop == "konig":
+        if prop == "konig":
             section = classify.konig_json(clutters.tau(c), clutters.nu(c))
-            holds = section["value"]
         else:
-            holds = section = clutters.has_packing(c)
+            res = linalg.is_ideal(c)  # settles TU too, with decide's witness
+            section = (classify.tu_json(res.tu, certificates=True) if prop == "tu"
+                       else classify.ideal_json(res, certificates=True))
+        holds = section["value"]
         payload = {**classify.report_header(g, args.t, c), "checks": {prop: section}}
     payload["property"] = prop
     payload["holds"] = holds

@@ -337,11 +337,13 @@ def has_packing(c: Clutter) -> bool:
     clutter is unit again.
 
     A clutter that packs is ideal (Lehman 1990; Cornuéjols, Guenin &
-    Margot 2000, *The packing property*). So classify walks a non-ideal
-    clutter only on the face C/Z of its fractional vertex, Z the vertex's
-    zero set, where a failing minor must exist; ``check packing`` walks
-    the whole clutter. Konig is checked through the module global
-    ``has_konig`` on a built Clutter, which ``perfbench/spans.py`` counts.
+    Margot 2000, *The packing property*). So the decision, which ``check
+    packing`` prints, walks a non-ideal clutter only on the face C/Z of
+    its fractional vertex, Z the vertex's zero set, where a failing minor
+    must exist, and walks a whole clutter only when it is ideal but not
+    Mengerian (none through n=8). Konig is checked through the module
+    global ``has_konig`` on a built Clutter, which ``perfbench/spans.py``
+    counts.
     """
     start = tuple(sorted(c.masks))
     seen = {start}

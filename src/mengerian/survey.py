@@ -73,7 +73,8 @@ def enumerate_connected(n: int) -> list[Graph]:
                     stack.append((cmask, child))
     finally:
         _least_code.cache_clear()
-    return [graphs.graph(n, (pairs[b] for b in clutters._bits(mask)))
+    # combinations already orders each pair, so graphs.graph has nothing to normalise
+    return [Graph(n, frozenset(pairs[b] for b in clutters._bits(mask)))
             for mask in sorted(found)]
 
 

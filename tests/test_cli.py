@@ -9,7 +9,7 @@ from itertools import accumulate, combinations
 
 import pytest
 
-from mengerian import classify, clutters, graphs, ideals
+from mengerian import classify, clutters, graphs, ideals, survey
 from mengerian.cli import build_parser, main
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -182,11 +182,25 @@ def test_verify_certificate_accepts_check_output():
     assert code4 == 0 and "konig_values: valid" in out4
 
 
-def test_verify_certificate_packing_report_has_no_certificates():
-    # a check packing report carries a verdict only, beside the graph it names
-    _, report, _ = run_cli(["check", "packing", "--family", "cycle:5"])
-    assert run_cli(["verify-certificate", "-"], stdin_text=report) == (
-        0, "hypergraph: valid (equals H_3 of the report's graph)\n", "")
+def test_verify_certificate_packing_refutations_carry_certificates():
+    # check packing prints the decision, and a clutter that packs is ideal,
+    # so each refutation carries decide's fractional vertex: every
+    # non-packing H_3 with n <= 7 is non-ideal. The reports are verified
+    # in-process, by the function verify-certificate calls.
+    refuted = 0
+    for n in range(4, 8):
+        for g in survey.enumerate_connected(n):
+            _, report, _ = run_cli(["check", "packing", "--graph6", graphs.to_graph6(g)])
+            d = json.loads(report)
+            if d["holds"]:
+                continue
+            refuted += 1
+            results = {name: ok for name, ok, _ in classify.verify_report_dict(d)}
+            assert all(results.values()) and results["fractional_vertex"]
+            d["checks"]["packing"] = d["holds"] = True
+            results = {name: ok for name, ok, _ in classify.verify_report_dict(d)}
+            assert results["fractional_vertex"] is False
+    assert refuted == 968
 
 
 def test_verify_certificate_stdin_tampered():
@@ -553,19 +567,53 @@ def test_verify_certificate_refuses_a_flat_report():
     assert err == "error: report has a top-level 'konig' section outside 'checks'\n"
 
 
-@pytest.mark.parametrize("prop", ["tu", "ideal", "konig", "packing"])
-@pytest.mark.parametrize("family", ["cycle:5", "path:7"])
+def check_inputs(name):
+    """Input arguments: one family, the benchmark's six fixtures, or every class with n <= 6."""
+    if name == "fixtures":
+        return [["--family", f] for f in ("cycle:8", "cycle:10", "cycle:12", "complete:6",
+                                          "path:9")] + [["--edges", "1 2\n2 3\n3 4\n4 5\n3 6"]]
+    if name == "n<=6":
+        return [["--graph6", graphs.to_graph6(g)]
+                for n in range(1, 7) for g in survey.enumerate_connected(n)]
+    return [["--family", name]]
+
+
+@pytest.mark.parametrize("prop", ["tu", "ideal", "konig", "packing", "ntf"])
+@pytest.mark.parametrize("family", ["cycle:5", "path:7", "fixtures", "n<=6"])
 def test_check_report_names_its_graph(prop, family):
-    code, out, _ = run_cli(["check", prop, "--family", family])
-    d = json.loads(out)
-    _, decided, _ = run_cli(["decide", "--family", family])
-    header = {k: v for k, v in json.loads(decided).items()
-              if k in ("schema", "graph", "t", "hypergraph")}
-    assert code == 0 and d == {**header, "checks": {prop: d["checks"][prop]},
-                               "property": prop, "holds": d["holds"]}
-    code, verified, _ = run_cli(["verify-certificate", "-"], stdin_text=out)
-    assert code == 0
-    assert verified.splitlines()[0] == "hypergraph: valid (equals H_3 of the report's graph)"
+    # every check prints what decide computes: its section of the decide
+    # report, or for packing and ntf the decide report itself
+    for source in check_inputs(family):
+        code, out, _ = run_cli(["check", prop, *source])
+        d = json.loads(out)
+        decided = json.loads(run_cli(["decide", *source])[1])
+        if prop in ("packing", "ntf"):
+            expected = decided
+            verdict = decided["checks"]["packing"] if prop == "packing" else decided["mengerian"]
+        else:
+            section = d["checks"][prop]
+            expected = {k: v for k, v in decided.items()
+                        if k in ("schema", "graph", "t", "hypergraph")}
+            expected["checks"] = {prop: section}
+            verdict = section["value"]
+            if decided["checks"][prop] is None:  # decide leaves ideal unset on its TU route
+                assert (prop, decided["trace"]) == ("ideal", "TU_SHORTCUT")
+            else:
+                assert section == decided["checks"][prop]
+        assert code == 0 and d == {**expected, "property": prop, "holds": verdict}
+        code, verified, _ = run_cli(["verify-certificate", "-"], stdin_text=out)
+        assert code == 0
+        assert verified.splitlines()[0] == "hypergraph: valid (equals H_3 of the report's graph)"
+
+
+def test_check_packing_shares_the_power_cap():
+    # check packing answers by decide, so an ideal non-TU clutter whose
+    # power bound exceeds the cap is refused, not walked
+    code, out, err = run_cli(["--max-power", "2", "check", "packing", "--family", "cycle:8"])
+    assert (code, out, err) == (
+        1, "", "resource cap exceeded: power-equality bound 4 exceeds the cap 2\n")
+    code, out, _ = run_cli(["check", "packing", "--family", "cycle:8"])
+    assert code == 0 and json.loads(out)["holds"] is True
 
 
 def test_verify_certificate_reads_holds():

@@ -68,16 +68,18 @@ PINNED = [
      "cdc5891e9aaace6b36a51cc0688cb49c41f0d2cbc43f7ac029eff5004ef1073a"),
     (["check", "ideal", "--family", "complete:5"],
      "849a7eb3460018d3810d2699b16d80686641e837c741dca487240d53142b99a4"),
-    # the packing walk: refuted on C12, holds on P12
+    # check packing prints the decide report: refuted on C12 (NON_IDEAL, with
+    # its fractional vertex), holds on P12 (TU_SHORTCUT)
     (["check", "packing", "--family", "cycle:12"],
-     "f31b3dbf1f549e55a740c8e64eaad4f038ca53c6af0aad61c87b10292a5ae4f8"),
+     "73a345f3ac2d99d9ec970a937b54f8f3e4f146196ee7feddfda64c4b370dbc4f"),
     (["check", "packing", "--family", "path:12"],
-     "5168795d1146a5085295a996c0de6987bd64fd3efa79ecf7caeb4b9d920a76db"),
-    # total unimodularity: holds on P7, refuted on C5 by a subdeterminant witness
+     "df6e2117b1621de7914a733a2fbde4d09fc3540f03759e34d084bf27ed75dca6"),
+    # total unimodularity: holds on P7, refuted on C5 by the witness that
+    # decide reads off its fractional vertex
     (["check", "tu", "--family", "path:7"],
      "2a7b3c1bcee7b673a8dd5ee1834da3f3d7bf6714a25a5b393c77384d1c1e2764"),
     (["check", "tu", "--family", "cycle:5"],
-     "386747792ae37e7aeb81474e1cdb649699a737a3fb7f30eeb3377f0ef6853c1b"),
+     "a11a9f52e07f125efe9bd71213026c428650b4c3141f444810cd757e18f6761b"),
     (["classify", "--format", "json", "--family", "cycle:8"],
      "14ef1897785e45a0f94a75ca817055ec55627c803c4e684c5a384df905b2e89c"),
 ]
