@@ -20,7 +20,7 @@ one exception is the whole-clutter walk of an ideal clutter that is not
 Mengerian, which names no failing minor; there is none through n=8.
 verify-certificate also holds a check report's "holds" to the report's
 own verdict. The caps --max-vertices, --max-edges and --max-power take
-nonnegative integers.
+nonnegative integers. The parser is built once per process, on first use.
 Exit status: 0 completed, 2 property refuted under --assert (or an
 invalid certificate, or a usage error), 1 error.
 """
@@ -28,6 +28,7 @@ invalid certificate, or a usage error), 1 error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import warnings
@@ -91,6 +92,7 @@ def _emit_json(payload: dict) -> None:
     print(json.dumps(payload, indent=2, sort_keys=True))
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="mengerian",

@@ -276,13 +276,14 @@ def path_vertex_sets(g: Graph, t: int) -> set[int]:
     set S spanned by a path with i edges to the neighbours of the ends such
     paths can have. A neighbour w outside S extends a path to S | w that
     ends at w, so S | w gains w's neighbours. There are at most 2^n sets
-    per level, however many paths span them.
+    per level, however many paths span them. The last step needs only the
+    sets S | w, not their neighbours, so it collects them into a set.
     """
     if t < 1:
         raise ValueError("path length t must be >= 1")
     adj = adjacency(g)
     level = {1 << v: adj[v] for v in range(g.n)}
-    for _ in range(t):
+    for _ in range(t - 1):
         grown: dict[int, int] = {}
         for used, reach in level.items():
             reach &= ~used
@@ -293,7 +294,14 @@ def path_vertex_sets(g: Graph, t: int) -> set[int]:
         level = grown
         if not level:  # no path is longer than the last one found, so t >= n answers at once
             break
-    return set(level)
+    paths = set()
+    for used, reach in level.items():
+        reach &= ~used
+        while reach:
+            w = reach & -reach
+            reach ^= w
+            paths.add(used | w)
+    return paths
 
 
 def build_path_hypergraph(g: Graph, t: int = 3) -> Clutter:

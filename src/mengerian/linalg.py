@@ -283,6 +283,41 @@ def verify_vertex(c: Clutter, coords: Sequence) -> VertexCheck:
     )
 
 
+def _supports_met_twice(cols: list[int], s: int, ever: list[int],
+                         twice_after: list[int]) -> Iterator[tuple[tuple[int, ...], int]]:
+    """Each S of size s that every edge meets twice, in ``combinations`` order.
+
+    Yields S with ``thrice``, its set of edges met three times. The walk is
+    depth-first over vertices in ascending order, folding each chosen
+    column into the prefix's ``once``, ``twice`` and ``thrice``. A prefix
+    takes vertex j only while ``twice | once & ever[j] | twice_after[j]``
+    is every edge: that is the ``twice`` of the prefix with all of j..n-1,
+    a superset of the ``twice`` of any completion from j on, and it only
+    shrinks as j grows, so the first j that fails ends the prefix. The
+    last vertex is chosen in one ascending loop, which ends once no single
+    vertex from j on can complete ``twice``.
+    """
+    n = len(cols)
+    full = ever[0]  # every edge has a vertex
+    stack = [(0, (), 0, 0, 0)]  # next vertex, prefix, once, twice, thrice
+    while stack:
+        j, S, once, twice, thrice = stack.pop()
+        if len(S) == s - 1:
+            for j in range(j, n):
+                if twice | once & ever[j] != full:
+                    break
+                col = cols[j]
+                if twice | once & col == full:
+                    yield S + (j,), thrice | twice & col
+            continue
+        if j > n + len(S) - s or twice | once & ever[j] | twice_after[j] != full:
+            continue
+        col = cols[j]
+        # the prefix with j is popped first, then the same prefix from j + 1
+        stack.append((j + 1, S, once, twice, thrice))
+        stack.append((j + 1, S + (j,), once | col, twice | once & col, thrice | twice & col))
+
+
 def _pattern_vertices(c: Clutter) -> Optional[tuple[PolyhedronVertex, tuple[int, ...]]]:
     """Fast search for fractional vertices that are uniform on their support.
 
@@ -291,22 +326,27 @@ def _pattern_vertices(c: Clutter) -> Optional[tuple[PolyhedronVertex, tuple[int,
     hits are verified exactly and misses fall back to the basis search.
 
     The vertex returned is the first in the order: support size s from 2,
-    then q from 2 to s, then S in ``combinations`` order. One pass over
+    then q from 2 to s, then S in ``combinations`` order. One walk over
     the supports of each size finds it, because S can certify only at
     q = min over edges of |e & S|, its weight. For a smaller q no row is
     tight, so the tight rank is 0 < s; for a larger q some row falls below
-    q. So the pass returns at the first q=2 hit, and otherwise keeps the
+    q. So the walk returns at the first q=2 hit, and otherwise keeps the
     first hit of least q and returns it once the supports of size s run
-    out.
+    out. A 2-set is never a hit: at weight 2 every edge contains it, and
+    every row on it reads (1, 1), of rank 1. So the walk starts at size 3.
 
     The weights are read bit-parallel. ``cols[j]`` is the set of edges
     containing vertex j, as an edge-index bitmask, and folding the columns
     of S keeps ``once``, ``twice`` and ``thrice`` as the sets of edges
     meeting S at least once, twice and three times. An S with ``twice``
-    short of every edge has weight below 2; with ``thrice`` short it has
-    weight 2 and tight rows ``twice & ~thrice``. Only an S that every edge
-    meets three times needs its weights counted row by row, and that is
-    skipped once a hit with q <= 3 is kept.
+    short of every edge has weight below 2, so ``_supports_met_twice``
+    visits only the others, in the same order. Its prune reads ``ever[j]``
+    and ``twice_after[j]``, the edges met at least once and twice by the
+    vertices j..n-1, built once per clutter. When ``twice_after[0]`` is
+    short, some edge has fewer than two vertices and there is no hit. An S
+    with ``thrice`` short has weight 2 and tight rows ``twice & ~thrice``.
+    Only an S that every edge meets three times needs its weights counted
+    row by row, and that is skipped once a hit with q <= 3 is kept.
 
     The rank test runs on the transpose, one row per vertex of S and one
     column per tight row, since the pivot columns of its echelon form are
@@ -323,20 +363,19 @@ def _pattern_vertices(c: Clutter) -> Optional[tuple[PolyhedronVertex, tuple[int,
     for i, e in enumerate(c.edges):
         for j in e:
             cols[j] |= 1 << i
+    ever = [0] * (n + 1)
+    twice_after = [0] * (n + 1)
+    for j in range(n - 1, -1, -1):
+        twice_after[j] = twice_after[j + 1] | ever[j + 1] & cols[j]
+        ever[j] = ever[j + 1] | cols[j]
     full = (1 << m) - 1
-    for s in range(2, n + 1):
+    if twice_after[0] != full:
+        return None
+    for s in range(3, n + 1):
         best = None
-        for S in combinations(range(n), s):
-            once = twice = thrice = 0
-            for j in S:
-                col = cols[j]
-                thrice |= twice & col
-                twice |= once & col
-                once |= col
-            if twice != full:
-                continue
+        for S, thrice in _supports_met_twice(cols, s, ever, twice_after):
             if thrice != full:
-                q, tight = 2, list(_bits(twice & ~thrice))
+                q, tight = 2, list(_bits(full & ~thrice))
             elif best is not None and best[0] <= 3:
                 continue
             else:

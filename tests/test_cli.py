@@ -1,3 +1,4 @@
+import contextlib
 import io
 import json
 import os
@@ -781,6 +782,36 @@ def test_python_m_mengerian_pipes_decide_into_verify():
     assert verify.returncode == 0 and verify.stderr == ""
     assert "tu_witness: valid" in verify.stdout
     assert "fractional_vertex: valid" in verify.stdout
+
+
+def test_reused_parser_answers_as_a_fresh_process():
+    # main reuses one parser per process; options, --assert and a usage
+    # error must leave nothing behind for the default invocations after them
+    assert build_parser() is build_parser()
+    argvs = [
+        ["--t", "2", "decide", "--family", "cycle:7"],
+        ["--max-power", "2", "check", "packing", "--family", "cycle:8"],
+        ["check", "ideal", "--family", "cycle:5", "--assert"],
+        ["check", "nope", "--family", "cycle:5"],
+        ["decide", "--family", "cycle:7"],
+        ["check", "packing", "--family", "cycle:8"],
+        ["check", "ideal", "--family", "cycle:5"],
+        ["hypergraph", "--family", "cycle:7"],
+    ]
+    in_process = []
+    for argv in argvs:
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+            try:
+                code = main(argv)
+            except SystemExit as exc:  # the usage error
+                code = exc.code
+        in_process.append((code, out.getvalue()))
+    env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
+    fresh = [subprocess.run([sys.executable, "-m", "mengerian"] + argv, env=env,
+                            capture_output=True, text=True, timeout=60) for argv in argvs]
+    assert in_process == [(p.returncode, p.stdout) for p in fresh]
+    assert [code for code, _ in in_process] == [0, 1, 2, 2, 0, 0, 0, 0]
 
 
 def test_readme_commands_parse():

@@ -2,7 +2,7 @@ import os
 import random
 from collections import Counter
 from fractions import Fraction
-from itertools import takewhile
+from itertools import combinations, takewhile
 
 import pytest
 
@@ -409,13 +409,21 @@ def test_pattern_prepass_matches_scan_on_every_class(ns):
 def test_pattern_prepass_matches_scan_on_random_clutters():
     # The default draws give misses and ties (a later support of the same
     # size and q is a hit too); 3-uniform clutters on six vertices give the
-    # hits at q >= 3 that the one-pass search keeps until the size runs out.
+    # hits at q >= 3 that the search keeps until the size runs out.
+    # Edges of sizes 1 to 3 give an edge with fewer than two vertices, where
+    # the search answers None at once, and a pair inside every edge, the
+    # 2-set that the search skips.
     rng = random.Random(97)
     cases = [Clutter(n, random_clutter(rng, n)) for n in (rng.randint(2, 7) for _ in range(300))]
     cases += [Clutter(6, random_clutter(rng, 6, sizes=(3,))) for _ in range(400)]
+    cases += [Clutter(n, random_clutter(rng, n, sizes=(1, 2, 3)))
+              for n in (rng.randint(3, 7) for _ in range(200))]
     seen = Counter()
     for c in cases:
         assert prepass(c) == pattern_vertex_scan(c.n, c.edges), c.edges
+        seen["short edge"] += any(len(e) < 2 for e in c.edges)
+        seen["common pair"] += c.m > 0 and any(
+            all(set(pair) <= set(e) for e in c.edges) for pair in combinations(range(c.n), 2))
         hits = pattern_vertex_hits(c.n, c.edges)
         first = next(hits, None)
         if first is None:
@@ -424,7 +432,40 @@ def test_pattern_prepass_matches_scan_on_random_clutters():
         q, S = first
         seen["q>=3"] += q >= 3
         seen["tie"] += any(h[0] == q for h in takewhile(lambda h: len(h[1]) == len(S), hits))
-    assert min(seen[k] for k in ("miss", "tie", "q>=3")) >= 1, seen
+    assert min(seen[k] for k in ("miss", "tie", "q>=3", "short edge", "common pair")) >= 1, seen
+
+
+def cycle_string(coords):
+    return "".join("h" if x == H else "0" if x == 0 else str(x) for x in coords)
+
+
+@pytest.mark.parametrize("scan_to", [12, pytest.param(16, marks=extended)],
+                         ids=["scan n<=12", "scan n<=16"])
+def test_pattern_prepass_on_cycles(scan_to):
+    # The search walks only the supports that every edge can still meet
+    # twice. On H_t(C_n) up to n = 24 each hit is a fractional vertex whose
+    # basis block has |det| >= 2, and up to scan_to it is the oracle's first
+    # pattern vertex. From n = 20 on, a sweep over every support of each
+    # size would take seconds per cycle.
+    hits = {}
+    for t in (2, 3):
+        for n in range(t + 2, 25):
+            c = build_path_hypergraph(make_family("cycle", [n]), t)
+            hit = _pattern_vertices(c)
+            if n <= scan_to:
+                assert prepass(c) == pattern_vertex_scan(c.n, c.edges), (t, n)
+            if hit is None:
+                continue
+            v, basis = hit
+            chk = verify_vertex(c, v.coords)
+            assert chk.is_vertex and not chk.is_integral, (t, n)
+            support = [j for j, x in enumerate(v.coords) if x]
+            assert abs(det([[int(j in c.edges[i]) for j in support] for i in basis])) >= 2, (t, n)
+            hits[t, n] = cycle_string(v.coords)
+    assert sorted({(t, n) for t in (2, 3) for n in range(t + 2, 25)} - hits.keys()) == [
+        (2, 6), (2, 9), (3, 8)]
+    assert hits[2, 24] == "hhh0hhh0hhh0hh0hh0hh0hh0"
+    assert hits[3, 24] == "hhh00hh0h0h0hh00hh00hh00"
 
 
 def test_pattern_prepass_c7_counts_weights_row_by_row():
