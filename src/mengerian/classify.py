@@ -1,10 +1,14 @@
-"""Graph-class predicates and the exact Mengerian decision pipeline.
+"""Graph-class predicates, the exact Mengerian decision pipeline and its reports.
 
 The classifier implements the closed-form characterization (four vertices,
 the 8-cycle, paths with double stars, stars with a leaf edge); the exact
 pipeline decides the same question from first principles via idealness,
 total unimodularity, and power equality, and reports which route was
-decisive together with machine-checkable certificates.
+decisive together with machine-checkable certificates. This module builds
+every decide, check and classify report the command line prints, and
+re-validates them. VERDICTS, the one table of the properties that check
+answers, gives where each one's verdict sits in a report; the writer's
+"holds", the parser's choices and the verifier all read it.
 """
 
 from __future__ import annotations
@@ -28,6 +32,16 @@ TRACE_EMPTY = "EMPTY"
 TRACE_TU = "TU_SHORTCUT"
 TRACE_NON_IDEAL = "NON_IDEAL"
 TRACE_POWER = "POWER_EQUALITY"
+
+# each property check answers, in the parser's order, and the dotted path
+# of its verdict in a report
+VERDICTS = {
+    "tu": "checks.tu.value",
+    "ideal": "checks.ideal.value",
+    "konig": "checks.konig.value",
+    "packing": "checks.packing",
+    "ntf": "mengerian",
+}
 
 
 @dataclass(frozen=True)
@@ -143,11 +157,7 @@ class DecisionReport:
                 "packing": self.packing,
                 "ntf": ntf_json(self.ntf, certificates),
             },
-            "classifier": None if self.classifier is None else {
-                "mengerian": self.classifier.mengerian,
-                "clause": self.classifier.clause,
-                "note": "",
-            },
+            "classifier": None if self.classifier is None else classifier_json(self.classifier),
             "agreement": self.agreement,
         }
 
@@ -160,6 +170,10 @@ def report_header(g: Graph, t: int, c: Clutter) -> dict:
         "t": t,
         "hypergraph": clutters.to_json_dict(c),
     }
+
+
+def classifier_json(v: ClassVerdict) -> dict:
+    return {"mengerian": v.mengerian, "clause": v.clause, "note": ""}
 
 
 def konig_json(tau: int, nu: int) -> dict:
@@ -232,8 +246,7 @@ def decide_mengerian_exact(g: Graph, t: int = 3, caps: Caps = Caps()) -> Decisio
     finds none raises ArithmeticError rather than report a non-ideal
     clutter as packing. An ideal clutter that is not Mengerian (none
     through n=8) is walked whole, and that refutation carries no
-    certificate. ``check packing`` and ``check ntf`` print this report,
-    so they answer under the same caps, the power cap included.
+    certificate.
     """
     c = capped_hypergraph(g, t, caps)
 
@@ -279,17 +292,33 @@ def _walk_packing(c: Clutter, vertex: Optional[linalg.PolyhedronVertex]) -> bool
     return False
 
 
+def check_report(g: Graph, t: int, caps: Caps, prop: str) -> dict:
+    """The report of ``check prop``: what the decision step that computes prop computes.
+
+    It opens with decide's header and nests its results under "checks",
+    then gives "property" and "holds", the verdict at prop's VERDICTS path.
+    konig writes tau and nu; tu and ideal write their one section from the
+    one idealness call that settles both, so a clutter has one TU witness,
+    decide's; packing and ntf are the decide report itself (a clutter is
+    Mengerian exactly when its edge ideal is normally torsion-free), so a
+    packing refutation carries decide's certificates and both answer under
+    decide's caps, the power cap included.
+    """
+    if prop in ("packing", "ntf"):
+        report = decide_mengerian_exact(g, t, caps).to_json_dict()
+    else:
+        c = capped_hypergraph(g, t, caps)
+        if prop == "konig":
+            section = konig_json(clutters.tau(c), clutters.nu(c))
+        else:
+            res = linalg.is_ideal(c)
+            section = tu_json(res.tu, True) if prop == "tu" else ideal_json(res, True)
+        report = {**report_header(g, t, c), "checks": {prop: section}}
+    return {**report, "property": prop, "holds": report_verdict(report, prop)}
+
+
 # ---------------------------------------------------------------------------
 # certificate re-validation
-
-def report_hypergraph(d: dict) -> Clutter:
-    """The hypergraph a report carries; ValueError when it has none."""
-    try:
-        return clutters.from_json_dict(d["hypergraph"])
-    except (KeyError, TypeError, AttributeError) as exc:
-        raise ValueError(
-            f"report has no well-formed hypergraph ({type(exc).__name__}: {exc})") from None
-
 
 def _report_graph(d: dict) -> tuple[Graph, int]:
     """The graph and the path length t that a report names."""
@@ -314,13 +343,25 @@ def _section(d: dict, key: str) -> dict:
     return v
 
 
+def report_verdict(d: dict, prop: str):
+    """The verdict a report gives for prop, read at its VERDICTS path.
+
+    An absent or null section on the path reads as None; a section that
+    is not an object is malformed.
+    """
+    *sections, key = VERDICTS[prop].split(".")
+    for name in sections:
+        d = _section(d, name)
+    return d.get(key)
+
+
 def _checks(d: dict) -> dict:
     """The results, which every report nests under "checks".
 
     A top-level section, as check reports had before they named their
     graph, is refused rather than skipped with its certificates.
     """
-    for key in ("tu", "ideal", "konig", "packing", "ntf"):
+    for key in VERDICTS:
         if key in d:
             where = "beside" if "checks" in d else "outside"
             raise ValueError(f"report has a top-level {key!r} section {where} 'checks'")
@@ -390,9 +431,9 @@ def verify_report_dict(d: dict, caps: Caps = Caps()) -> list[tuple[str, bool, st
     Mengerian verdicts a report gives, and a fractional vertex refutes its
     packing verdict, since a clutter that packs is ideal. Certificates are
     read only under "checks". A check report's "holds" must be its own
-    verdict: "value" of its property's section, the packing bool, or
-    "mengerian" for ntf; a mismatch adds one failed "holds" check, and a
-    report that gives "holds" without such a "property" is malformed.
+    verdict, read at its property's VERDICTS path; a mismatch adds one
+    failed "holds" check, and a report that gives "holds" without such a
+    "property" is malformed.
 
     The hypergraph's n and edge count as listed are capped before the
     clutter is built, since the build's antichain check is quadratic in
@@ -404,7 +445,11 @@ def verify_report_dict(d: dict, caps: Caps = Caps()) -> list[tuple[str, bool, st
     h = d.get("hypergraph") if isinstance(d, dict) else None
     n, edges = (h.get("n"), h.get("edges")) if isinstance(h, dict) else (None, None)
     check_caps(caps, n if type(n) is int else 0, len(edges) if isinstance(edges, list) else 0)
-    c = report_hypergraph(d)
+    try:
+        c = clutters.from_json_dict(d["hypergraph"])
+    except (KeyError, TypeError, AttributeError) as exc:
+        raise ValueError(
+            f"report has no well-formed hypergraph ({type(exc).__name__}: {exc})") from None
     if "mfmc_probe" in d:
         raise ValueError("report key 'mfmc_probe' is retired; check ntf gives the exact verdict")
     out: list[tuple[str, bool, str]] = []
@@ -475,19 +520,12 @@ def verify_report_dict(d: dict, caps: Caps = Caps()) -> list[tuple[str, bool, st
 
     if "holds" in d:
         prop = d.get("property")
-        if prop == "ntf":
-            where, verdict = "mengerian", d.get("mengerian")
-        elif prop == "packing":
-            where, verdict = "checks.packing", checks.get("packing")
-        elif prop in ("tu", "ideal", "konig"):
-            where, verdict = f"checks.{prop}.value", _section(checks, prop).get("value")
-        else:
-            raise ValueError(f"report property {_quote(prop)} is not one of "
-                             f"tu, ideal, konig, packing, ntf")
-        holds = d["holds"]
+        if not (type(prop) is str and prop in VERDICTS):
+            raise ValueError(f"report property {_quote(prop)} is not one of {', '.join(VERDICTS)}")
+        holds, verdict = d["holds"], report_verdict(d, prop)
         if not (type(holds) is bool and holds is verdict):
             out.append(("holds", False,
-                        f"holds is {_quote(holds)}, but {where} is {_quote(verdict)}"))
+                        f"holds is {_quote(holds)}, but {VERDICTS[prop]} is {_quote(verdict)}"))
 
     return out
 

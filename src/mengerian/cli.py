@@ -1,28 +1,14 @@
 """Command-line interface.
 
 Commands: hypergraph, check, decide, classify, survey, verify-certificate.
-Identical invocations produce byte-identical output. Every check and
-decide report opens with the same header (schema, graph, t, hypergraph)
-and nests its results under "checks", the one shape verify-certificate
-reads. check answers by the step of the decision that computes its
-property, and prints what that step computes, plus "property" and
-"holds": konig writes tau and nu; tu and ideal write their one section
-from the one idealness call that settles both, so a clutter has one TU
-witness; packing and ntf print the decide report itself, holds being its
-packing bool or its Mengerian verdict (a clutter is Mengerian exactly
-when its edge ideal is normally torsion-free). So check packing shares
-decide's power cap. Every decide report and survey row gives packing.
-Every refutation is emitted with a certificate that verify-certificate
-re-validates: packing=false with tau != nu is backed by the Konig values,
-and one on a non-ideal clutter by its fractional vertex, since a clutter
-that packs is ideal (Lehman 1990; Cornuéjols, Guenin & Margot 2000). The
-one exception is the whole-clutter walk of an ideal clutter that is not
-Mengerian, which names no failing minor; there is none through n=8.
-verify-certificate also holds a check report's "holds" to the report's
-own verdict. The caps --max-vertices, --max-edges and --max-power take
-nonnegative integers. The parser is built once per process, on first use.
-Exit status: 0 completed, 2 property refuted under --assert (or an
-invalid certificate, or a usage error), 1 error.
+This module parses, calls and prints. ``classify`` builds every check,
+decide and classify report, holds the table of the properties that check
+answers, and re-validates reports for verify-certificate; ``survey``
+writes the survey. Identical invocations produce byte-identical output.
+The caps --max-vertices, --max-edges and --max-power take nonnegative
+integers and default to ``Caps``. The parser is built once per process,
+on first use. Exit status: 0 completed, 2 property refuted under --assert
+(or an invalid certificate, or a usage error), 1 error.
 """
 
 from __future__ import annotations
@@ -34,7 +20,7 @@ import sys
 import warnings
 from typing import Optional
 
-from . import classify, clutters, graphs, linalg, survey
+from . import classify, clutters, graphs, survey
 from .classify import Caps
 
 
@@ -99,9 +85,10 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact Konig/packing/ideal/TU/Mengerian checks for path hypergraphs.",
     )
     p.add_argument("--t", type=int, default=3, help="path length (default 3)")
-    p.add_argument("--max-vertices", type=_cap, default=12, help="vertex cap")
-    p.add_argument("--max-edges", type=_cap, default=64, help="hyperedge cap")
-    p.add_argument("--max-power", type=_cap, default=8, help="power-equality exponent cap")
+    p.add_argument("--max-vertices", type=_cap, default=Caps.max_vertices, help="vertex cap")
+    p.add_argument("--max-edges", type=_cap, default=Caps.max_edges, help="hyperedge cap")
+    p.add_argument("--max-power", type=_cap, default=Caps.max_power_k,
+                   help="power-equality exponent cap")
     sub = p.add_subparsers(dest="command", required=True)
 
     ph = sub.add_parser("hypergraph", help="emit the t-path hypergraph")
@@ -111,7 +98,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     pc = sub.add_parser("check", help="one property check, in the decide report's shape "
                                       "(packing, ntf: the decide report itself)")
-    pc.add_argument("property", choices=("tu", "ideal", "konig", "packing", "ntf"))
+    pc.add_argument("property", choices=tuple(classify.VERDICTS))
     _add_input_args(pc)
     pc.add_argument("--assert", dest="assert_mode", action="store_true",
                     help="exit 2 when the property is refuted")
@@ -156,24 +143,8 @@ def _cmd_hypergraph(args) -> int:
 
 def _cmd_check(args) -> int:
     g = _load_graph(args)
-    prop = args.property
-    if prop in ("packing", "ntf"):
-        # the decision answers, so a packing refutation carries its certificate
-        payload = classify.decide_mengerian_exact(g, args.t, _caps(args)).to_json_dict()
-        holds = payload["checks"]["packing"] if prop == "packing" else payload["mengerian"]
-    else:
-        # the one section decide writes for the property, under "checks"
-        c = classify.capped_hypergraph(g, args.t, _caps(args))
-        if prop == "konig":
-            section = classify.konig_json(clutters.tau(c), clutters.nu(c))
-        else:
-            res = linalg.is_ideal(c)  # settles TU too, with decide's witness
-            section = (classify.tu_json(res.tu, certificates=True) if prop == "tu"
-                       else classify.ideal_json(res, certificates=True))
-        holds = section["value"]
-        payload = {**classify.report_header(g, args.t, c), "checks": {prop: section}}
-    payload["property"] = prop
-    payload["holds"] = holds
+    payload = classify.check_report(g, args.t, _caps(args), args.property)
+    prop, holds = payload["property"], payload["holds"]
     if args.format == "json":
         _emit_json(payload)
     elif args.format == "dot":
@@ -197,8 +168,7 @@ def _cmd_classify(args) -> int:
     g = _load_graph(args)  # applies the vertex cap
     verdict = classify.classify_mengerian(g)
     if args.format == "json":
-        _emit_json({"schema": 1, "mengerian": verdict.mengerian,
-                    "clause": verdict.clause, "note": ""})
+        _emit_json({"schema": 1, **classify.classifier_json(verdict)})
     else:
         print(f"{verdict.clause}: mengerian={verdict.mengerian}")
     return 0
@@ -220,7 +190,7 @@ def _cmd_verify(args) -> int:
         else:
             with open(args.report, "r", encoding="utf-8") as fh:
                 data = json.load(fh)
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
         source = "on stdin" if args.report == "-" else args.report
         raise ValueError(f"report {source} is not valid JSON: {exc}") from None
     results = classify.verify_report_dict(data, _caps(args))

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import random
 from fractions import Fraction
@@ -216,6 +217,20 @@ def test_decide_packing_without_the_walk(monkeypatch):
     for name, k in (("path", 9), ("cycle", 8)):
         rep = decide_mengerian_exact(make_family(name, [k]))
         assert rep.mengerian and rep.packing
+
+
+def test_ideal_non_mengerian_clutter_walks_whole(monkeypatch):
+    # no ideal clutter through n=8 fails power equality with tau == nu, so
+    # refute it on C8: the walk then runs once, on the whole clutter
+    ntf = ideals.is_normally_torsion_free
+    monkeypatch.setattr(ideals, "is_normally_torsion_free",
+                        lambda c: dataclasses.replace(ntf(c), normally_torsion_free=False))
+    walked = []
+    walk = clutters.has_packing
+    monkeypatch.setattr(clutters, "has_packing", lambda c: walked.append(c) or walk(c))
+    d = decide_mengerian_exact(make_family("cycle", [8])).to_json_dict()
+    assert walked == [build_path_hypergraph(make_family("cycle", [8]))]
+    assert (d["trace"], d["mengerian"], d["checks"]["packing"]) == ("POWER_EQUALITY", False, True)
 
 
 def face_cases(kind):

@@ -288,6 +288,23 @@ def test_verify_certificate_not_json(tmp_path):
     assert (code, out) == (1, "")
     assert err == ("error: report on stdin is not valid JSON: "
                    "Expecting property name enclosed in double quotes: line 2 column 1 (char 14)\n")
+    # nesting past the decoder's recursion limit is one error line, not a
+    # traceback; 3000 levels may decode on a Python with a higher limit,
+    # and then the report names no hypergraph, but 10^5 pass every limit
+    for depth in (3000, 100_000):
+        deep = '{"a":' * depth + "1" + "}" * depth
+        code, out, err = run_cli(["verify-certificate"], stdin_text=deep + "\n")
+        assert (code, out) == (1, "") and err.startswith("error: report ")
+        assert err.count("\n") == 1
+    assert err.startswith("error: report on stdin is not valid JSON: "
+                          "maximum recursion depth exceeded while decoding a JSON object")
+
+
+def test_verify_certificate_hypergraph_output_has_no_certificates():
+    # hypergraph --format json carries H_t but names no graph and no checks
+    _, report, _ = run_cli(["hypergraph", "--format", "json", "--family", "cycle:8"])
+    assert run_cli(["verify-certificate"], stdin_text=report) == (
+        0, "no certificates found in report\n", "")
 
 
 def test_input_source_required():
@@ -341,8 +358,17 @@ def test_empty_source_reaches_its_parser(flag, message):
 
 
 def test_parse_error_exit_code():
-    code, _, err = run_cli(["decide", "--edges", "1 1"])
-    assert code == 1 and "loop" in err
+    # each bad edge list ends in one error line
+    for edges, message in [
+        ("1 1", "loop"),
+        ("1 2\\nn 3", "header must come first"),
+        ("n x", "malformed header"),
+        ("n 0", "malformed header"),
+        ("0 1", "labels are 1-based positive integers"),
+    ]:
+        code, out, err = run_cli(["decide", "--edges", edges])
+        assert (code, out) == (1, "") and err.startswith("error: ") and err.count("\n") == 1
+        assert message in err, edges
 
 
 def test_deterministic_output():
@@ -602,6 +628,7 @@ def test_check_report_names_its_graph(prop, family):
             else:
                 assert section == decided["checks"][prop]
         assert code == 0 and d == {**expected, "property": prop, "holds": verdict}
+        assert d["holds"] is classify.report_verdict(d, prop)
         code, verified, _ = run_cli(["verify-certificate", "-"], stdin_text=out)
         assert code == 0
         assert verified.splitlines()[0] == "hypergraph: valid (equals H_3 of the report's graph)"
@@ -651,6 +678,19 @@ def test_verify_certificate_refuses_holds_without_property():
     assert (code, out) == (1, "")
     assert err == ('error: report property "menger" is not one of '
                    'tu, ideal, konig, packing, ntf\n')
+    d["property"] = ["konig"]  # not a name, and not hashable either
+    code, out, err = run_cli(["verify-certificate", "-"], stdin_text=json.dumps(d))
+    assert (code, out) == (1, "")
+    assert err == ('error: report property ["konig"] is not one of '
+                   'tu, ideal, konig, packing, ntf\n')
+
+
+def test_check_choices_are_the_verdict_table(capsys):
+    # the parser offers the properties of classify's one table, in its order
+    assert tuple(classify.VERDICTS) == ("tu", "ideal", "konig", "packing", "ntf")
+    with pytest.raises(SystemExit):
+        main(["check", "--help"])
+    assert "{tu,ideal,konig,packing,ntf}" in capsys.readouterr().out
 
 
 def test_verify_certificate_checks_a_check_report_against_its_graph():

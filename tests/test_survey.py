@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import random
@@ -6,7 +7,7 @@ from itertools import combinations, permutations
 
 import pytest
 
-from mengerian import classify, survey
+from mengerian import classify, graphs, survey
 from mengerian.classify import Caps
 from mengerian.graphs import is_connected, masks_connected
 from mengerian.survey import cross_check, enumerate_connected
@@ -190,6 +191,36 @@ def test_cross_check_n5_fixture():
                      if row.n == 5 and row.report.mengerian)
     assert clauses == ["PATH_WITH_DOUBLE_STARS", "PATH_WITH_DOUBLE_STARS",
                        "PATH_WITH_DOUBLE_STARS", "STAR_PLUS_EDGE"]
+
+
+def test_cross_check_dichotomy_exception():
+    # H_2(C6) is ideal and not TU, and settled by power equality
+    rep = cross_check(6, t=2, n_min=6)
+    assert rep.dichotomy_exceptions == [
+        {"n": 6, "index": 57, "graph6": "EBj?", "trace": "POWER_EQUALITY", "mengerian": True}]
+    assert rep.mismatches == [] and rep.conjecture_violations == []
+
+
+def test_cross_check_records_flipped_verdicts(monkeypatch):
+    # one flipped classifier verdict is a mismatch, one flipped packing
+    # verdict a conjecture finding; each record names its instance
+    def flip_on_dk(fn, flip):
+        def wrapped(g, *args, **kwargs):
+            out = fn(g, *args, **kwargs)
+            return flip(out) if graphs.to_graph6(g) == "Dk_" else out
+        return wrapped
+
+    monkeypatch.setattr(classify, "classify_mengerian", flip_on_dk(
+        classify.classify_mengerian, lambda v: dataclasses.replace(v, mengerian=not v.mengerian)))
+    monkeypatch.setattr(classify, "decide_mengerian_exact", flip_on_dk(
+        classify.decide_mengerian_exact, lambda r: dataclasses.replace(r, packing=not r.packing)))
+    rep = cross_check(5, n_min=5)
+    key = {"n": 5, "index": 1, "graph6": "Dk_"}
+    assert rep.mismatches == [{**key, "classifier": "PATH_WITH_DOUBLE_STARS",
+                               "pipeline": "TU_SHORTCUT", "classifier_mengerian": False,
+                               "pipeline_mengerian": True}]
+    assert rep.conjecture_violations == [{**key, "packing": False, "mengerian": True}]
+    assert rep.dichotomy_exceptions == []
 
 
 def test_cross_check_deterministic():
