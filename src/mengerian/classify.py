@@ -14,9 +14,8 @@ answers, gives where each one's verdict sits in a report; the writer's
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from . import clutters, graphs, ideals, linalg
 from .clutters import Clutter
@@ -44,8 +43,7 @@ VERDICTS = {
 }
 
 
-@dataclass(frozen=True)
-class ClassVerdict:
+class ClassVerdict(NamedTuple):
     mengerian: bool
     clause: str
 
@@ -93,8 +91,7 @@ def classify_mengerian(g: Graph) -> ClassVerdict:
 # ---------------------------------------------------------------------------
 # exact pipeline
 
-@dataclass(frozen=True)
-class Caps:
+class Caps(NamedTuple):
     """Resource bounds; exceeding one aborts the instance, never approximates."""
 
     max_vertices: int = 12
@@ -122,8 +119,7 @@ def capped_hypergraph(g: Graph, t: int, caps: Caps) -> Clutter:
     return c
 
 
-@dataclass
-class DecisionReport:
+class DecisionReport(NamedTuple):
     """Full pipeline verdict with method trace and certificates."""
 
     graph: Graph

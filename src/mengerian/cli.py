@@ -84,10 +84,11 @@ def build_parser() -> argparse.ArgumentParser:
         prog="mengerian",
         description="Exact Konig/packing/ideal/TU/Mengerian checks for path hypergraphs.",
     )
+    caps = Caps()
     p.add_argument("--t", type=int, default=3, help="path length (default 3)")
-    p.add_argument("--max-vertices", type=_cap, default=Caps.max_vertices, help="vertex cap")
-    p.add_argument("--max-edges", type=_cap, default=Caps.max_edges, help="hyperedge cap")
-    p.add_argument("--max-power", type=_cap, default=Caps.max_power_k,
+    p.add_argument("--max-vertices", type=_cap, default=caps.max_vertices, help="vertex cap")
+    p.add_argument("--max-edges", type=_cap, default=caps.max_edges, help="hyperedge cap")
+    p.add_argument("--max-power", type=_cap, default=caps.max_power_k,
                    help="power-equality exponent cap")
     sub = p.add_subparsers(dest="command", required=True)
 

@@ -23,12 +23,40 @@ from __future__ import annotations
 
 import functools
 import heapq
-from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Sequence
 
 
-@dataclass(frozen=True)
-class Clutter:
+class _Edges:
+    """An immutable value given by ``n`` and ``edges``, as Graph and Clutter are.
+
+    It compares, hashes, prints and pickles by those two fields alone, and
+    its constructor sets them once with ``object.__setattr__``.
+    """
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.n == other.n and self.edges == other.edges
+
+    def __hash__(self):
+        return hash((self.n, self.edges))
+
+    def __repr__(self):
+        return f"{type(self).__name__}(n={self.n!r}, edges={self.edges!r})"
+
+    def __reduce__(self):
+        return type(self), (self.n, self.edges)
+
+
+class Clutter(_Edges):
     """Antichain of nonempty hyperedges on vertices 0..n-1.
 
     ``masks[i]`` is the vertex bitmask of ``edges[i]``, and every layer
@@ -37,17 +65,19 @@ class Clutter:
     and ``from_masks`` takes masks as they are, with the same errors.
     """
 
+    __slots__ = ("n", "edges", "masks")
     n: int
     edges: tuple[tuple[int, ...], ...]
-    masks: tuple[int, ...] = field(init=False, compare=False, repr=False)
+    masks: tuple[int, ...]
 
-    def __post_init__(self):
-        edges = tuple(self.edges)
-        if self.n >= 0 and any(v < 0 for e in edges for v in e):
+    def __init__(self, n: int, edges: Iterable[Iterable[int]]):
+        object.__setattr__(self, "n", n)
+        edges = tuple(edges)
+        if n >= 0 and any(v < 0 for e in edges for v in e):
             # no mask holds a negative vertex, and an empty edge sorts before it
             if all(edges):
                 bad = min(tuple(sorted(set(e))) for e in edges if min(e) < 0)
-                raise ValueError(f"edge {bad} out of range for n={self.n}")
+                raise ValueError(f"edge {bad} out of range for n={n}")
             edges = ((),)
         self._normalise(map(_mask, edges))
 

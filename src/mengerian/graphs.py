@@ -7,28 +7,29 @@ reports, labels) is 1-based, matching the usual x_1 ... x_n naming.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterable, Optional, Sequence
 
-from .clutters import Clutter
+from .clutters import Clutter, _Edges
 
 
-@dataclass(frozen=True)
-class Graph:
-    """Simple undirected graph on vertices 0..n-1."""
+class Graph(_Edges):
+    """Simple undirected graph on vertices 0..n-1; immutable and hashable."""
 
+    __slots__ = ("n", "edges")
     n: int
     edges: frozenset[tuple[int, int]]
 
-    def __post_init__(self):
-        if self.n < 1:
+    def __init__(self, n: int, edges: frozenset[tuple[int, int]]):
+        if n < 1:
             raise ValueError("a graph needs at least one vertex")
-        for u, v in self.edges:
+        for u, v in edges:
             if u == v:
                 raise ValueError(f"loop at vertex {u + 1}")
-            if not (0 <= u < v < self.n):
-                raise ValueError(f"edge ({u + 1}, {v + 1}) out of range 1..{self.n}")
+            if not (0 <= u < v < n):
+                raise ValueError(f"edge ({u + 1}, {v + 1}) out of range 1..{n}")
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "edges", edges)
 
     @property
     def m(self) -> int:

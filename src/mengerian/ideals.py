@@ -21,8 +21,7 @@ than k edges pack under it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .clutters import Clutter, _mask, _minimal_cover_vectors, _pack, minimal_covers
 
@@ -39,8 +38,7 @@ def format_monomial(a: Monomial) -> str:
     return "*".join(parts) if parts else "1"
 
 
-@dataclass(frozen=True)
-class MonomialIdeal:
+class MonomialIdeal(NamedTuple):
     """Monomial ideal by its minimal generators; symbolic_power builds it."""
 
     n: int
@@ -95,8 +93,7 @@ def powers_equal(c: Clutter, k: int) -> Optional[Monomial]:
     return next((g for g in symbolic_power(c, k).gens if not member_of_power(g, c, k)), None)
 
 
-@dataclass(frozen=True)
-class NtfResult:
+class NtfResult(NamedTuple):
     """Verdict of the exact normally-torsion-free decision.
 
     normally_torsion_free is equivalent to the Mengerian property of the

@@ -28,11 +28,10 @@ TU verdict too, and a caller that asks for idealness needs no second scan.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from math import lcm
-from typing import Iterator, Optional, Sequence
+from typing import Iterator, NamedTuple, Optional, Sequence
 
 from .clutters import Clutter, _bits, _mask, _minimal_masks, _popcount, _row
 
@@ -104,8 +103,7 @@ def bareiss_det(a: list[list[int]]) -> int:
 # ---------------------------------------------------------------------------
 # total unimodularity
 
-@dataclass(frozen=True)
-class TUWitness:
+class TUWitness(NamedTuple):
     """A square submatrix whose determinant falls outside {0, +-1}."""
 
     rows: tuple[int, ...]
@@ -113,8 +111,7 @@ class TUWitness:
     det: int
 
 
-@dataclass(frozen=True)
-class TUResult:
+class TUResult(NamedTuple):
     totally_unimodular: bool
     witness: Optional[TUWitness]
 
@@ -156,8 +153,7 @@ def is_totally_unimodular(c: Clutter) -> TUResult:
 # ---------------------------------------------------------------------------
 # covering polyhedron Q(A) = {x >= 0, Ax >= 1}
 
-@dataclass(frozen=True)
-class PolyhedronVertex:
+class PolyhedronVertex(NamedTuple):
     """A vertex of Q(A) with its full set of tight constraints.
 
     Constraint indices 0..m-1 are the covering rows <A_i, x> >= 1 and
@@ -169,8 +165,7 @@ class PolyhedronVertex:
     tight_rows: tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class IdealityResult:
+class IdealityResult(NamedTuple):
     """Idealness with the fractional vertex that refutes it, and the TU verdict it settled."""
 
     ideal: bool
@@ -252,8 +247,7 @@ def _fractional_vertex(c: Clutter) -> Optional[tuple[PolyhedronVertex, tuple[int
     return None
 
 
-@dataclass(frozen=True)
-class VertexCheck:
+class VertexCheck(NamedTuple):
     feasible: bool
     tight_rows: tuple[int, ...]
     tight_rank: int

@@ -20,9 +20,8 @@ verdict.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
 from itertools import combinations
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from . import classify, clutters, graphs
 from .classify import Caps, CapExceeded, DecisionReport
@@ -217,8 +216,7 @@ def _search(adj: Sequence[int], cells: list[tuple[int, int]], free: int, i: int,
     return True
 
 
-@dataclass
-class SurveyRow:
+class SurveyRow(NamedTuple):
     n: int
     index: int
     graph6: str
@@ -241,18 +239,16 @@ def _instance(row: SurveyRow) -> dict:
     return rec
 
 
-@dataclass
 class SurveyReport:
     """Aggregate outcome of a survey run; see cross_check."""
 
-    t: int
-    n_min: int
-    n_max: int
-    rows: list[SurveyRow] = field(default_factory=list)
-    mismatches: list[dict] = field(default_factory=list)
-    conjecture_violations: list[dict] = field(default_factory=list)
-    dichotomy_exceptions: list[dict] = field(default_factory=list)
-    incomplete: list[dict] = field(default_factory=list)
+    def __init__(self, t: int, n_min: int, n_max: int):
+        self.t, self.n_min, self.n_max = t, n_min, n_max
+        self.rows: list[SurveyRow] = []
+        self.mismatches: list[dict] = []
+        self.conjecture_violations: list[dict] = []
+        self.dichotomy_exceptions: list[dict] = []
+        self.incomplete: list[dict] = []
 
     @property
     def counters(self) -> dict:

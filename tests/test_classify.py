@@ -1,4 +1,3 @@
-import dataclasses
 import json
 import random
 from fractions import Fraction
@@ -224,7 +223,7 @@ def test_ideal_non_mengerian_clutter_walks_whole(monkeypatch):
     # refute it on C8: the walk then runs once, on the whole clutter
     ntf = ideals.is_normally_torsion_free
     monkeypatch.setattr(ideals, "is_normally_torsion_free",
-                        lambda c: dataclasses.replace(ntf(c), normally_torsion_free=False))
+                        lambda c: ntf(c)._replace(normally_torsion_free=False))
     walked = []
     walk = clutters.has_packing
     monkeypatch.setattr(clutters, "has_packing", lambda c: walked.append(c) or walk(c))

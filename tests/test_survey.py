@@ -1,4 +1,3 @@
-import dataclasses
 import json
 import os
 import random
@@ -211,9 +210,9 @@ def test_cross_check_records_flipped_verdicts(monkeypatch):
         return wrapped
 
     monkeypatch.setattr(classify, "classify_mengerian", flip_on_dk(
-        classify.classify_mengerian, lambda v: dataclasses.replace(v, mengerian=not v.mengerian)))
+        classify.classify_mengerian, lambda v: v._replace(mengerian=not v.mengerian)))
     monkeypatch.setattr(classify, "decide_mengerian_exact", flip_on_dk(
-        classify.decide_mengerian_exact, lambda r: dataclasses.replace(r, packing=not r.packing)))
+        classify.decide_mengerian_exact, lambda r: r._replace(packing=not r.packing)))
     rep = cross_check(5, n_min=5)
     key = {"n": 5, "index": 1, "graph6": "Dk_"}
     assert rep.mismatches == [{**key, "classifier": "PATH_WITH_DOUBLE_STARS",
