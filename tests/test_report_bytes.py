@@ -49,6 +49,16 @@ PINNED = [
     # stdout sha256 79ba5452..., the n <= 6 survey bytes that ROADMAP.md quotes
     (["survey", "--max-n", "6"],
      "46b3158c7325e67d99bed0d6b29571b56ba8af488a4fd1736c26804f4e8ff8d5"),
+    # surveys with non-empty finding lists: one dichotomy exception, H_2(C6),
+    # and 118 INCOMPLETE instances under a three-edge cap
+    (["--t", "2", "survey", "--max-n", "6"],
+     "34ab66c8780d5a8c9d210cb2dcc0c61d8c2fa7e9a3fa50523cee965907076ea7"),
+    (["--t", "2", "survey", "--max-n", "6", "--csv"],
+     "96f122ae9fece7563fc1870df6e7d3f0916a0cf8ddb7ccfaaf2a887db2b2f53a"),
+    (["--max-edges", "3", "survey", "--max-n", "6"],
+     "f869c238bbc797a4e34384cfc1ad2d5baa6ee8a703e7873ce68817c0ed692fae"),
+    (["--max-edges", "3", "survey", "--max-n", "6", "--csv"],
+     "f32cb8f3880981afe05eacc3c3b3aa8dd758e19f722386a72edab8b84f0e2b89"),
     (["--t", "2", "hypergraph", "--format", "json", "--family", "cycle:8"],
      "8425cf1fef0b9379f00debf327c68b399f8027f0d01477ef5495979fb9dd7db2"),
     (["--t", "3", "hypergraph", "--format", "json", "--family", "cycle:8"],
