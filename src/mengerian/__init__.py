@@ -18,7 +18,6 @@ from .clutters import (
 from .graphs import (
     Graph,
     build_path_hypergraph,
-    graph,
     is_connected,
     make_family,
     parse_edge_list,

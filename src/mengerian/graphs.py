@@ -20,16 +20,21 @@ class Graph(_Edges):
     n: int
     edges: frozenset[tuple[int, int]]
 
-    def __init__(self, n: int, edges: frozenset[tuple[int, int]]):
+    def __init__(self, n: int, edges: Iterable[Sequence[int]]):
+        """Take any iterable of vertex pairs; each is ordered, and repeats are dropped."""
         if n < 1:
             raise ValueError("a graph needs at least one vertex")
+        norm = set()
         for u, v in edges:
+            if u > v:
+                u, v = v, u
             if u == v:
                 raise ValueError(f"loop at vertex {u + 1}")
             if not (0 <= u < v < n):
                 raise ValueError(f"edge ({u + 1}, {v + 1}) out of range 1..{n}")
+            norm.add((u, v))
         object.__setattr__(self, "n", n)
-        object.__setattr__(self, "edges", edges)
+        object.__setattr__(self, "edges", frozenset(norm))
 
     @property
     def m(self) -> int:
@@ -37,12 +42,6 @@ class Graph(_Edges):
 
     def degree(self, v: int) -> int:
         return sum(1 for e in self.edges if v in e)
-
-
-def graph(n: int, edges: Iterable[Sequence[int]]) -> Graph:
-    """Build a Graph from any iterable of vertex pairs."""
-    norm = frozenset((min(u, v), max(u, v)) for u, v in edges)
-    return Graph(n, norm)
 
 
 def adjacency(g: Graph) -> list[int]:
@@ -58,7 +57,7 @@ def relabel(g: Graph, perm: Sequence[int]) -> Graph:
     """Apply the vertex permutation v -> perm[v]."""
     if sorted(perm) != list(range(g.n)):
         raise ValueError("not a permutation of the vertex set")
-    return graph(g.n, ((perm[u], perm[v]) for u, v in g.edges))
+    return Graph(g.n, ((perm[u], perm[v]) for u, v in g.edges))
 
 
 def is_connected(g: Graph) -> bool:
@@ -125,7 +124,7 @@ def parse_edge_list(text: str) -> Graph:
     n = declared if declared is not None else max_label
     if n == 0:
         raise ValueError("empty edge list and no header")
-    return Graph(n, frozenset(edges))
+    return Graph(n, edges)
 
 
 def to_edge_list(g: Graph) -> str:
@@ -167,8 +166,7 @@ def parse_graph6(text: str) -> Graph:
         bits.extend((v >> shift) & 1 for shift in range(5, -1, -1))
     if any(bits[nbits:]):
         raise ValueError("nonzero padding bits in graph6 body")
-    edges = {pair for pair, bit in zip(_g6_pairs(n), bits) if bit}
-    return Graph(n, frozenset(edges))
+    return Graph(n, (pair for pair, bit in zip(_g6_pairs(n), bits) if bit))
 
 
 def to_graph6(g: Graph) -> str:
@@ -264,7 +262,7 @@ def make_family(name: str, params: Sequence[int]) -> Graph:
     star_plus_edge k  star with k >= 2 leaves plus the edge {2, 3}
     complete k   all pairs
     """
-    return graph(family_order(name, params), _FAMILIES[name][4](*params))
+    return Graph(family_order(name, params), _FAMILIES[name][4](*params))
 
 
 # ---------------------------------------------------------------------------

@@ -11,20 +11,21 @@ comparison alone. The enumeration takes about 0.1 s at n = 7 and 1.5 s
 at n = 8 (three runs each in a fresh interpreter, 2-vCPU host, Python
 3.11).
 
-The survey runs the exact pipeline on every class, compares it against
-the closed-form classifier, audits the TU-or-non-ideal dichotomy, and
-checks packing, which every instance reports, against the Mengerian
-verdict.
+The survey runs the exact pipeline on every class and keeps one record
+per instance, the one its JSON and CSV print. Its counters and its
+findings are views of those records: disagreements with the closed-form
+classifier, exceptions to the TU-or-non-ideal dichotomy, packing
+verdicts that differ from the Mengerian one, and instances over a cap.
 """
 
 from __future__ import annotations
 
 import functools
 from itertools import combinations
-from typing import NamedTuple, Optional, Sequence
+from typing import Optional, Sequence
 
 from . import classify, clutters, graphs
-from .classify import Caps, CapExceeded, DecisionReport
+from .classify import Caps, CapExceeded
 from .graphs import Graph
 
 ENUMERATION_CAP = 8
@@ -72,8 +73,7 @@ def enumerate_connected(n: int) -> list[Graph]:
                     stack.append((cmask, child))
     finally:
         _least_code.cache_clear()
-    # combinations already orders each pair, so graphs.graph has nothing to normalise
-    return [Graph(n, frozenset(pairs[b] for b in clutters._bits(mask)))
+    return [Graph(n, (pairs[b] for b in clutters._bits(mask)))
             for mask in sorted(found)]
 
 
@@ -216,57 +216,75 @@ def _search(adj: Sequence[int], cells: list[tuple[int, int]], free: int, i: int,
     return True
 
 
-class SurveyRow(NamedTuple):
-    n: int
-    index: int
-    graph6: str
-    report: Optional[DecisionReport]
-    incomplete: Optional[str] = None
-
-
-def _instance(row: SurveyRow) -> dict:
-    """The one per-instance record that the JSON instances and the CSV rows print."""
-    rec = {"n": row.n, "index": row.index, "graph6": row.graph6, "trace": "INCOMPLETE",
-           "mengerian": None, "clause": None, "tu": None, "ideal": None,
-           "packing": None, "konig": None, "incomplete": row.incomplete}
-    rep = row.report
-    if rep is not None:
-        rec.update(trace=rep.trace, mengerian=rep.mengerian,
-                   clause=rep.classifier.clause if rep.classifier else None,
-                   tu=rep.tu.totally_unimodular,
-                   ideal=None if rep.ideal is None else rep.ideal.ideal,
-                   packing=rep.packing, konig=rep.tau == rep.nu)
-    return rec
+def _key(rec: dict) -> dict:
+    return {"n": rec["n"], "index": rec["index"], "graph6": rec["graph6"]}
 
 
 class SurveyReport:
-    """Aggregate outcome of a survey run; see cross_check."""
+    """Aggregate outcome of a survey run; see cross_check.
+
+    ``instances`` holds one record per instance, with the keys that the
+    JSON instances print, and is the report's only state: the counters
+    and the four finding lists are views of it, in instance order, so a
+    report over the records of several runs, in order, is that of one run.
+    """
 
     def __init__(self, t: int, n_min: int, n_max: int):
         self.t, self.n_min, self.n_max = t, n_min, n_max
-        self.rows: list[SurveyRow] = []
-        self.mismatches: list[dict] = []
-        self.conjecture_violations: list[dict] = []
-        self.dichotomy_exceptions: list[dict] = []
-        self.incomplete: list[dict] = []
+        self.instances: list[dict] = []
+
+    def _decided(self) -> list[dict]:
+        return [r for r in self.instances if r["incomplete"] is None]
 
     @property
     def counters(self) -> dict:
-        done = [r.report for r in self.rows if r.report is not None]
+        done = self._decided()
         per_n: dict[int, int] = {}
-        for rep in done:
-            if rep.mengerian:
-                per_n[rep.graph.n] = per_n.get(rep.graph.n, 0) + 1
+        for r in done:
+            if r["mengerian"]:
+                per_n[r["n"]] = per_n.get(r["n"], 0) + 1
         return {
-            "total": len(self.rows),
+            "total": len(self.instances),
             "decided": len(done),
-            "mengerian": sum(1 for r in done if r.mengerian),
-            "non_ideal": sum(1 for r in done if r.trace == classify.TRACE_NON_IDEAL),
-            "tu": sum(1 for r in done if r.tu.totally_unimodular),
-            "power_equality": sum(1 for r in done if r.trace == classify.TRACE_POWER),
-            "empty": sum(1 for r in done if r.trace == classify.TRACE_EMPTY),
+            "mengerian": sum(1 for r in done if r["mengerian"]),
+            "non_ideal": sum(1 for r in done if r["trace"] == classify.TRACE_NON_IDEAL),
+            "tu": sum(1 for r in done if r["tu"]),
+            "power_equality": sum(1 for r in done if r["trace"] == classify.TRACE_POWER),
+            "empty": sum(1 for r in done if r["trace"] == classify.TRACE_EMPTY),
             "mengerian_per_n": {str(n): per_n.get(n, 0) for n in range(self.n_min, self.n_max + 1)},
         }
+
+    @property
+    def mismatches(self) -> list[dict]:
+        """Classified instances whose clause's verdict differs from the pipeline's.
+
+        Every clause but NOT_MENGERIAN is a positive verdict
+        (``classify_mengerian``), so the classifier says the opposite of
+        the pipeline on each.
+        """
+        return [{**_key(r), "classifier": r["clause"], "pipeline": r["trace"],
+                 "classifier_mengerian": not r["mengerian"], "pipeline_mengerian": r["mengerian"]}
+                for r in self._decided() if r["clause"] is not None
+                and (r["clause"] != classify.CLAUSE_NOT_MENGERIAN) != r["mengerian"]]
+
+    @property
+    def dichotomy_exceptions(self) -> list[dict]:
+        """Decided instances that are neither totally unimodular nor non-ideal."""
+        return [{**_key(r), "trace": r["trace"], "mengerian": r["mengerian"]}
+                for r in self._decided()
+                if not r["tu"] and r["trace"] != classify.TRACE_NON_IDEAL]
+
+    @property
+    def conjecture_violations(self) -> list[dict]:
+        """Decided instances whose packing verdict differs from the Mengerian one."""
+        return [{**_key(r), "packing": r["packing"], "mengerian": r["mengerian"]}
+                for r in self._decided() if r["packing"] != r["mengerian"]]
+
+    @property
+    def incomplete(self) -> list[dict]:
+        """Instances over a resource cap, each with the cap's message."""
+        return [{**_key(r), "reason": r["incomplete"]}
+                for r in self.instances if r["incomplete"] is not None]
 
     def to_json_dict(self) -> dict:
         return {
@@ -279,14 +297,13 @@ class SurveyReport:
             "conjecture_violations": self.conjecture_violations,
             "dichotomy_exceptions": self.dichotomy_exceptions,
             "incomplete": self.incomplete,
-            "instances": [_instance(row) for row in self.rows],
+            "instances": self.instances,
         }
 
     def to_csv(self) -> str:
         """The instance records as CSV_COLUMNS, with None written as an empty field."""
         lines = [",".join(CSV_COLUMNS)]
-        for row in self.rows:
-            rec = _instance(row)
+        for rec in self.instances:
             lines.append(",".join("" if rec[k] is None else str(rec[k]) for k in CSV_COLUMNS))
         return "\n".join(lines) + "\n"
 
@@ -299,13 +316,15 @@ def cross_check(
 ) -> SurveyReport:
     """Survey all connected classes with n_min <= n <= n_max.
 
-    At t = 3 every instance is also classified by the closed form and any
-    disagreement lands in mismatches (expected empty). Instances that are
-    neither totally unimodular nor non-ideal are dichotomy exceptions;
-    every instance reports packing, and packing-versus-Mengerian
-    disagreements are conjecture findings, never assertion failures.
-    Instances over a resource cap are INCOMPLETE and never counted as
-    verified. n_min or n_max outside 1..ENUMERATION_CAP, or n_min > n_max,
+    Each class is decided once and becomes one record in the report's
+    ``instances``; no DecisionReport is kept. At t = 3 the record also
+    holds the closed form's clause, and a clause whose verdict differs
+    from the pipeline's is a mismatch (expected empty). Instances that
+    are neither totally unimodular nor non-ideal are dichotomy
+    exceptions; every instance reports packing, and packing-versus-
+    Mengerian disagreements are conjecture findings, never assertion
+    failures. Instances over a resource cap are INCOMPLETE and never
+    counted as verified. n_min or n_max outside 1..ENUMERATION_CAP, or n_min > n_max,
     raises ValueError before any instance is decided.
     """
     _check_n(n_min)
@@ -316,30 +335,18 @@ def cross_check(
     report = SurveyReport(t=t, n_min=n_min, n_max=n_max)
     for n in range(n_min, n_max + 1):
         for idx, g in enumerate(enumerate_connected(n)):
-            g6 = graphs.to_graph6(g)
-            key = {"n": n, "index": idx, "graph6": g6}
+            rec = {"n": n, "index": idx, "graph6": graphs.to_graph6(g), "trace": "INCOMPLETE",
+                   "mengerian": None, "clause": None, "tu": None, "ideal": None,
+                   "packing": None, "konig": None, "incomplete": None}
             try:
                 rep = classify.decide_mengerian_exact(g, t, caps=caps)
             except CapExceeded as exc:
-                report.rows.append(SurveyRow(n, idx, g6, None, incomplete=str(exc)))
-                report.incomplete.append({**key, "reason": str(exc)})
-                continue
-            row = SurveyRow(n, idx, g6, rep)
-            report.rows.append(row)
-            if rep.classifier is not None and rep.classifier.mengerian != rep.mengerian:
-                report.mismatches.append({
-                    **key,
-                    "classifier": rep.classifier.clause,
-                    "pipeline": rep.trace,
-                    "classifier_mengerian": rep.classifier.mengerian,
-                    "pipeline_mengerian": rep.mengerian,
-                })
-            if not rep.tu.totally_unimodular and rep.trace != classify.TRACE_NON_IDEAL:
-                report.dichotomy_exceptions.append({
-                    **key, "trace": rep.trace, "mengerian": rep.mengerian,
-                })
-            if rep.packing != rep.mengerian:
-                report.conjecture_violations.append({
-                    **key, "packing": rep.packing, "mengerian": rep.mengerian,
-                })
+                rec["incomplete"] = str(exc)
+            else:
+                rec.update(trace=rep.trace, mengerian=rep.mengerian,
+                           clause=rep.classifier.clause if rep.classifier else None,
+                           tu=rep.tu.totally_unimodular,
+                           ideal=None if rep.ideal is None else rep.ideal.ideal,
+                           packing=rep.packing, konig=rep.tau == rep.nu)
+            report.instances.append(rec)
     return report

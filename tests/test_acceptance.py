@@ -14,7 +14,8 @@ import pytest
 from mengerian import clutters
 from mengerian.classify import Caps, classify_mengerian, decide_mengerian_exact
 from mengerian.clutters import Clutter, incidence_matrix, minimal_covers
-from mengerian.graphs import build_path_hypergraph, make_family, parse_edge_list, relabel
+from mengerian.graphs import (build_path_hypergraph, make_family, parse_edge_list, parse_graph6,
+                             relabel)
 from mengerian.ideals import (
     cover_degree,
     is_normally_torsion_free,
@@ -192,7 +193,7 @@ def test_criterion_5_extended_n7():
     assert rep.counters["total"] == 853
     assert rep.mismatches == [] and rep.incomplete == []
     assert rep.dichotomy_exceptions == []
-    assert all(type(row.report.packing) is bool for row in rep.rows)
+    assert all(type(r["packing"]) is bool for r in rep.instances)
     assert rep.conjecture_violations == []
     elapsed = time.time() - start
     assert elapsed < 1800
@@ -223,10 +224,10 @@ def test_criterion_6_dichotomy_audit(survey6):
 
 def test_criterion_7_conjecture_consistency(survey6):
     assert survey6.conjecture_violations == []
-    decided = [row.report for row in survey6.rows if row.report is not None]
+    decided = [r for r in survey6.instances if r["incomplete"] is None]
     assert len(decided) == 139
-    for rep in decided:
-        assert rep.packing == rep.mengerian
+    for r in decided:
+        assert r["packing"] == r["mengerian"]
     print(f"ACCEPTANCE 7 PASS: packing equals the Mengerian verdict on all "
           f"{len(decided)} instances")
 
@@ -273,10 +274,9 @@ def test_criterion_8_property_suites(survey6):
     # is_ideal itself answers TU clutters from the scan, so the vertices
     # are enumerated here
     tu_instances = 0
-    for row in survey6.rows:
-        rep = row.report
-        if rep.tu.totally_unimodular and not rep.hypergraph.is_empty:
-            c = rep.hypergraph
+    for r in survey6.instances:
+        c = build_path_hypergraph(parse_graph6(r["graph6"]))
+        if r["tu"] and not c.is_empty:
             for coords, _ in oracles.covering_vertices_scan(c.n, c.edges):
                 assert all(x.denominator == 1 for x in coords), coords
             tu_instances += 1

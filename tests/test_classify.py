@@ -57,7 +57,7 @@ def test_star_plus_edge_predicate():
     corpus = []
     for n in range(1, 6):
         pairs = list(combinations(range(n), 2))
-        corpus += [graphs.graph(n, [p for i, p in enumerate(pairs) if mask >> i & 1])
+        corpus += [graphs.Graph(n, [p for i, p in enumerate(pairs) if mask >> i & 1])
                    for mask in range(1 << len(pairs))]
     corpus += [g for n in range(1, 8) for g in enumerate_connected(n)]
     got = [is_star_plus_edge(g) for g in corpus]
@@ -88,7 +88,7 @@ def test_classify_small_graphs_vacuous():
 
 def test_classify_requires_connected():
     with pytest.raises(ValueError):
-        classify_mengerian(graphs.graph(4, [(0, 1), (2, 3)]))
+        classify_mengerian(graphs.Graph(4, [(0, 1), (2, 3)]))
 
 
 def test_classify_isomorphism_invariant():
@@ -159,7 +159,7 @@ def test_decide_scans_for_tu_at_most_once(monkeypatch, family, params, scans):
 
 
 def test_decide_disconnected_allowed():
-    g = graphs.graph(5, [(0, 1), (1, 2), (2, 3)])  # K4-path plus isolated vertex
+    g = graphs.Graph(5, [(0, 1), (1, 2), (2, 3)])  # K4-path plus isolated vertex
     rep = decide_mengerian_exact(g)
     assert rep.classifier is None and rep.agreement is None
     assert rep.trace == "TU_SHORTCUT"

@@ -264,6 +264,10 @@ def test_verify_certificate_without_hypergraph(report):
      "hypergraph edge [2, 4] has a vertex outside 1..3"),
     ({"graph": {"n": 3, "edges": [[0, 1]]}, "t": 3, "hypergraph": {"n": 3, "edges": [[1, 2, 3]]}},
      "edge (0, 1) out of range 1..3"),
+    ({"graph": {"n": 3, "edges": [[2, 2]]}, "t": 3, "hypergraph": {"n": 3, "edges": [[1, 2, 3]]}},
+     "loop at vertex 2"),
+    ({"graph": {"n": 3, "edges": [[6, 2]]}, "t": 3, "hypergraph": {"n": 3, "edges": [[1, 2, 3]]}},
+     "edge (2, 6) out of range 1..3"),
 ])
 def test_verify_certificate_names_labels_as_written(report, msg):
     # the range is checked before labels are shifted to 0-based vertices

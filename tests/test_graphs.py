@@ -119,8 +119,22 @@ def test_graph6_round_trip_random():
         n = rng.randint(1, 9)
         pairs = list(combinations(range(n), 2))
         edges = [p for p in pairs if rng.random() < 0.4]
-        g = graphs.graph(n, edges)
+        g = graphs.Graph(n, edges)
         assert parse_graph6(to_graph6(g)) == g
+
+
+def test_graph_normalises_its_edges():
+    # each pair is ordered and repeats are dropped, so equal graphs hash
+    # alike whatever order or container their pairs came in
+    g = Graph(3, [(0, 1)])
+    assert g == Graph(3, [(1, 0)]) and hash(g) == hash(Graph(3, [(1, 0)]))
+    assert Graph(3, [(0, 1), (1, 0)]).m == 1
+    assert repr(g) == "Graph(n=3, edges=frozenset({(0, 1)}))"
+    with pytest.raises(ValueError, match=r"^loop at vertex 2$"):
+        Graph(3, [(1, 1)])
+    for pair in ((1, 5), (5, 1)):
+        with pytest.raises(ValueError, match=r"^edge \(2, 6\) out of range 1\.\.3$"):
+            Graph(3, [pair])
 
 
 # --- families ---------------------------------------------------------------
@@ -154,7 +168,7 @@ def test_family_param_errors():
 def test_is_connected():
     assert is_connected(make_family("cycle", [8]))
     assert is_connected(make_family("path", [1]))
-    two_edges = graphs.graph(4, [(0, 1), (2, 3)])
+    two_edges = graphs.Graph(4, [(0, 1), (2, 3)])
     assert not is_connected(two_edges)
 
 
@@ -187,7 +201,7 @@ def test_h3_matches_ordering_oracle_random(t):
     for _ in range(25):
         n = rng.randint(4, 7)
         pairs = list(combinations(range(n), 2))
-        g = graphs.graph(n, [p for p in pairs if rng.random() < 0.5])
+        g = graphs.Graph(n, [p for p in pairs if rng.random() < 0.5])
         H = build_path_hypergraph(g, t)
         assert list(H.edges) == path_hypergraph_edges(n, g.edges, t)
 

@@ -185,9 +185,7 @@ def test_cross_check_n5_fixture():
     assert rep.mismatches == []
     assert rep.dichotomy_exceptions == []
     assert rep.conjecture_violations == []
-    clauses = sorted(row.report.classifier.clause
-                     for row in rep.rows
-                     if row.n == 5 and row.report.mengerian)
+    clauses = sorted(r["clause"] for r in rep.instances if r["n"] == 5 and r["mengerian"])
     assert clauses == ["PATH_WITH_DOUBLE_STARS", "PATH_WITH_DOUBLE_STARS",
                        "PATH_WITH_DOUBLE_STARS", "STAR_PLUS_EDGE"]
 
@@ -210,12 +208,13 @@ def test_cross_check_records_flipped_verdicts(monkeypatch):
         return wrapped
 
     monkeypatch.setattr(classify, "classify_mengerian", flip_on_dk(
-        classify.classify_mengerian, lambda v: v._replace(mengerian=not v.mengerian)))
+        classify.classify_mengerian,
+        lambda v: classify.ClassVerdict(False, classify.CLAUSE_NOT_MENGERIAN)))
     monkeypatch.setattr(classify, "decide_mengerian_exact", flip_on_dk(
         classify.decide_mengerian_exact, lambda r: r._replace(packing=not r.packing)))
     rep = cross_check(5, n_min=5)
     key = {"n": 5, "index": 1, "graph6": "Dk_"}
-    assert rep.mismatches == [{**key, "classifier": "PATH_WITH_DOUBLE_STARS",
+    assert rep.mismatches == [{**key, "classifier": "NOT_MENGERIAN",
                                "pipeline": "TU_SHORTCUT", "classifier_mengerian": False,
                                "pipeline_mengerian": True}]
     assert rep.conjecture_violations == [{**key, "packing": False, "mengerian": True}]
@@ -246,14 +245,14 @@ def test_cross_check_t4_small():
     # 5-uniform hypergraphs on at most 5 vertices: empty or one edge, all TU
     assert rep.mismatches == []  # classifier comparison only runs at t=3
     assert rep.dichotomy_exceptions == []
-    for row in rep.rows:
-        assert row.report.tu.totally_unimodular
+    for r in rep.instances:
+        assert r["tu"]
 
 
 def test_cross_check_incomplete_on_tiny_caps():
     rep = cross_check(5, caps=Caps(max_edges=2))
     assert rep.incomplete
-    assert any(r.incomplete for r in rep.rows)
+    assert any(r["incomplete"] for r in rep.instances)
     # incomplete rows never count as decided
     assert rep.counters["decided"] < rep.counters["total"]
 
@@ -279,3 +278,27 @@ def test_csv_output():
     lines = csv.strip().splitlines()
     assert lines[0].startswith("n,index,graph6,clause,trace")
     assert len(lines) == 1 + rep.counters["total"]
+
+
+@pytest.mark.parametrize("kwargs", [{}, {"caps": Caps(max_edges=3)}, {"t": 2}],
+                         ids=["t3", "max_edges3", "t2"])
+def test_report_is_a_fold_of_its_records(kwargs):
+    # the records of two runs over adjoining ranges, in order, make the
+    # report of one run over both, finding lists and counters included
+    whole = cross_check(6, **kwargs)
+    assert vars(whole).keys() == {"t", "n_min", "n_max", "instances"}
+    assert whole.incomplete or whole.dichotomy_exceptions or not kwargs
+    merged = survey.SurveyReport(kwargs.get("t", 3), 4, 6)
+    for part in (cross_check(5, **kwargs), cross_check(6, n_min=6, **kwargs)):
+        merged.instances += part.instances
+    assert merged.to_json_dict() == whole.to_json_dict()
+    assert merged.to_csv() == whole.to_csv()
+
+
+def test_clause_gives_the_classifier_verdict():
+    # the mismatch view reads the classifier's verdict off its clause
+    classes = [g for n in range(1, 8) for g in enumerate_connected(n)]
+    assert len(classes) == 996
+    for g in classes:
+        v = classify.classify_mengerian(g)
+        assert v.mengerian == (v.clause != classify.CLAUSE_NOT_MENGERIAN)
