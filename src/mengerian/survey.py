@@ -324,8 +324,8 @@ def cross_check(
     exceptions; every instance reports packing, and packing-versus-
     Mengerian disagreements are conjecture findings, never assertion
     failures. Instances over a resource cap are INCOMPLETE and never
-    counted as verified. n_min or n_max outside 1..ENUMERATION_CAP, or n_min > n_max,
-    raises ValueError before any instance is decided.
+    counted as verified. n_min or n_max outside 1..ENUMERATION_CAP, or
+    n_min > n_max, raises ValueError before any instance is decided.
     """
     _check_n(n_min)
     _check_n(n_max)
