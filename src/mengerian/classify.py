@@ -144,17 +144,17 @@ class DecisionReport(NamedTuple):
             return None
         return self.classifier.mengerian == self.mengerian
 
-    def to_json_dict(self, certificates: bool = True) -> dict:
+    def to_json_dict(self) -> dict:
         return {
             **report_header(self.graph, self.t, self.hypergraph),
             "trace": self.trace,
             "mengerian": self.mengerian,
             "checks": {
-                "tu": tu_json(self.tu, certificates),
-                "ideal": ideal_json(self.ideal, certificates),
+                "tu": tu_json(self.tu),
+                "ideal": ideal_json(self.ideal),
                 "konig": konig_json(self.tau, self.nu),
                 "packing": self.packing,
-                "ntf": ntf_json(self.ntf, certificates),
+                "ntf": ntf_json(self.ntf),
             },
             "classifier": None if self.classifier is None else classifier_json(self.classifier),
             "agreement": self.agreement,
@@ -179,9 +179,9 @@ def konig_json(tau: int, nu: int) -> dict:
     return {"value": tau == nu, "tau": tau, "nu": nu}
 
 
-def tu_json(res: linalg.TUResult, certificates: bool) -> dict:
+def tu_json(res: linalg.TUResult) -> dict:
     d: dict = {"value": res.totally_unimodular}
-    if certificates and res.witness is not None:
+    if res.witness is not None:
         d["witness"] = {
             "rows": [i + 1 for i in res.witness.rows],
             "cols": [j + 1 for j in res.witness.cols],
@@ -190,11 +190,11 @@ def tu_json(res: linalg.TUResult, certificates: bool) -> dict:
     return d
 
 
-def ideal_json(res: Optional[linalg.IdealityResult], certificates: bool) -> Optional[dict]:
+def ideal_json(res: Optional[linalg.IdealityResult]) -> Optional[dict]:
     if res is None:
         return None
     d: dict = {"value": res.ideal}
-    if certificates and res.certificate is not None:
+    if res.certificate is not None:
         d["fractional_vertex"] = {
             "coords": [str(c) for c in res.certificate.coords],
             "tight_rows": [i + 1 for i in res.certificate.tight_rows],
@@ -202,7 +202,7 @@ def ideal_json(res: Optional[linalg.IdealityResult], certificates: bool) -> Opti
     return d
 
 
-def ntf_json(res: Optional[ideals.NtfResult], certificates: bool) -> Optional[dict]:
+def ntf_json(res: Optional[ideals.NtfResult]) -> Optional[dict]:
     if res is None:
         return None
     d: dict = {
@@ -211,7 +211,7 @@ def ntf_json(res: Optional[ideals.NtfResult], certificates: bool) -> Optional[di
         "bound": res.bound,
         "checked_k": list(res.checked_k),
     }
-    if certificates and res.violation is not None:
+    if res.violation is not None:
         d["violation"] = {
             "k": res.checked_k[-1],
             "monomial": ideals.format_monomial(res.violation),
@@ -311,7 +311,7 @@ def check_report(g: Graph, t: int, caps: Caps, prop: str) -> dict:
             section = konig_json(clutters.tau(c), clutters.nu(c))
         else:
             res = linalg.is_ideal(c)
-            section = tu_json(res.tu, True) if prop == "tu" else ideal_json(res, True)
+            section = tu_json(res.tu) if prop == "tu" else ideal_json(res)
         report = {**report_header(g, t, c), "checks": {prop: section}}
     return {**report, "property": prop, "holds": report_verdict(report, prop)}
 
@@ -412,7 +412,12 @@ def _is_int(claimed, value: int) -> bool:
 
 
 def _refuting(name: str, ok: bool, msg: str, **verdicts) -> tuple[str, bool, str]:
-    """A certificate check; it fails, too, unless each verdict it refutes is false."""
+    """A certificate check; it fails, too, unless each verdict it refutes is false.
+
+    The one rule of verify_report_dict: callers pass the certificate's own
+    verdict as read (None when absent) and the others with False for an
+    absent key, so null and every non-boolean fail.
+    """
     claimed = [k for k, v in verdicts.items() if v is not False]
     if claimed:
         return name, False, f"{msg}; the report does not set {' and '.join(claimed)} false"
@@ -424,15 +429,18 @@ def verify_report_dict(d: dict, caps: Caps = Caps()) -> list[tuple[str, bool, st
 
     Returns (check name, ok, message) triples; an empty list means the
     report carried nothing verifiable (positive verdicts have no compact
-    witness). A report that names its graph must carry H_t of that graph,
-    and a certificate is valid only when the report sets every verdict it
-    refutes to false; Konig values with tau != nu refute the packing and
-    Mengerian verdicts a report gives, and a fractional vertex refutes its
-    packing verdict, since a clutter that packs is ideal. Certificates are
-    read only under "checks". A check report's "holds" must be its own
-    verdict, read at its property's VERDICTS path; a mismatch adds one
-    failed "holds" check, and a report that gives "holds" without such a
-    "property" is malformed.
+    witness). A report that names its graph must carry H_t of that graph.
+    A certificate is valid only under one rule: its own verdict must be
+    given and false, and every other verdict it refutes must be false
+    wherever the report gives it. "mengerian" and "checks.packing" are
+    read once each, False when absent. A TU witness refutes tu; a
+    fractional vertex refutes ideal, mengerian and packing, since a
+    clutter that packs is ideal; Konig values with tau != nu refute
+    packing and mengerian; a power violation refutes ntf and mengerian.
+    Certificates are read only under "checks". A check report's "holds"
+    must be its own verdict, read at its property's VERDICTS path; a
+    mismatch adds one failed "holds" check, and a report that gives
+    "holds" without such a "property" is malformed.
 
     The hypergraph's n and edge count as listed are capped before the
     clutter is built, since the build's antichain check is quadratic in
@@ -457,16 +465,15 @@ def verify_report_dict(d: dict, caps: Caps = Caps()) -> list[tuple[str, bool, st
         same = g.n == c.n and graphs.build_path_hypergraph(g, t).edges == c.edges
         out.append(("hypergraph", same,
                     f"{'equals' if same else 'differs from'} H_{t} of the report's graph"))
-    mengerian = d.get("mengerian", False)
 
     checks = _checks(d)
+    mengerian, packing = d.get("mengerian", False), checks.get("packing", False)
     tu = _section(checks, "tu")
     w = _section(tu, "witness")
     if w:
         rows, cols = _indices(w.get("rows"), c.m), _indices(w.get("cols"), c.n)
         if rows and cols and len(rows) == len(cols):
-            A = clutters.incidence_matrix(c)
-            det = linalg.bareiss_det([[A[i][j] for j in cols] for i in rows])
+            det = linalg.bareiss_det([clutters._row(c.masks[i], cols) for i in rows])
             claimed = w.get("det")
             _rational(claimed, "witness det")  # a non-number is malformed
             # a number is valid only as the integer's decimal string, as tu_json writes it
@@ -485,12 +492,10 @@ def verify_report_dict(d: dict, caps: Caps = Caps()) -> list[tuple[str, bool, st
         same_tight = tight is not None and sorted(tight) == list(chk.tight_rows)
         msg = f"feasible={chk.feasible} tight_rank={chk.tight_rank}/{c.n}"
         # a clutter that packs is ideal, so the vertex refutes the report's packing too
-        packing = checks.get("packing")
-        refuted = {"packing": packing} if isinstance(packing, bool) else {}
         out.append(_refuting("fractional_vertex",
                              chk.is_vertex and not chk.is_integral and same_tight,
                              msg if same_tight else msg + ", tight_rows differ",
-                             ideal=ideal.get("value"), mengerian=mengerian, **refuted))
+                             ideal=ideal.get("value"), mengerian=mengerian, packing=packing))
 
     konig = _section(checks, "konig")
     if "tau" in konig:
@@ -498,8 +503,7 @@ def verify_report_dict(d: dict, caps: Caps = Caps()) -> list[tuple[str, bool, st
         ok = (_is_int(konig["tau"], t_) and _is_int(konig.get("nu"), n_)
               and konig.get("value") is (t_ == n_))
         # tau > nu refutes packing and the Mengerian property at the clutter itself
-        verdicts = {"packing": checks.get("packing"), "mengerian": d.get("mengerian")}
-        refuted = {} if t_ == n_ else {k: v for k, v in verdicts.items() if v is not None}
+        refuted = {} if t_ == n_ else {"packing": packing, "mengerian": mengerian}
         out.append(_refuting("konig_values", ok, f"tau={t_} nu={n_}", **refuted))
 
     ntf = _section(checks, "ntf")

@@ -109,8 +109,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     pd = sub.add_parser("decide", help="full exact pipeline with report")
     _add_input_args(pd)
-    pd.add_argument("--no-certificates", dest="certificates", action="store_false",
-                    help="leave the certificates out of the report")
     pd.add_argument("--packing", action="store_true", help="ignored: every report gives packing")
 
     pk = sub.add_parser("classify", help="closed-form clause for a connected graph (t = 3 only)")
@@ -159,7 +157,7 @@ def _cmd_check(args) -> int:
 def _cmd_decide(args) -> int:
     g = _load_graph(args)
     rep = classify.decide_mengerian_exact(g, args.t, caps=_caps(args))
-    _emit_json(rep.to_json_dict(certificates=args.certificates))
+    _emit_json(rep.to_json_dict())
     return 0
 
 

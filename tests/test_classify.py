@@ -321,8 +321,6 @@ def test_report_json_schema():
     assert all(isinstance(s, str) for s in coords)
     assert d["classifier"]["clause"] == "NOT_MENGERIAN"
     assert d["agreement"] is True
-    trimmed = rep.to_json_dict(certificates=False)
-    assert "fractional_vertex" not in trimmed["checks"]["ideal"]
 
 
 def test_report_round_trips_through_json():
@@ -372,7 +370,31 @@ def failed(results):
 def c5_ntf_dict():
     c = build_path_hypergraph(make_family("cycle", [5]))
     return {"hypergraph": clutters.to_json_dict(c),
-            "checks": {"ntf": ntf_json(ideals.is_normally_torsion_free(c), certificates=True)}}
+            "checks": {"ntf": ntf_json(ideals.is_normally_torsion_free(c))}}
+
+
+def test_every_negative_verdict_carries_its_certificate():
+    # every decide report over the connected classes (n = 4..7 at t=3,
+    # n = 4..6 at t=2 and t=4) backs each false verdict with a certificate
+    # that the verifier accepts
+    counts = {}
+    for t, n_max in ((3, 7), (2, 6), (4, 6)):
+        for n in range(4, n_max + 1):
+            for g in enumerate_connected(n):
+                d = decide_mengerian_exact(g, t).to_json_dict()
+                where = (t, graphs.to_graph6(g))
+                checks = d["checks"]
+                tu, konig = checks["tu"], checks["konig"]
+                ideal, ntf = checks["ideal"] or {}, checks["ntf"] or {}
+                vertex, violation = "fractional_vertex" in ideal, "violation" in ntf
+                assert tu["value"] or "witness" in tu, where
+                assert ideal.get("value") is not False or vertex, where
+                assert ntf.get("value") is not False or violation, where
+                assert d["mengerian"] or vertex or violation, where
+                assert checks["packing"] or konig["tau"] != konig["nu"] or vertex, where
+                assert not failed(verify_report_dict(d)), where
+                counts[d["mengerian"]] = counts.get(d["mengerian"], 0) + 1
+    assert counts == {True: 71, False: 1199}
 
 
 def test_verify_report_checks_graph():

@@ -20,7 +20,7 @@ def c5_ntf_report():
     # a power violation of H_3(C5), as the NTF decision itself returns it;
     # check ntf answers C5 on the NON_IDEAL route, which carries none
     c = graphs.build_path_hypergraph(graphs.make_family("cycle", [5]))
-    ntf = classify.ntf_json(ideals.is_normally_torsion_free(c), certificates=True)
+    ntf = classify.ntf_json(ideals.is_normally_torsion_free(c))
     return json.dumps({"schema": 1, "hypergraph": clutters.to_json_dict(c),
                        "checks": {"ntf": ntf}})
 
@@ -74,12 +74,15 @@ def test_check_konig_long_path():
 
 
 def test_check_mfmc_probe(capsys):
-    # the bounded probe, both its --cmax options and the survey's packing
-    # cutoff (every row reports packing) are gone: argparse usage errors
+    # the bounded probe, both its --cmax options, the survey's packing
+    # cutoff (every row reports packing) and decide --no-certificates
+    # (every negative verdict carries its certificate) are gone: argparse
+    # usage errors
     for argv in (["check", "mfmc-probe", "--family", "cycle:5"],
                  ["check", "ntf", "--family", "cycle:5", "--cmax", "1"],
                  ["verify-certificate", "--cmax", "1", "-"],
-                 ["survey", "--packing-max-n", "3"]):
+                 ["survey", "--packing-max-n", "3"],
+                 ["decide", "--no-certificates", "--family", "cycle:5"]):
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 2 and capsys.readouterr().err.startswith("usage: mengerian")
@@ -104,14 +107,6 @@ def test_check_ideal_dot_figure():
     assert out.startswith("graph G {")
     assert 'label="x2 = 1/2"' in out and 'label="x6 = 1/2"' in out
     assert 'label="x1 = 0"' in out
-
-
-def test_decide_no_certificates():
-    code, out, _ = run_cli(["decide", "--family", "cycle:5", "--no-certificates"])
-    assert code == 0
-    d = json.loads(out)
-    assert d["checks"]["ideal"]["value"] is False
-    assert "fractional_vertex" not in d["checks"]["ideal"]
 
 
 def test_hypergraph_text_and_dot():
@@ -181,6 +176,13 @@ def test_verify_certificate_accepts_check_output():
     code3, out3, _ = run_cli(["check", "konig", "--family", "cycle:8"])
     code4, out4, _ = run_cli(["verify-certificate", "-"], stdin_text=out3)
     assert code4 == 0 and "konig_values: valid" in out4
+    # a check konig or check ideal report gives neither mengerian nor
+    # packing, so C5's tau != nu and fractional vertex refute nothing there
+    for prop, line in (("konig", "konig_values: valid (tau=2 nu=1)"),
+                       ("ideal", "fractional_vertex: valid (feasible=True tight_rank=5/5)")):
+        _, report, _ = run_cli(["check", prop, "--family", "cycle:5"])
+        code5, out5, _ = run_cli(["verify-certificate", "-"], stdin_text=report)
+        assert code5 == 0 and line in out5.splitlines()
 
 
 def test_verify_certificate_packing_refutations_carry_certificates():
@@ -215,27 +217,32 @@ def test_verify_certificate_stdin_tampered():
 
 @pytest.mark.parametrize("verdict", ["packing", "mengerian"])
 def test_verify_certificate_konig_refutes_a_true_verdict(verdict):
+    # a null verdict is given and not false, so it is refuted as true is
     code, out, _ = run_cli(["decide", "--packing", "--family", "cycle:5"])
-    d = json.loads(out)
-    (d["checks"] if verdict == "packing" else d)[verdict] = True
-    code2, out2, _ = run_cli(["verify-certificate", "-"], stdin_text=json.dumps(d))
-    assert code2 == 2
-    assert f"konig_values: INVALID (tau=2 nu=1; the report does not set {verdict} false)" in out2
+    for value in (True, None):
+        d = json.loads(out)
+        (d["checks"] if verdict == "packing" else d)[verdict] = value
+        code2, out2, _ = run_cli(["verify-certificate", "-"], stdin_text=json.dumps(d))
+        assert code2 == 2
+        assert (f"konig_values: INVALID (tau=2 nu=1; the report does not set {verdict} false)"
+                in out2.splitlines())
 
 
 def test_verify_certificate_fractional_vertex_refutes_packing():
     # a clutter that packs is ideal (Lehman; Cornuéjols, Guenin & Margot),
     # so C12's fractional vertex refutes a packing verdict that tau == nu
-    # leaves standing
+    # leaves standing, whether it is true, null or not a boolean at all
     _, out, _ = run_cli(["decide", "--family", "cycle:12"])
-    d = json.loads(out)
-    assert d["checks"]["konig"]["value"] is True and d["checks"]["packing"] is False
-    d["checks"]["packing"] = True
-    code, out2, _ = run_cli(["verify-certificate", "-"], stdin_text=json.dumps(d))
-    assert code == 2
-    assert ("fractional_vertex: INVALID (feasible=True tight_rank=12/12; "
-            "the report does not set packing false)") in out2.splitlines()
-    assert "konig_values: valid (tau=3 nu=3)" in out2.splitlines()
+    assert json.loads(out)["checks"]["konig"]["value"] is True
+    assert json.loads(out)["checks"]["packing"] is False
+    for packing in (True, "yes", None, 1):
+        d = json.loads(out)
+        d["checks"]["packing"] = packing
+        code, out2, _ = run_cli(["verify-certificate", "-"], stdin_text=json.dumps(d))
+        assert code == 2, packing
+        assert ("fractional_vertex: INVALID (feasible=True tight_rank=12/12; "
+                "the report does not set packing false)") in out2.splitlines()
+        assert "konig_values: valid (tau=3 nu=3)" in out2.splitlines()
 
 
 @pytest.mark.parametrize("report", [
