@@ -430,13 +430,17 @@ def verify_report_dict(d: dict, caps: Caps = Caps()) -> list[tuple[str, bool, st
     Returns (check name, ok, message) triples; an empty list means the
     report carried nothing verifiable (positive verdicts have no compact
     witness). A report that names its graph must carry H_t of that graph.
-    A certificate is valid only under one rule: its own verdict must be
-    given and false, and every other verdict it refutes must be false
-    wherever the report gives it. "mengerian" and "checks.packing" are
-    read once each, False when absent. A TU witness refutes tu; a
-    fractional vertex refutes ideal, mengerian and packing, since a
-    clutter that packs is ideal; Konig values with tau != nu refute
-    packing and mengerian; a power violation refutes ntf and mengerian.
+    Each verdict a report gives, "mengerian", "checks.packing" and
+    "checks.<tu|ideal|konig|ntf>.value", must be true or false; any other
+    value, null included, adds one failed "verdicts" check before the
+    certificates. A certificate is valid only under one rule: its own
+    verdict must be given and false, and every other verdict it refutes
+    must be false wherever the report gives it. "mengerian" and
+    "checks.packing" are read once each, False when absent. A TU witness
+    refutes tu; a fractional vertex refutes ideal, mengerian and packing,
+    since a clutter that packs is ideal; Konig values with tau != nu
+    refute packing and mengerian; a power violation refutes ntf and
+    mengerian.
     Certificates are read only under "checks". A check report's "holds"
     must be its own verdict, read at its property's VERDICTS path; a
     mismatch adds one failed "holds" check, and a report that gives
@@ -467,8 +471,15 @@ def verify_report_dict(d: dict, caps: Caps = Caps()) -> list[tuple[str, bool, st
                     f"{'equals' if same else 'differs from'} H_{t} of the report's graph"))
 
     checks = _checks(d)
-    mengerian, packing = d.get("mengerian", False), checks.get("packing", False)
-    tu = _section(checks, "tu")
+    tu, ideal, konig, ntf = (_section(checks, k) for k in ("tu", "ideal", "konig", "ntf"))
+    # each verdict the report gives, False where it gives none
+    given = {"mengerian": d.get("mengerian", False), "checks.packing": checks.get("packing", False),
+             **{f"checks.{k}.value": sec.get("value", False)
+                for k, sec in (("tu", tu), ("ideal", ideal), ("konig", konig), ("ntf", ntf))}}
+    not_bool = [f"{path} is {_quote(v)}" for path, v in given.items() if type(v) is not bool]
+    if not_bool:
+        out.append(("verdicts", False, f"{', '.join(not_bool)}; a verdict is true or false"))
+    mengerian, packing = given["mengerian"], given["checks.packing"]
     w = _section(tu, "witness")
     if w:
         rows, cols = _indices(w.get("rows"), c.m), _indices(w.get("cols"), c.n)
@@ -483,7 +494,6 @@ def verify_report_dict(d: dict, caps: Caps = Caps()) -> list[tuple[str, bool, st
                               f"in 1..{c.m} and 1..{c.n}")
         out.append(_refuting("tu_witness", ok, msg, tu=tu.get("value")))
 
-    ideal = _section(checks, "ideal")
     vertex = _section(ideal, "fractional_vertex")
     if vertex:
         coords = [_rational(x, "vertex coordinate") for x in _list(vertex, "coords")]
@@ -497,7 +507,6 @@ def verify_report_dict(d: dict, caps: Caps = Caps()) -> list[tuple[str, bool, st
                              msg if same_tight else msg + ", tight_rows differ",
                              ideal=ideal.get("value"), mengerian=mengerian, packing=packing))
 
-    konig = _section(checks, "konig")
     if "tau" in konig:
         t_, n_ = clutters.tau(c), clutters.nu(c)
         ok = (_is_int(konig["tau"], t_) and _is_int(konig.get("nu"), n_)
@@ -506,7 +515,6 @@ def verify_report_dict(d: dict, caps: Caps = Caps()) -> list[tuple[str, bool, st
         refuted = {} if t_ == n_ else {"packing": packing, "mengerian": mengerian}
         out.append(_refuting("konig_values", ok, f"tau={t_} nu={n_}", **refuted))
 
-    ntf = _section(checks, "ntf")
     v = _section(ntf, "violation")
     if v:
         k, mono = v.get("k"), _exponents(v.get("exponents"), c.n)

@@ -49,8 +49,6 @@ def _echelon(a: list[list[int]], ncols: int) -> tuple[int, int]:
     prev = 1
     r = 0
     for col in range(ncols):
-        if r == m:
-            break
         for p in range(r, m):
             if a[p][col]:
                 break
@@ -173,11 +171,6 @@ class IdealityResult(NamedTuple):
     tu: TUResult
 
 
-def _row_sums(c: Clutter, coords: Sequence[Fraction]) -> Iterator[Fraction]:
-    """<A_i, x> for every edge i, lazily, so feasibility checks stop early."""
-    return (sum(coords[v] for v in e) for e in c.edges)
-
-
 def tight_constraints(c: Clutter, coords: Sequence[Fraction]) -> tuple[int, ...]:
     """The covering rows with <A_i, x> = 1, then m + j for each x_j = 0.
 
@@ -212,11 +205,12 @@ def _fractional_vertex(c: Clutter) -> Optional[tuple[PolyhedronVertex, tuple[int
     eliminated once with the unit right-hand side carried along. Its last
     pivot is +-det, and by Cramer's rule a block with |det| = 1 has an
     integral solution, so only the other nonsingular blocks are solved.
-    The first solution that is fractional, nonnegative and feasible is the
-    vertex; tight rows are computed for it alone. Its basis is the row set
-    solved. That is the first basis of its tight rows in ``combinations``
-    order, which is the greedy one: the tight rows in index order, each
-    kept while independent on the support.
+    The first solution that ``verify_vertex``, the check that
+    verify-certificate runs, finds feasible and fractional is the vertex,
+    with the tight rows that check lists; the basis makes their rank n.
+    Its basis is the row set solved. That is the first basis of its tight
+    rows in ``combinations`` order, which is the greedy one: the tight rows
+    in index order, each kept while independent on the support.
     """
     n = c.n
     for zeros in range(n - 1, -1, -1):
@@ -235,15 +229,11 @@ def _fractional_vertex(c: Clutter) -> Optional[tuple[PolyhedronVertex, tuple[int
                 block = [reduced[i][:] for i in tset]
                 if _echelon(block, size)[0] < size or abs(block[-1][size - 1]) == 1:
                     continue
-                sol = _back_substitute(block, size)
-                if all(v.denominator == 1 for v in sol) or any(v < 0 for v in sol):
-                    continue
-                coords = [Fraction(0)] * n
-                for j, v in zip(live, sol):
-                    coords[j] = v
-                if any(s < 1 for s in _row_sums(c, coords)):
-                    continue
-                return PolyhedronVertex(tuple(coords), tight_constraints(c, coords)), tset
+                sol = dict(zip(live, _back_substitute(block, size)))
+                coords = [sol.get(j, Fraction(0)) for j in range(n)]
+                chk = verify_vertex(c, coords)
+                if chk.feasible and not chk.is_integral:
+                    return PolyhedronVertex(tuple(coords), chk.tight_rows), tset
     return None
 
 
@@ -264,7 +254,7 @@ def verify_vertex(c: Clutter, coords: Sequence) -> VertexCheck:
     pt = [Fraction(x) for x in coords]
     if len(pt) != c.n:
         raise ValueError("coordinate count does not match column count")
-    feasible = all(x >= 0 for x in pt) and all(s >= 1 for s in _row_sums(c, pt))
+    feasible = all(x >= 0 for x in pt) and all(sum(pt[v] for v in e) >= 1 for e in c.edges)
     tight = tight_constraints(c, pt) if feasible else ()
     tight_mat = [_row(c.masks[i] if i < c.m else 1 << (i - c.m), range(c.n)) for i in tight]
     rk = _echelon(tight_mat, c.n)[0]
@@ -336,11 +326,9 @@ def _pattern_vertices(c: Clutter) -> Optional[tuple[PolyhedronVertex, tuple[int,
     short of every edge has weight below 2, so ``_supports_met_twice``
     visits only the others, in the same order. Its prune reads ``ever[j]``
     and ``twice_after[j]``, the edges met at least once and twice by the
-    vertices j..n-1, built once per clutter. When ``twice_after[0]`` is
-    short, some edge has fewer than two vertices and there is no hit. An S
-    with ``thrice`` short has weight 2 and tight rows ``twice & ~thrice``.
-    Only an S that every edge meets three times needs its weights counted
-    row by row, and that is skipped once a hit with q <= 3 is kept.
+    vertices j..n-1, built once per clutter. An S with ``thrice`` short has
+    weight 2 and tight rows ``twice & ~thrice``. Only an S that every edge
+    meets three times needs its weights counted row by row.
 
     The rank test runs on the transpose, one row per vertex of S and one
     column per tight row, since the pivot columns of its echelon form are
@@ -363,15 +351,11 @@ def _pattern_vertices(c: Clutter) -> Optional[tuple[PolyhedronVertex, tuple[int,
         twice_after[j] = twice_after[j + 1] | ever[j + 1] & cols[j]
         ever[j] = ever[j + 1] | cols[j]
     full = (1 << m) - 1
-    if twice_after[0] != full:
-        return None
     for s in range(3, n + 1):
         best = None
         for S, thrice in _supports_met_twice(cols, s, ever, twice_after):
             if thrice != full:
                 q, tight = 2, list(_bits(full & ~thrice))
-            elif best is not None and best[0] <= 3:
-                continue
             else:
                 smask = _mask(S)
                 weights = [_popcount(e & smask) for e in masks]

@@ -5,7 +5,9 @@ must see the calls that the traced workloads make.
 from outside. A renamed or deleted function, or a call that bypasses a
 wrapper, would otherwise show up only in a traced bench run's coverage
 gate, so these tests load the bench files by path (the bench is not a
-package) and check them against the modules.
+package) and check them against the modules. The bench's worker also
+runs here in a subprocess, under ``python -I`` as the bench starts it, so
+its pinned verdicts and counters and its coverage gate fail a test.
 """
 
 import importlib
@@ -13,12 +15,13 @@ import importlib.util
 import inspect
 import json
 import os
+import subprocess
 import sys
 
 import pytest
 
-BENCH_DIR = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
-                         "perfbench")
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+BENCH_DIR = os.path.join(ROOT, "perfbench")
 
 
 def load_bench(filename):
@@ -79,3 +82,26 @@ def test_traced_pass_covers_gated_metrics(workload, tmp_path, monkeypatch):
         # vertex, whose first check fails, so their two copies make 4
         assert metrics["clutters.has_packing.distinct_ratio"] == 1.0
         assert metrics["clutters.has_packing.konig_calls"] <= 10
+
+
+@pytest.mark.parametrize("mode", ["pass", "traced"])
+@pytest.mark.parametrize("workload", ["survey-n6", "survey-n7", "decide-fixtures"])
+def test_worker_runs_as_the_bench_starts_it(workload, mode, tmp_path, monkeypatch):
+    # the worker imports the package from src alone, checks every pinned
+    # verdict and counter, and in traced mode records each gated metric
+    spans_path = tmp_path / "spans.json"
+    proc = subprocess.run(
+        [sys.executable, "-I", os.path.join(BENCH_DIR, "worker.py"), "--root", ROOT,
+         "--workload", workload, "--seed", "1", "--mode", mode, "--spans", str(spans_path)],
+        cwd=ROOT, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert lines[0] == "ready"
+    result = json.loads(lines[-1])
+    assert (result["failed"], result["errors"]) == (0, [])
+    if mode == "traced":
+        spans = load_bench("spans.py")
+        monkeypatch.setitem(sys.modules, "spans", spans)  # run.py imports it by name
+        run = load_bench("run.py")
+        metrics = spans.layer_metrics(json.loads(spans_path.read_text()))
+        assert [name for name in run.COVERAGE[workload] if not metrics[name]] == []

@@ -207,12 +207,27 @@ def test_verify_certificate_packing_refutations_carry_certificates():
 
 
 def test_verify_certificate_stdin_tampered():
-    code, out, _ = run_cli(["decide", "--family", "cycle:6"])
-    d = json.loads(out)
-    d["checks"]["ideal"]["fractional_vertex"]["coords"][0] = "2/3"
-    code2, out2, _ = run_cli(["verify-certificate", "-"], stdin_text=json.dumps(d))
-    assert code2 == 2
-    assert "INVALID" in out2
+    # a verdict that is neither true nor false fails one "verdicts" check,
+    # also where no certificate refutes it
+    verdict_rule = "; a verdict is true or false)"
+    for family, edits, invalid in [
+        ("cycle:6", {("checks", "ideal", "fractional_vertex", "coords", 0): "2/3"},
+         "fractional_vertex: INVALID (feasible=True tight_rank=4/6, tight_rows differ)"),
+        ("path:9", {("mengerian",): "yes", ("checks", "packing"): None},
+         'verdicts: INVALID (mengerian is "yes", checks.packing is null' + verdict_rule),
+        ("path:9", {("checks", "tu", "value"): "no"},
+         'verdicts: INVALID (checks.tu.value is "no"' + verdict_rule),
+    ]:
+        code, out, _ = run_cli(["decide", "--family", family])
+        d = json.loads(out)
+        for (*path, key), value in edits.items():
+            section = d
+            for name in path:
+                section = section[name]
+            section[key] = value
+        code2, out2, _ = run_cli(["verify-certificate", "-"], stdin_text=json.dumps(d))
+        assert code2 == 2, edits
+        assert [line for line in out2.splitlines() if "INVALID" in line] == [invalid]
 
 
 @pytest.mark.parametrize("verdict", ["packing", "mengerian"])
@@ -242,6 +257,9 @@ def test_verify_certificate_fractional_vertex_refutes_packing():
         assert code == 2, packing
         assert ("fractional_vertex: INVALID (feasible=True tight_rank=12/12; "
                 "the report does not set packing false)") in out2.splitlines()
+        # and a packing that is not a boolean fails the verdict rule besides
+        assert ((f"verdicts: INVALID (checks.packing is {json.dumps(packing)}; "
+                 "a verdict is true or false)") in out2.splitlines()) is (type(packing) is not bool)
         assert "konig_values: valid (tau=3 nu=3)" in out2.splitlines()
 
 

@@ -344,6 +344,12 @@ def test_fractional_vertex_matches_scan():
     cases = [c for c in drawn if not c.is_empty and _pattern_vertices(c) is None
              and not is_totally_unimodular(c).totally_unimodular]
     cases += [h3("cycle", k) for k in (5, 6, 7)]
+    # the search solves a block to the integral (0,0,1,0,1,1) before it
+    # reaches this clutter's first fractional vertex
+    rejects_integral = Clutter(6, ((0, 1, 2), (0, 3, 5), (0, 4), (1, 4), (1, 5), (2, 3), (2, 4)))
+    assert _pattern_vertices(rejects_integral) is None
+    assert not is_totally_unimodular(rejects_integral).totally_unimodular
+    cases.append(rejects_integral)
     fractional = 0
     # H_3(C8) is ideal and not TU: the search runs to the end and finds none
     for c in cases + [h3("cycle", 8)]:
@@ -352,7 +358,10 @@ def test_fractional_vertex_matches_scan():
         if hit is not None:
             assert hit[1] == vertex_witness_scan(c.n, c.edges, hit[0].coords)[0], c.edges
         fractional += hit is not None
-    assert (sum(not c.is_empty for c in drawn), len(cases), fractional) == (2683, 89, 85)
+    assert (sum(not c.is_empty for c in drawn), len(cases), fractional) == (2683, 90, 86)
+    T = Fraction(1, 3)
+    assert _fractional_vertex(rejects_integral) == (
+        PolyhedronVertex((T, T, T, 2 * T, 2 * T, 2 * T), (0, 2, 3, 4, 5, 6)), (0, 2, 3, 4, 5, 6))
 
 
 def test_fractional_vertex_matches_scan_at_n8():
@@ -418,6 +427,13 @@ def test_pattern_prepass_matches_scan_on_random_clutters():
     cases += [Clutter(6, random_clutter(rng, 6, sizes=(3,))) for _ in range(400)]
     cases += [Clutter(n, random_clutter(rng, n, sizes=(1, 2, 3)))
               for n in (rng.randint(3, 7) for _ in range(200))]
+    # a later support of size 6 meets every edge three times, at q = 3 like
+    # the kept hit on {0,...,5}, so the search must not keep it
+    later_q3 = Clutter(8, ((0, 1, 2, 7), (0, 2, 4), (0, 2, 5), (0, 3, 4), (1, 4, 5, 6, 7), (2, 3, 5)))
+    T = Fraction(1, 3)
+    assert vertex_of(_pattern_vertices(later_q3)) == PolyhedronVertex(
+        (T,) * 6 + (0, 0), (0, 1, 2, 3, 4, 5, 12, 13))
+    cases.append(later_q3)
     seen = Counter()
     for c in cases:
         assert prepass(c) == pattern_vertex_scan(c.n, c.edges), c.edges
